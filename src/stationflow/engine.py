@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from . import tlo
 from .state import (
     Configuration, Station, StoreEntry, Unit, append_station_tail, append_top,
-    config_digest, finalize, fresh_key_name, is_dry, is_terminal, is_value,
+    config_digest, finalize, fresh_key_name, is_terminal, is_value,
     merge_results, singleton, station_is_load_free, target,
 )
 from .terms import (
@@ -44,15 +44,10 @@ class Stuck:
     reason: str
 
 
-def find_expr_redex(e: Expr):
-    """Locate the unique evaluation-context redex, or report why there is
-    none: None for a value, Blocked for an unready claim, Stuck otherwise."""
-    return _find(e, lambda x: x)
-
-
 def _find(e: Expr, rebuild):
-    if is_value(e):
-        return None
+    """Locate the unique evaluation-context redex of a non-value, or report
+    Stuck when no rule applies; `rebuild` fills the hole the redex leaves.
+    Callers rule out values first, as every recursive call below does."""
     match e:
         case Var(name):
             return Stuck(f"free name {name!r}")
@@ -211,9 +206,9 @@ def _head_singleton(station: Station):
 
 
 def frontend_redex(config: Configuration) -> Redex | Blocked | Stuck | None:
-    found = _find(config.frontend, lambda x: x)
-    if found is None:
+    if is_value(config.frontend):
         return None
+    found = _find(config.frontend, lambda x: x)
     if isinstance(found, Stuck):
         return found
     if found.rule == "Claim":
@@ -251,10 +246,10 @@ def station_task_redexes(config: Configuration, i: int) -> list[Redex]:
         label, op = single
         tgt = target(op)
         if isinstance(op, MapOp) and tgt is not None and key is not None \
-                and key in tgt and is_value(station.node):
+                and key in tgt and station.loaded:
             out.append(Redex("Map", f"station:{i}", station=i))
         if isinstance(op, FoldOp) and tgt is not None and key is not None \
-                and key in tgt and is_value(station.node):
+                and key in tgt and station.loaded:
             out.append(Redex("Fold", f"station:{i}", station=i))
         if tgt is not None and len(tgt) == 0 and _finalizable(op):
             out.append(Redex("Complete", f"station:{i}", station=i))
@@ -289,7 +284,7 @@ def _loadable(expr: Expr, config: Configuration) -> bool:
 def station_load_redexes(config: Configuration, i: int) -> list[Redex]:
     station = config.backend[i]
     out: list[Redex] = []
-    if not is_value(station.node) and _loadable(station.node, config):
+    if not station.loaded and _loadable(station.node, config):
         out.append(Redex("Load", f"station:{i}/node", station=i))
     for j, unit in enumerate(station.streamlet):
         if len(unit.entries) == 1:
@@ -476,14 +471,13 @@ def eager_enumerate(config: Configuration) -> list[Redex]:
     if tg is not None:
         return [tg]
 
-    wet = [i for i, s in enumerate(config.backend)
-           if not (is_value(s.node) and not s.streamlet)]
+    wet = [i for i, s in enumerate(config.backend) if not s.idle]
     if len(wet) > 1:
         return []
     if len(wet) == 1:
         i = wet[0]
         station = config.backend[i]
-        if not is_value(station.node):
+        if not station.loaded:
             if _loadable(station.node, config):
                 return [Redex("Load", f"station:{i}/node", station=i)]
             return []

@@ -5,6 +5,10 @@ Structural conventions
  - generated keys live in the "@k<i>" namespace, labels are plain ints
  - a unit is an ordered sequence of label/operation pairs; the head of a
    stream is index 0
+ - station-local facts (`Station.loaded`, `Station.idle`) are memoized on the
+   immutable `Station`, which a step that does not touch it carries over
+   unchanged; configuration-wide facts (`is_dry`, `is_terminal`) are not
+   cached
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .parser import Program, StationDecl
 from .terms import (
@@ -46,6 +51,18 @@ def singleton(label: int, op: Operation) -> Unit:
 class Station:
     node: Expr  # a node constructor, fully evaluated once loaded
     streamlet: tuple[Unit, ...] = ()
+
+    # Lazy, so `init` and short runs pay only for the stations they test.
+    # `cached_property` writes the instance `__dict__`, so no `slots=True`.
+    @cached_property
+    def loaded(self) -> bool:
+        """The node is a value."""
+        return is_value(self.node)
+
+    @cached_property
+    def idle(self) -> bool:
+        """Loaded, with nothing left in the streamlet."""
+        return self.loaded and not self.streamlet
 
 
 @dataclass(frozen=True)
@@ -139,24 +156,11 @@ def merge_results(config: Configuration,
 
 def is_dry(config: Configuration) -> bool:
     """Every station has a node value and nothing left in its streamlet."""
-    return all(is_value(s.node) and not s.streamlet for s in config.backend)
-
-
-def is_load_free(config: Configuration) -> bool:
-    """No pending load work: station nodes are values and every fold base
-    sitting in a streamlet is a value."""
-    for s in config.backend:
-        if not is_value(s.node):
-            return False
-        for unit in s.streamlet:
-            for _, op in unit.entries:
-                if isinstance(op, FoldOp) and not is_value(op.base):
-                    return False
-    return True
+    return all(s.idle for s in config.backend)
 
 
 def station_is_load_free(station: Station) -> bool:
-    if not is_value(station.node):
+    if not station.loaded:
         return False
     return all(not (isinstance(op, FoldOp) and not is_value(op.base))
                for unit in station.streamlet for _, op in unit.entries)

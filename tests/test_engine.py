@@ -1,6 +1,7 @@
 """Reduction behavior: emission order, routing, station processing,
 claim blocking, the eager policy and schedule-independence."""
 
+import hashlib
 import random
 
 import pytest
@@ -139,6 +140,24 @@ class TestScheduleIndependence:
         assert r.status == "terminal"
         assert (state.terminal_digest(r.config)
                 == state.terminal_digest(base.config))
+
+    # sha256 over every seeded trace below; a change to the trace or digest
+    # encoding updates it on purpose and says so
+    GOLDEN_TRACES = (
+        "8143980b37fb61283fbed01b76c254199ab6e89553664f04371ee270e7dd9730")
+
+    def test_seeded_traces_are_pinned(self):
+        h = hashlib.sha256()
+        for name in harness.RUNNABLE:
+            prog = harness.corpus_program(name)
+            for scheduler, seed in (("eager", 0), ("det", 0), ("random", 3),
+                                    ("tlo-random", 3)):
+                r = run(state.init(prog), scheduler=scheduler, seed=seed,
+                        trace=True)
+                for rec in r.trace:
+                    h.update(rec.to_json().encode() + b"\n")
+                h.update(f"{r.status} {r.steps}\n".encode())
+        assert h.hexdigest() == self.GOLDEN_TRACES
 
     def test_same_seed_same_trace(self):
         prog = harness.corpus_program("core_social")

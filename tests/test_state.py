@@ -4,8 +4,11 @@ and digests."""
 import pytest
 
 from stationflow import engine, harness, state
-from stationflow.state import StoreEntry, Unit, singleton
-from stationflow.terms import FoldOp, Int, Key, KL, Lam, MapOp, Node, Var
+from stationflow.parser import parse_source
+from stationflow.state import Station, StoreEntry, Unit, singleton
+from stationflow.terms import (
+    FoldOp, Int, Key, KL, Lam, MapOp, Node, Var, is_value,
+)
 
 
 def kl(*names):
@@ -47,6 +50,44 @@ class TestStreams:
     def test_generated_keys_count_up(self):
         assert state.fresh_key_name(0) == "@k0"
         assert state.fresh_key_name(7) == "@k7"
+
+
+def ring_source(n):
+    keys = ", ".join(f"#k{i}" for i in range(n))
+    graph = ", ".join(f"#k{i}: {i} [#k{(i + 1) % n}]" for i in range(n))
+    return (f"graph [ {graph} ]\n"
+            f"mapVal (fun v: node -> payload(v) + 1) [{keys}];\n"
+            "payload(claim (foldVal commutative (fun n: node -> fun acc: int"
+            f" -> payload(n) + acc) 0 [{keys}]))\n")
+
+
+class TestStationFlags:
+    def test_flags_match_their_definitions(self, monkeypatch):
+        # `run` tests every configuration it reaches with `is_terminal`;
+        # check the memoized flags there against the uncached definitions
+        seen = []
+
+        def checked(config):
+            for s in config.backend:
+                assert s.loaded == is_value(s.node)
+                assert s.idle == (is_value(s.node) and not s.streamlet)
+                fresh = Station(s.node, s.streamlet)
+                assert fresh == s and hash(fresh) == hash(s)
+            assert state.is_dry(config) == all(
+                is_value(s.node) and not s.streamlet for s in config.backend)
+            seen.append(config)
+            return state.is_terminal(config)
+
+        monkeypatch.setattr(engine, "is_terminal", checked)
+        programs = [harness.corpus_program(n) for n in harness.RUNNABLE]
+        programs.append(parse_source(ring_source(32), "ring.cg"))
+        for prog in programs:
+            for scheduler, seed in (("eager", 0), ("det", 0), ("random", 3),
+                                    ("tlo-random", 3)):
+                seen.clear()
+                r = engine.run(state.init(prog), scheduler=scheduler, seed=seed)
+                assert r.status == "terminal"
+                assert len(seen) == r.steps + 1
 
 
 class TestCanonicalTerminal:
