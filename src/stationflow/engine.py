@@ -19,10 +19,11 @@ from .state import (
     merge_results, singleton, station_is_load_free, target,
 )
 from .terms import (
-    AddOp, App, Arith, Claim, Concat, Emit, Expr, Fix, FoldOp, If0, Int, KL,
-    Key, Label, Lam, Len, MapOp, Node, Operation, Proj, Subtract, Var,
-    arith_eval, kl_subtract, op_args, rebuild_op, substitute,
+    CONTRACTIONS, AddOp, App, Claim, Emit, Expr, FoldOp, Int, KL, Key, Label,
+    MapOp, Node, Operation, Proj, Var, children, kl_subtract, with_children,
 )
+# unused here, but perfbench/layers.py counts substitutions at this binding
+from .terms import substitute  # noqa: F401
 
 
 ### one-step search inside an expression
@@ -44,128 +45,44 @@ class Stuck:
     reason: str
 
 
+# why a fully evaluated constructor is no value
+_MALFORMED = {KL: "malformed key list", Node: "malformed node"}
+
+
 def _find(e: Expr, rebuild):
     """Locate the unique evaluation-context redex of a non-value, or report
     Stuck when no rule applies; `rebuild` fills the hole the redex leaves.
     Callers rule out values first, as every recursive call below does."""
-    match e:
-        case Var(name):
-            return Stuck(f"free name {name!r}")
-        case App(fn, arg):
-            if not is_value(fn):
-                return _find(fn, lambda x: rebuild(App(x, arg)))
-            if not is_value(arg):
-                return _find(arg, lambda x: rebuild(App(fn, x)))
-            if isinstance(fn, Lam):
-                return ExprRedex("Beta", rebuild, e)
-            return Stuck("application of a non-function")
-        case Fix(fn):
-            if not is_value(fn):
-                return _find(fn, lambda x: rebuild(Fix(x)))
-            if isinstance(fn, Lam) and isinstance(fn.body, Lam):
-                return ExprRedex("Fix", rebuild, e)
-            return Stuck("fix needs a function that returns a function")
-        case Proj(i, arg):
-            if not is_value(arg):
-                return _find(arg, lambda x: rebuild(Proj(i, x)))
-            if isinstance(arg, Node):
-                return ExprRedex("Node", rebuild, e)
-            return Stuck("projection from a non-node")
-        case KL(items):
-            for j, item in enumerate(items):
-                if not is_value(item):
-                    def put(x, j=j):
-                        return rebuild(KL(items[:j] + (x,) + items[j + 1:]))
-                    return _find(item, put)
-            return Stuck("malformed key list")  # values inside are not keys
-        case Node(k, p, a):
-            if not is_value(k):
-                return _find(k, lambda x: rebuild(Node(x, p, a)))
-            if not is_value(p):
-                return _find(p, lambda x: rebuild(Node(k, x, a)))
-            if not is_value(a):
-                return _find(a, lambda x: rebuild(Node(k, p, x)))
-            return Stuck("malformed node")
-        case Concat(l, r):
-            if not is_value(l):
-                return _find(l, lambda x: rebuild(Concat(x, r)))
-            if not is_value(r):
-                return _find(r, lambda x: rebuild(Concat(l, x)))
-            if isinstance(l, KL) and isinstance(r, KL):
-                return ExprRedex("KSA", rebuild, e)
-            return Stuck("concatenation of non-key-lists")
-        case Subtract(l, r):
-            if not is_value(l):
-                return _find(l, lambda x: rebuild(Subtract(x, r)))
-            if not is_value(r):
-                return _find(r, lambda x: rebuild(Subtract(l, x)))
-            if isinstance(l, KL) and isinstance(r, KL):
-                return ExprRedex("KSS", rebuild, e)
-            return Stuck("subtraction of non-key-lists")
-        case Arith(op, l, r):
-            if not is_value(l):
-                return _find(l, lambda x: rebuild(Arith(op, x, r)))
-            if not is_value(r):
-                return _find(r, lambda x: rebuild(Arith(op, l, x)))
-            if isinstance(l, Int) and isinstance(r, Int):
-                return ExprRedex("Arith", rebuild, e)
-            return Stuck("arithmetic on non-integers")
-        case If0(s, t, f):
-            if not is_value(s):
-                return _find(s, lambda x: rebuild(If0(x, t, f)))
-            if isinstance(s, Int):
-                return ExprRedex("If0", rebuild, e)
-            return Stuck("conditional on a non-integer")
-        case Len(arg):
-            if not is_value(arg):
-                return _find(arg, lambda x: rebuild(Len(x)))
-            if isinstance(arg, KL):
-                return ExprRedex("Len", rebuild, e)
-            return Stuck("len of a non-key-list")
-        case Claim(arg):
-            if not is_value(arg):
-                return _find(arg, lambda x: rebuild(Claim(x)))
-            if isinstance(arg, Label):
-                return ExprRedex("Claim", rebuild, e)
-            return Stuck("claim of a non-future")
-        case Emit(op):
-            args = op_args(op)
-            for j, a in enumerate(args):
-                if not is_value(a):
-                    def put(x, j=j):
-                        new = args[:j] + (x,) + args[j + 1:]
-                        return rebuild(Emit(rebuild_op(op, new), loc=e.loc))
-                    return _find(a, put)
-            return ExprRedex("Emit", rebuild, e)
-    return Stuck(f"no step for {type(e).__name__}")
+    if isinstance(e, Var):
+        return Stuck(f"free name {e.name!r}")
+    cs = children(e)
+    rule = CONTRACTIONS.get(type(e))
+    for j, c in enumerate(cs[:rule.strict] if rule else cs):
+        if not is_value(c):
+            return _find(c, lambda x: rebuild(
+                with_children(e, cs[:j] + (x,) + cs[j + 1:])))
+    if rule is not None:
+        if rule.applies(e):
+            return ExprRedex(rule.rule, rebuild, e)
+        return Stuck(rule.stuck)
+    if isinstance(e, Emit):
+        return ExprRedex("Emit", rebuild, e)
+    if isinstance(e, Claim):
+        if isinstance(e.arg, Label):
+            return ExprRedex("Claim", rebuild, e)
+        return Stuck("claim of a non-future")
+    return Stuck(_MALFORMED.get(type(e), f"no step for {type(e).__name__}"))
 
 
 def _contract_pure(found: ExprRedex, store) -> Expr | Blocked:
     """Contract every rule except Emit; Claim reads the store or blocks."""
     e = found.node
-    match e:
-        case App(Lam(param, _, body), arg):
-            return found.rebuild(substitute(body, arg, param))
-        case Fix(Lam(fname, _, inner)):
-            return found.rebuild(substitute(inner, e, fname))
-        case Proj(i, Node(k, p, a)):
-            return found.rebuild((k, p, a)[i - 1])
-        case Concat(KL(l), KL(r)):
-            return found.rebuild(KL(l + r))
-        case Subtract(KL(l), KL(r)):
-            return found.rebuild(KL(kl_subtract(l, r)))
-        case Arith(op, Int(a), Int(b)):
-            return found.rebuild(Int(arith_eval(op, a, b)))
-        case If0(Int(v), t, f):
-            return found.rebuild(t if v == 0 else f)
-        case Len(KL(items)):
-            return found.rebuild(Int(len(items)))
-        case Claim(Label(i)):
-            entry = store.get(i)
-            if entry is None:
-                return Blocked(i)
-            return found.rebuild(entry.value)
-    raise AssertionError(f"unexpected redex {e!r}")
+    if isinstance(e, Claim):
+        entry = store.get(e.arg.index)
+        if entry is None:
+            return Blocked(e.arg.index)
+        return found.rebuild(entry.value)
+    return found.rebuild(CONTRACTIONS[type(e)].contract(e))
 
 
 ### redex descriptions over configurations
@@ -177,9 +94,6 @@ class Redex:
     station: int | None = None
     unit: int | None = None
     rewrite: object = None  # tlo.Candidate for Opt redexes
-
-    def describe(self) -> str:
-        return f"{self.rule}@{self.site}"
 
 
 def _station_key(station: Station) -> str | None:
@@ -532,10 +446,13 @@ def _is_inverse_opt(prev, cand) -> bool:
             and prev.labels == cand.labels)
 
 
+SCHEDULERS = ("eager", "det", "random", "tlo-random")
+
+
 def run(config: Configuration, scheduler: str = "eager", seed: int = 0,
         fuel: int = 1_000_000, trace: bool = False, tlo_rules=None,
         assume_set_adjacency: bool = False) -> RunResult:
-    """Drive a configuration to a terminal state under one scheduling policy.
+    """Drive a configuration to a terminal state under one of `SCHEDULERS`.
 
     eager: the deterministic baseline, one redex at a time.
     det: first structural redex, unbatching only when nothing else applies;
@@ -543,6 +460,8 @@ def run(config: Configuration, scheduler: str = "eager", seed: int = 0,
     random: uniform choice among structural redexes, rewriting off.
     tlo-random: random plus optimizer steps at weight 0.2.
     """
+    if scheduler not in SCHEDULERS:
+        raise ValueError(f"unknown scheduler {scheduler!r}")
     rng = random.Random(seed)
     records: list[StepRecord] = []
     last_opt = None
@@ -560,11 +479,9 @@ def run(config: Configuration, scheduler: str = "eager", seed: int = 0,
             redexes = enumerate_redexes(config, tlo_on=True)
         elif scheduler == "random":
             redexes = enumerate_redexes(config, tlo_on=False)
-        elif scheduler == "tlo-random":
+        else:  # tlo-random
             redexes = enumerate_redexes(config, tlo_on=True, tlo_rules=tlo_rules,
                                         assume_set_adjacency=assume_set_adjacency)
-        else:
-            raise ValueError(f"unknown scheduler {scheduler!r}")
 
         if not redexes:
             fr = frontend_redex(config)

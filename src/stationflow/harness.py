@@ -32,10 +32,6 @@ def corpus_program(name: str) -> Program:
 
 ### expected terminal facts, one checker per program
 
-def _store_values(config: Configuration):
-    return {l: e for l, e in config.store}
-
-
 def _check_incremental_folding(config: Configuration) -> str | None:
     front = config.frontend
     if not (isinstance(front, Node) and isinstance(front.payload, Int)

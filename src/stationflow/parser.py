@@ -12,7 +12,7 @@ from .terms import (
     INT, KEY, KL_T, NODE,
     AddOp, App, Arith, Claim, Concat, Emit, Expr, Fix, FoldOp, If0, Int, KL,
     Key, Label, Lam, Len, MapOp, Node, Operation, Proj, Subtract, TFun, TFuture,
-    Type, Var, _fresh_name, free_vars, op_args,
+    Type, Var, _fresh_name, children, free_vars,
 )
 
 
@@ -528,15 +528,6 @@ def parse_source(text: str, file: str = "<string>") -> Program:
     return prog
 
 
-def parse_program(text: str, file: str = "<string>") -> Expr:
-    """Parse a program that has no graph preamble; returns the expression."""
-    prog = parse_source(text, file)
-    if prog.graph:
-        raise SourceError(file, 1, 1, "syntax",
-                          "graph preamble not allowed here; use parse_source")
-    return prog.expr
-
-
 def parse_file(path) -> Program:
     from pathlib import Path
     path = Path(path)
@@ -552,42 +543,15 @@ def _check_closed(e: Expr, file: str) -> None:
 
 
 def _first_unbound(e: Expr, bound: frozenset[str]):
-    match e:
-        case Var(name):
-            return None if name in bound else (name, e.loc)
-        case Int() | Key() | Label():
-            return None
-        case Lam(param, _, body):
-            return _first_unbound(body, bound | {param})
-        case App(fn, arg):
-            return _first_unbound(fn, bound) or _first_unbound(arg, bound)
-        case Fix(fn):
-            return _first_unbound(fn, bound)
-        case KL(items):
-            for i in items:
-                bad = _first_unbound(i, bound)
-                if bad:
-                    return bad
-            return None
-        case Node(k, p, a):
-            return (_first_unbound(k, bound) or _first_unbound(p, bound)
-                    or _first_unbound(a, bound))
-        case Proj(_, arg) | Len(arg) | Claim(arg) | Fix(arg):
-            return _first_unbound(arg, bound)
-        case Concat(l, r) | Subtract(l, r):
-            return _first_unbound(l, bound) or _first_unbound(r, bound)
-        case Arith(_, l, r):
-            return _first_unbound(l, bound) or _first_unbound(r, bound)
-        case If0(s, t, f):
-            return (_first_unbound(s, bound) or _first_unbound(t, bound)
-                    or _first_unbound(f, bound))
-        case Emit(op):
-            for a in op_args(op):
-                bad = _first_unbound(a, bound)
-                if bad:
-                    return bad
-            return None
-    raise TypeError(e)
+    if isinstance(e, Var):
+        return None if e.name in bound else (e.name, e.loc)
+    if isinstance(e, Lam):
+        return _first_unbound(e.body, bound | {e.param})
+    for c in children(e):
+        bad = _first_unbound(c, bound)
+        if bad:
+            return bad
+    return None
 
 
 ### pretty-printer

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 
@@ -234,18 +235,6 @@ def is_value(e: Expr) -> bool:
             return False
 
 
-def is_emittable(op: Operation) -> bool:
-    """An operation ready to leave the frontend: all arguments values, targets key lists."""
-    match op:
-        case AddOp(arg):
-            return isinstance(arg, Int)
-        case MapOp(fn, ks):
-            return isinstance(fn, Lam) and isinstance(ks, KL) and is_value(ks)
-        case FoldOp(fn, base, ks):
-            return isinstance(fn, Lam) and is_value(base) and isinstance(ks, KL) and is_value(ks)
-    return False
-
-
 def op_args(op: Operation) -> tuple[Expr, ...]:
     match op:
         case AddOp(arg):
@@ -257,56 +246,68 @@ def op_args(op: Operation) -> tuple[Expr, ...]:
     raise TypeError(op)
 
 
-def rebuild_op(op: Operation, args: tuple[Expr, ...]) -> Operation:
-    match op:
-        case AddOp():
-            return AddOp(*args)
-        case MapOp():
-            return MapOp(*args)
-        case FoldOp():
-            return FoldOp(*args)
-    raise TypeError(op)
+### generic traversal
+
+def _leaf(e):
+    return ()
+
+
+def _same(e, cs):
+    return e
+
+
+# type -> (subexpressions in evaluation order, rebuild from new ones).  The
+# rebuild keeps every other field: binders, annotations, the Proj index, the
+# Arith op, the operation kind, and the source location.
+_SHAPES = {
+    Var: (_leaf, _same),
+    Int: (_leaf, _same),
+    Key: (_leaf, _same),
+    Label: (_leaf, _same),
+    Lam: (lambda e: (e.body,),
+          lambda e, cs: Lam(e.param, e.ptype, cs[0], e.commutative, e.loc)),
+    App: (lambda e: (e.fn, e.arg), lambda e, cs: App(cs[0], cs[1], e.loc)),
+    Fix: (lambda e: (e.fn,), lambda e, cs: Fix(cs[0], e.loc)),
+    KL: (lambda e: e.items, lambda e, cs: KL(tuple(cs), e.loc)),
+    Node: (lambda e: (e.key, e.payload, e.adj),
+           lambda e, cs: Node(cs[0], cs[1], cs[2], e.loc)),
+    Proj: (lambda e: (e.arg,), lambda e, cs: Proj(e.index, cs[0], e.loc)),
+    Concat: (lambda e: (e.left, e.right),
+             lambda e, cs: Concat(cs[0], cs[1], e.loc)),
+    Subtract: (lambda e: (e.left, e.right),
+               lambda e, cs: Subtract(cs[0], cs[1], e.loc)),
+    Arith: (lambda e: (e.left, e.right),
+            lambda e, cs: Arith(e.op, cs[0], cs[1], e.loc)),
+    If0: (lambda e: (e.scrut, e.then, e.els),
+          lambda e, cs: If0(cs[0], cs[1], cs[2], e.loc)),
+    Len: (lambda e: (e.arg,), lambda e, cs: Len(cs[0], e.loc)),
+    # every field of an operation is an argument
+    Emit: (lambda e: op_args(e.op), lambda e, cs: Emit(type(e.op)(*cs), e.loc)),
+    Claim: (lambda e: (e.arg,), lambda e, cs: Claim(cs[0], e.loc)),
+}
+
+
+def children(e: Expr) -> tuple[Expr, ...]:
+    """The immediate subexpressions of `e`, left to right."""
+    return _SHAPES[type(e)][0](e)
+
+
+def with_children(e: Expr, cs) -> Expr:
+    """`e` rebuilt around new subexpressions, all other fields kept."""
+    return _SHAPES[type(e)][1](e, cs)
 
 
 ### free variables and substitution
 
 def free_vars(e: Expr) -> frozenset[str]:
-    match e:
-        case Var(name):
-            return frozenset((name,))
-        case Int() | Key() | Label():
-            return frozenset()
-        case Lam(param, _, body):
-            return free_vars(body) - {param}
-        case App(fn, arg):
-            return free_vars(fn) | free_vars(arg)
-        case Fix(fn):
-            return free_vars(fn)
-        case KL(items):
-            out: frozenset[str] = frozenset()
-            for i in items:
-                out |= free_vars(i)
-            return out
-        case Node(k, p, a):
-            return free_vars(k) | free_vars(p) | free_vars(a)
-        case Proj(_, arg):
-            return free_vars(arg)
-        case Concat(l, r) | Subtract(l, r):
-            return free_vars(l) | free_vars(r)
-        case Arith(_, l, r):
-            return free_vars(l) | free_vars(r)
-        case If0(s, t, f):
-            return free_vars(s) | free_vars(t) | free_vars(f)
-        case Len(arg):
-            return free_vars(arg)
-        case Emit(op):
-            out = frozenset()
-            for a in op_args(op):
-                out |= free_vars(a)
-            return out
-        case Claim(arg):
-            return free_vars(arg)
-    raise TypeError(e)
+    if isinstance(e, Var):
+        return frozenset((e.name,))
+    if isinstance(e, Lam):
+        return free_vars(e.body) - {e.param}
+    out: frozenset[str] = frozenset()
+    for c in children(e):
+        out |= free_vars(c)
+    return out
 
 
 def _fresh_name(base: str, avoid: frozenset[str]) -> str:
@@ -319,80 +320,29 @@ def _fresh_name(base: str, avoid: frozenset[str]) -> str:
 
 def substitute(e: Expr, v: Expr, x: str) -> Expr:
     """Capture-avoiding substitution of x by v in e."""
-    match e:
-        case Var(name):
-            return v if name == x else e
-        case Int() | Key() | Label():
+    if isinstance(e, Var):
+        return v if e.name == x else e
+    if isinstance(e, Lam):
+        param, body = e.param, e.body
+        if param == x:
             return e
-        case Lam(param, ptype, body, comm):
-            if param == x:
-                return e
-            if param in free_vars(v) and x in free_vars(body):
-                renamed = _fresh_name(param, free_vars(body) | free_vars(v))
-                body = substitute(body, Var(renamed), param)
-                param = renamed
-            return Lam(param, ptype, substitute(body, v, x), comm)
-        case App(fn, arg):
-            return App(substitute(fn, v, x), substitute(arg, v, x))
-        case Fix(fn):
-            return Fix(substitute(fn, v, x))
-        case KL(items):
-            return KL(tuple(substitute(i, v, x) for i in items))
-        case Node(k, p, a):
-            return Node(substitute(k, v, x), substitute(p, v, x), substitute(a, v, x))
-        case Proj(i, arg):
-            return Proj(i, substitute(arg, v, x))
-        case Concat(l, r):
-            return Concat(substitute(l, v, x), substitute(r, v, x))
-        case Subtract(l, r):
-            return Subtract(substitute(l, v, x), substitute(r, v, x))
-        case Arith(op, l, r):
-            return Arith(op, substitute(l, v, x), substitute(r, v, x))
-        case If0(s, t, f):
-            return If0(substitute(s, v, x), substitute(t, v, x), substitute(f, v, x))
-        case Len(arg):
-            return Len(substitute(arg, v, x))
-        case Emit(op):
-            return Emit(rebuild_op(op, tuple(substitute(a, v, x) for a in op_args(op))))
-        case Claim(arg):
-            return Claim(substitute(arg, v, x))
-    raise TypeError(e)
+        if param in free_vars(v) and x in free_vars(body):
+            renamed = _fresh_name(param, free_vars(body) | free_vars(v))
+            body = substitute(body, Var(renamed), param)
+            param = renamed
+        return Lam(param, e.ptype, substitute(body, v, x), e.commutative, e.loc)
+    cs = children(e)
+    if not cs:
+        return e
+    return with_children(e, tuple(substitute(c, v, x) for c in cs))
 
 
 def transform(e: Expr, fn) -> Expr:
     """Bottom-up rewrite: fn is applied to every node after its children."""
-    match e:
-        case Var() | Int() | Key() | Label():
-            out = e
-        case Lam(p, t, b, c):
-            out = Lam(p, t, transform(b, fn), c)
-        case App(f, a):
-            out = App(transform(f, fn), transform(a, fn))
-        case Fix(f):
-            out = Fix(transform(f, fn))
-        case KL(items):
-            out = KL(tuple(transform(i, fn) for i in items))
-        case Node(k, p, a):
-            out = Node(transform(k, fn), transform(p, fn), transform(a, fn))
-        case Proj(i, a):
-            out = Proj(i, transform(a, fn))
-        case Concat(l, r):
-            out = Concat(transform(l, fn), transform(r, fn))
-        case Subtract(l, r):
-            out = Subtract(transform(l, fn), transform(r, fn))
-        case Arith(o, l, r):
-            out = Arith(o, transform(l, fn), transform(r, fn))
-        case If0(s, t, f2):
-            out = If0(transform(s, fn), transform(t, fn), transform(f2, fn))
-        case Len(a):
-            out = Len(transform(a, fn))
-        case Emit(op):
-            out = Emit(rebuild_op(op, tuple(transform(a, fn) for a in op_args(op))))
-        case Claim(a):
-            out = Claim(transform(a, fn))
-        case _:
-            raise TypeError(e)
-    return fn(out)
+    cs = children(e)
+    if cs:
+        e = with_children(e, tuple(transform(c, fn) for c in cs))
+    return fn(e)
 
 
 ### key list helpers
@@ -416,48 +366,82 @@ def alpha_equiv(a: Expr, b: Expr) -> bool:
 def _alpha(a: Expr, b: Expr, la: dict[str, int], lb: dict[str, int]) -> bool:
     if type(a) is not type(b):
         return False
-    match a, b:
-        case Var(n1), Var(n2):
-            if (n1 in la) != (n2 in lb):
-                return False
-            return la[n1] == lb[n2] if n1 in la else n1 == n2
-        case (Int(v1), Int(v2)):
-            return v1 == v2
-        case (Key(n1), Key(n2)):
-            return n1 == n2
-        case (Label(i1), Label(i2)):
-            return i1 == i2
-        case Lam(p1, t1, b1, c1), Lam(p2, t2, b2, c2):
-            if t1 != t2 or c1 != c2:
-                return False
-            depth = len(la)
-            return _alpha(b1, b2, {**la, p1: depth}, {**lb, p2: depth})
-        case App(f1, a1), App(f2, a2):
-            return _alpha(f1, f2, la, lb) and _alpha(a1, a2, la, lb)
-        case Fix(f1), Fix(f2):
-            return _alpha(f1, f2, la, lb)
-        case KL(i1), KL(i2):
-            return len(i1) == len(i2) and all(_alpha(x, y, la, lb) for x, y in zip(i1, i2))
-        case Node(k1, p1, j1), Node(k2, p2, j2):
-            return _alpha(k1, k2, la, lb) and _alpha(p1, p2, la, lb) and _alpha(j1, j2, la, lb)
-        case Proj(i1, a1), Proj(i2, a2):
-            return i1 == i2 and _alpha(a1, a2, la, lb)
-        case (Concat(l1, r1), Concat(l2, r2)) | (Subtract(l1, r1), Subtract(l2, r2)):
-            return _alpha(l1, l2, la, lb) and _alpha(r1, r2, la, lb)
-        case Arith(o1, l1, r1), Arith(o2, l2, r2):
-            return o1 == o2 and _alpha(l1, l2, la, lb) and _alpha(r1, r2, la, lb)
-        case If0(s1, t1, f1), If0(s2, t2, f2):
-            return _alpha(s1, s2, la, lb) and _alpha(t1, t2, la, lb) and _alpha(f1, f2, la, lb)
-        case Len(a1), Len(a2):
-            return _alpha(a1, a2, la, lb)
-        case Emit(o1), Emit(o2):
-            if type(o1) is not type(o2):
-                return False
-            x1, x2 = op_args(o1), op_args(o2)
-            return len(x1) == len(x2) and all(_alpha(p, q, la, lb) for p, q in zip(x1, x2))
-        case Claim(a1), Claim(a2):
-            return _alpha(a1, a2, la, lb)
-    raise TypeError(a)
+    if isinstance(a, Var):
+        if (a.name in la) != (b.name in lb):
+            return False
+        return la[a.name] == lb[b.name] if a.name in la else a.name == b.name
+    if isinstance(a, Lam):
+        if a.ptype != b.ptype or a.commutative != b.commutative:
+            return False
+        depth = len(la)
+        return _alpha(a.body, b.body, {**la, a.param: depth},
+                      {**lb, b.param: depth})
+    if (isinstance(a, Proj) and a.index != b.index
+            or isinstance(a, Arith) and a.op != b.op
+            or isinstance(a, Emit) and type(a.op) is not type(b.op)):
+        return False
+    ca, cb = children(a), children(b)
+    if not ca:
+        return a == b  # Int, Key and Label compare their value
+    return len(ca) == len(cb) and all(_alpha(x, y, la, lb) for x, y in zip(ca, cb))
+
+
+### the pure reduction rules
+
+@dataclass(frozen=True)
+class Contraction:
+    """One pure rule of the calculus.  The small-step engine and `normalize`
+    both read it, so the two evaluators cannot disagree on a contraction."""
+
+    rule: str
+    applies: Callable[[Expr], bool]  # shape test once the strict children are reduced
+    contract: Callable[[Expr], Expr]
+    normal: bool  # contractum of normal children is normal; `_norm` spends no fuel on it
+    stuck: str    # why a term of this form whose strict children are values cannot step
+    strict: int | None = None  # leading children reduced before the test; None: all
+
+
+def _kl_value(e: Expr) -> bool:
+    return isinstance(e, KL) and is_value(e)
+
+
+# type -> its rule; Claim and Emit touch the store and the stream, so the
+# engine contracts them itself
+CONTRACTIONS = {
+    App: Contraction(
+        "Beta", lambda e: isinstance(e.fn, Lam),
+        lambda e: substitute(e.fn.body, e.arg, e.fn.param), False,
+        "application of a non-function"),
+    # cbv unrolling, restricted to the double-lambda shape
+    Fix: Contraction(
+        "Fix", lambda e: isinstance(e.fn, Lam) and isinstance(e.fn.body, Lam),
+        lambda e: substitute(e.fn.body, e, e.fn.param), False,
+        "fix needs a function that returns a function"),
+    Proj: Contraction(
+        "Node", lambda e: isinstance(e.arg, Node),
+        lambda e: children(e.arg)[e.index - 1], False,
+        "projection from a non-node"),
+    Concat: Contraction(
+        "KSA", lambda e: isinstance(e.left, KL) and isinstance(e.right, KL),
+        lambda e: KL(e.left.items + e.right.items), True,
+        "concatenation of non-key-lists"),
+    Subtract: Contraction(
+        "KSS", lambda e: _kl_value(e.left) and _kl_value(e.right),
+        lambda e: KL(kl_subtract(e.left.items, e.right.items)), True,
+        "subtraction of non-key-lists"),
+    Arith: Contraction(
+        "Arith", lambda e: isinstance(e.left, Int) and isinstance(e.right, Int),
+        lambda e: Int(arith_eval(e.op, e.left.value, e.right.value)), True,
+        "arithmetic on non-integers"),
+    # branches stay unevaluated until the scrutinee picks one
+    If0: Contraction(
+        "If0", lambda e: isinstance(e.scrut, Int),
+        lambda e: e.then if e.scrut.value == 0 else e.els, False,
+        "conditional on a non-integer", strict=1),
+    Len: Contraction(
+        "Len", lambda e: _kl_value(e.arg), lambda e: Int(len(e.arg.items)), True,
+        "len of a non-key-list"),
+}
 
 
 ### bounded normalization
@@ -488,68 +472,17 @@ def _norm(e: Expr, f: _Fuel) -> Expr:
     while True:
         if not f.spend():
             return e
-        match e:
-            case Var() | Int() | Key() | Label():
-                return e
-            case Lam(p, t, b, c):
-                return Lam(p, t, _norm(b, f), c)
-            case Fix(inner):
-                inner = _norm(inner, f)
-                # cbv unrolling, restricted to the double-lambda shape
-                if isinstance(inner, Lam) and isinstance(inner.body, Lam):
-                    e = substitute(inner.body, Fix(inner), inner.param)
-                    continue
-                return Fix(inner)
-            case App(fn, arg):
-                fn = _norm(fn, f)
-                arg = _norm(arg, f)
-                if isinstance(fn, Lam):
-                    e = substitute(fn.body, arg, fn.param)
-                    continue
-                return App(fn, arg)
-            case KL(items):
-                return KL(tuple(_norm(i, f) for i in items))
-            case Node(k, p, a):
-                return Node(_norm(k, f), _norm(p, f), _norm(a, f))
-            case Proj(i, arg):
-                arg = _norm(arg, f)
-                if isinstance(arg, Node):
-                    e = (arg.key, arg.payload, arg.adj)[i - 1]
-                    continue
-                return Proj(i, arg)
-            case Concat(l, r):
-                l, r = _norm(l, f), _norm(r, f)
-                if isinstance(l, KL) and isinstance(r, KL):
-                    return KL(l.items + r.items)
-                return Concat(l, r)
-            case Subtract(l, r):
-                l, r = _norm(l, f), _norm(r, f)
-                if (isinstance(l, KL) and isinstance(r, KL)
-                        and is_value(l) and is_value(r)):
-                    return KL(kl_subtract(l.items, r.items))
-                return Subtract(l, r)
-            case Arith(op, l, r):
-                l, r = _norm(l, f), _norm(r, f)
-                if isinstance(l, Int) and isinstance(r, Int):
-                    return Int(arith_eval(op, l.value, r.value))
-                return Arith(op, l, r)
-            case If0(s, t, els):
-                s = _norm(s, f)
-                if isinstance(s, Int):
-                    e = t if s.value == 0 else els
-                    continue
-                # branches stay unevaluated under an open scrutinee
-                return If0(s, t, els)
-            case Len(arg):
-                arg = _norm(arg, f)
-                if isinstance(arg, KL) and is_value(arg):
-                    return Int(len(arg.items))
-                return Len(arg)
-            case Emit(op):
-                return Emit(rebuild_op(op, tuple(_norm(a, f) for a in op_args(op))))
-            case Claim(arg):
-                return Claim(_norm(arg, f))
-        raise TypeError(e)
+        cs = children(e)
+        if not cs:
+            return e
+        rule = CONTRACTIONS.get(type(e))
+        strict = cs[:rule.strict] if rule else cs
+        e = with_children(e, tuple(_norm(c, f) for c in strict) + cs[len(strict):])
+        if rule is None or not rule.applies(e):
+            return e
+        e = rule.contract(e)
+        if rule.normal:
+            return e
 
 
 def arith_eval(op: str, a: int, b: int) -> int:

@@ -15,7 +15,7 @@ from .terms import (
     INT, KEY, KL_T, NODE,
     AddOp, App, Arith, Claim, Concat, Emit, Expr, Fix, FoldOp, If0, Int, KL,
     Key, Label, Lam, Len, MapOp, Node, Operation, Proj, Subtract, TFun,
-    TFuture, Type, Var,
+    TFuture, Type, Var, children,
 )
 
 F = False
@@ -58,34 +58,13 @@ def _err(file: str, loc, rule: str, msg: str) -> SourceError:
 
 def _find_emit_loc(e: Expr):
     # leftmost emit inside a term, for phase diagnostics
-    match e:
-        case Emit():
-            return e.loc
-        case Var() | Int() | Key() | Label():
-            return None
-        case Lam(_, _, body):
-            return _find_emit_loc(body)
-        case App(fn, arg):
-            return _find_emit_loc(fn) or _find_emit_loc(arg)
-        case Fix(fn) | Proj(_, fn) | Len(fn) | Claim(fn):
-            return _find_emit_loc(fn)
-        case KL(items):
-            for i in items:
-                loc = _find_emit_loc(i)
-                if loc:
-                    return loc
-            return None
-        case Node(k, p, a):
-            return _find_emit_loc(k) or _find_emit_loc(p) or _find_emit_loc(a)
-        case Concat(l, r) | Subtract(l, r) | Arith(_, l, r):
-            return _find_emit_loc(l) or _find_emit_loc(r)
-        case If0(s, t, f):
-            return _find_emit_loc(s) or _find_emit_loc(t) or _find_emit_loc(f)
+    if isinstance(e, Emit):
+        return e.loc
+    for c in children(e):
+        loc = _find_emit_loc(c)
+        if loc:
+            return loc
     return None
-
-
-def _show(t: Type) -> str:
-    return str(t)
 
 
 def type_of_expr(e: Expr, env: Env | None = None, file: str = "<program>") -> tuple[Type, bool]:
@@ -128,16 +107,16 @@ def _ty(e: Expr, env: Env, file: str) -> tuple[Type, bool]:
             at, ae = _ty(arg, env, file)
             if not isinstance(ft, TFun):
                 raise _err(file, e.loc, "T-App",
-                           f"cannot apply a value of type {_show(ft)}")
+                           f"cannot apply a value of type {ft}")
             if ft.param != at:
                 raise _err(file, arg.loc or e.loc, "T-App",
-                           f"argument has type {_show(at)}, expected {_show(ft.param)}")
+                           f"argument has type {at}, expected {ft.param}")
             return ft.result, ft.eff or fe or ae
         case Fix(fn):
             ft, fe = _ty(fn, env, file)
             if not (isinstance(ft, TFun) and ft.param == ft.result):
                 raise _err(file, e.loc, "T-Fix",
-                           f"fix needs a function from a type to itself, got {_show(ft)}")
+                           f"fix needs a function from a type to itself, got {ft}")
             return ft.param, ft.eff or fe
         case KL(items):
             eff = F
@@ -145,7 +124,7 @@ def _ty(e: Expr, env: Env, file: str) -> tuple[Type, bool]:
                 it, ie = _ty(item, env, file)
                 if it != KEY:
                     raise _err(file, item.loc or e.loc, "T-KS",
-                               f"key list element has type {_show(it)}, expected key")
+                               f"key list element has type {it}, expected key")
                 eff = eff or ie
             return KL_T, eff
         case Node(k, p, a):
@@ -154,19 +133,19 @@ def _ty(e: Expr, env: Env, file: str) -> tuple[Type, bool]:
             at, ae = _ty(a, env, file)
             if kt != KEY:
                 raise _err(file, k.loc or e.loc, "T-Node",
-                           f"node key has type {_show(kt)}, expected key")
+                           f"node key has type {kt}, expected key")
             if pt != INT:
                 raise _err(file, p.loc or e.loc, "T-Node",
-                           f"node payload has type {_show(pt)}, expected int")
+                           f"node payload has type {pt}, expected int")
             if at != KL_T:
                 raise _err(file, a.loc or e.loc, "T-Node",
-                           f"node adjacency has type {_show(at)}, expected kl")
+                           f"node adjacency has type {at}, expected kl")
             return NODE, ke or pe or ae
         case Proj(index, arg):
             at, ae = _ty(arg, env, file)
             if at != NODE:
                 raise _err(file, e.loc, f"T-ENode{index}",
-                           f"projection argument has type {_show(at)}, expected node")
+                           f"projection argument has type {at}, expected node")
             return (KEY, INT, KL_T)[index - 1], ae
         case Concat(l, r) | Subtract(l, r):
             rule = "T-KSA" if isinstance(e, Concat) else "T-KSS"
@@ -174,37 +153,37 @@ def _ty(e: Expr, env: Env, file: str) -> tuple[Type, bool]:
             rt, re_ = _ty(r, env, file)
             if lt != KL_T or rt != KL_T:
                 raise _err(file, e.loc, rule,
-                           f"key-list operator applied to {_show(lt)} and {_show(rt)}")
+                           f"key-list operator applied to {lt} and {rt}")
             return KL_T, le or re_
         case Arith(op, l, r):
             lt, le = _ty(l, env, file)
             rt, re_ = _ty(r, env, file)
             if lt != INT or rt != INT:
                 raise _err(file, e.loc, "T-Arith",
-                           f"'{op}' applied to {_show(lt)} and {_show(rt)}")
+                           f"'{op}' applied to {lt} and {rt}")
             return INT, le or re_
         case If0(s, th, el):
             st, se = _ty(s, env, file)
             if st != INT:
                 raise _err(file, s.loc or e.loc, "T-If0",
-                           f"condition has type {_show(st)}, expected int")
+                           f"condition has type {st}, expected int")
             tt, te = _ty(th, env, file)
             et, ee = _ty(el, env, file)
             if tt != et:
                 raise _err(file, e.loc, "T-If0",
-                           f"branches disagree: {_show(tt)} versus {_show(et)}")
+                           f"branches disagree: {tt} versus {et}")
             return tt, se or te or ee
         case Len(arg):
             at, ae = _ty(arg, env, file)
             if at != KL_T:
                 raise _err(file, e.loc, "T-Len",
-                           f"len argument has type {_show(at)}, expected kl")
+                           f"len argument has type {at}, expected kl")
             return INT, ae
         case Claim(arg):
             at, ae = _ty(arg, env, file)
             if not isinstance(at, TFuture):
                 raise _err(file, e.loc, "T-Claim",
-                           f"claim argument has type {_show(at)}, expected a future")
+                           f"claim argument has type {at}, expected a future")
             return at.inner, ae
         case Emit(op):
             return _ty_emit(e, op, env, file)
@@ -217,7 +196,7 @@ def _ty_emit(e: Expr, op: Operation, env: Env, file: str) -> tuple[Type, bool]:
             at, _ = _ty(arg, env, file)
             if at != INT:
                 raise _err(file, arg.loc or e.loc, "T-Add",
-                           f"add takes an int payload, got {_show(at)}")
+                           f"add takes an int payload, got {at}")
             return TFuture(KEY), T
         case MapOp(fn, ks):
             ft, _ = _ty(fn, env, file)
@@ -228,11 +207,11 @@ def _ty_emit(e: Expr, op: Operation, env: Env, file: str) -> tuple[Type, bool]:
                            "map function may emit; graph operations must be emission-free")
             if ft != want:
                 raise _err(file, fn.loc or e.loc, "T-Map",
-                           f"map function has type {_show(ft)}, expected {_show(want)}")
+                           f"map function has type {ft}, expected {want}")
             kt, _ = _ty(ks, env, file)
             if kt != KL_T:
                 raise _err(file, ks.loc or e.loc, "T-Map",
-                           f"map target has type {_show(kt)}, expected kl")
+                           f"map target has type {kt}, expected kl")
             return TFuture(INT), T
         case FoldOp(fn, base, ks):
             ft, _ = _ty(fn, env, file)
@@ -245,15 +224,15 @@ def _ty_emit(e: Expr, op: Operation, env: Env, file: str) -> tuple[Type, bool]:
                            "fold function may emit; graph operations must be emission-free")
             if ft != want:
                 raise _err(file, fn.loc or e.loc, "T-Fold",
-                           f"fold function has type {_show(ft)}, expected {_show(want)}")
+                           f"fold function has type {ft}, expected {want}")
             bt, _ = _ty(base, env, file)
             if bt != NODE:
                 raise _err(file, base.loc or e.loc, "T-Fold",
-                           f"fold base has type {_show(bt)}, expected node")
+                           f"fold base has type {bt}, expected node")
             kt, _ = _ty(ks, env, file)
             if kt != KL_T:
                 raise _err(file, ks.loc or e.loc, "T-Fold",
-                           f"fold target has type {_show(kt)}, expected kl")
+                           f"fold target has type {kt}, expected kl")
             return TFuture(NODE), T
     raise TypeError(op)
 
@@ -284,7 +263,7 @@ def _ty_op_args(op: Operation, env: Env, file: str, where: str) -> None:
         t, eff = _ty(e, env, file)
         if t != want:
             raise _err(file, e.loc, "RT-StreamUnit",
-                       f"{what} in {where} has type {_show(t)}, expected {_show(want)}")
+                       f"{what} in {where} has type {t}, expected {want}")
         if eff:
             raise _err(file, e.loc, "RT-StreamUnit",
                        f"{what} in {where} may emit")
@@ -353,7 +332,7 @@ def type_of_config(config, file: str = "<config>") -> ConfigType:
         if kt != KEY or pt != INT or at != KL_T or ke or pe or ae:
             raise _err(file, None, "RT-Station",
                        f"station node components must be key/int/kl without emits, "
-                       f"got {_show(kt)}/{_show(pt)}/{_show(at)}")
+                       f"got {kt}/{pt}/{at}")
         for unit in station.streamlet:
             for label, _ in unit.entries:
                 claim_label(label, "a streamlet")

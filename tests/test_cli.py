@@ -114,6 +114,17 @@ class TestTraceDiff:
         out = json.loads(r.stdout)
         assert out["equal"] is False and "step" in out
 
+    def test_det_traces_replay(self, runner, prog_file, tmp_path):
+        p = prog_file("reuse_guard")
+        a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
+        for out in (a, b):
+            r = runner.invoke(cli, ["run", p, "--scheduler", "det",
+                                    "--trace", out])
+            assert r.exit_code == 0
+        r = runner.invoke(cli, ["trace-diff", a, b])
+        assert r.exit_code == 0
+        assert json.loads(r.stdout)["equal"] is True
+
     def test_trace_record_fields(self, runner, prog_file, tmp_path):
         p = prog_file("incremental_folding")
         t = str(tmp_path / "t.jsonl")

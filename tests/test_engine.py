@@ -12,7 +12,10 @@ from stationflow import engine, harness, state
 from stationflow.engine import (
     apply_redex, eager_enumerate, enumerate_redexes, run,
 )
-from stationflow.terms import AddOp, FoldOp, Int, MapOp, Node
+from stationflow.terms import (
+    INT, NODE, AddOp, App, Arith, Claim, Concat, Emit, Fix, FoldOp, If0, Int,
+    KL, Key, Label, Lam, Len, MapOp, Node, Proj, Subtract, TFun, Var,
+)
 
 
 def step_until(config, pred, limit=500):
@@ -49,6 +52,115 @@ class TestEmission:
         config = step_until(config, lambda c: len(c.top) > 0)
         (label, op), = config.top[0].entries
         assert isinstance(op, AddOp) and op.arg == Int(3)
+
+
+A, B = Key("a"), Key("b")
+ID_INT = Lam("x", INT, Var("x"))
+HOLE = Int(99)
+
+# every non-value form, each once as a redex and once stuck: the rule
+# `_find` names, or the reason it reports
+REDEX_SEARCH = [
+    (App(ID_INT, Int(1)), "Beta"),
+    (Fix(Lam("f", TFun(INT, False, INT), ID_INT)), "Fix"),
+    (Proj(2, Node(A, Int(1), KL(()))), "Node"),
+    (Concat(KL((A,)), KL(())), "KSA"),
+    (Subtract(KL((A, B)), KL((A,))), "KSS"),
+    (Arith("+", Int(1), Int(2)), "Arith"),
+    (If0(Int(0), Int(1), Var("never")), "If0"),  # branches are not searched
+    (Len(KL((A,))), "Len"),
+    (Claim(Label(0)), "Claim"),
+    (Emit(AddOp(Int(1))), "Emit"),
+    (Var("x"), "free name 'x'"),
+    (App(Int(1), Int(2)), "application of a non-function"),
+    (Fix(ID_INT), "fix needs a function that returns a function"),
+    (Proj(1, Int(3)), "projection from a non-node"),
+    (KL((Int(1),)), "malformed key list"),
+    (Node(Int(1), Int(2), KL(())), "malformed node"),
+    (Concat(Int(1), KL(())), "concatenation of non-key-lists"),
+    (Subtract(KL(()), Int(1)), "subtraction of non-key-lists"),
+    (Arith("*", A, Int(1)), "arithmetic on non-integers"),
+    (If0(A, Int(1), Int(2)), "conditional on a non-integer"),
+    (Len(Int(1)), "len of a non-key-list"),
+    (Claim(Int(1)), "claim of a non-future"),
+]
+
+ARITH = Arith("+", Int(1), Int(2))
+
+# the leftmost non-value child of the listed positions holds the redex;
+# filling the hole with HOLE rebuilds the surrounding term
+REDEX_CONTEXTS = [
+    (App(App(ID_INT, Int(1)), ARITH), App(HOLE, ARITH)),
+    (App(ID_INT, ARITH), App(ID_INT, HOLE)),
+    (Fix(App(ID_INT, ID_INT)), Fix(HOLE)),
+    (Proj(1, Node(A, ARITH, KL(()))), Proj(1, Node(A, HOLE, KL(())))),
+    (KL((A, ARITH, Len(KL(())))), KL((A, HOLE, Len(KL(()))))),
+    (Node(A, ARITH, Len(KL(()))), Node(A, HOLE, Len(KL(())))),
+    (Concat(KL(()), Concat(KL(()), KL(()))), Concat(KL(()), HOLE)),
+    (Subtract(Concat(KL(()), KL(())), KL(())), Subtract(HOLE, KL(()))),
+    (Arith("-", Int(1), ARITH), Arith("-", Int(1), HOLE)),
+    (If0(ARITH, ARITH, ARITH), If0(HOLE, ARITH, ARITH)),
+    (Len(Concat(KL(()), KL(()))), Len(HOLE)),
+    (Claim(Claim(Label(0))), Claim(HOLE)),
+    (Emit(FoldOp(ID_INT, Node(A, ARITH, KL(())), KL(()))),
+     Emit(FoldOp(ID_INT, Node(A, HOLE, KL(())), KL(())))),
+]
+
+
+class TestRedexSearch:
+    @pytest.mark.parametrize("term,expected", REDEX_SEARCH)
+    def test_rule_or_stuck_reason(self, term, expected):
+        found = engine._find(term, lambda x: x)
+        if isinstance(found, engine.Stuck):
+            assert found.reason == expected
+        else:
+            assert (found.rule, found.node, found.rebuild(HOLE)) \
+                == (expected, term, HOLE)
+
+    @pytest.mark.parametrize("term,filled", REDEX_CONTEXTS)
+    def test_evaluation_context(self, term, filled):
+        found = engine._find(term, lambda x: x)
+        assert found.rebuild(HOLE) == filled
+
+    def test_emit_context_keeps_its_location(self):
+        term = Emit(AddOp(ARITH), loc=(3, 4))
+        assert engine._find(term, lambda x: x).rebuild(HOLE).loc == (3, 4)
+
+    @pytest.mark.parametrize("term,status,detail", [
+        (App(Int(1), Int(2)), "stuck", "application of a non-function"),
+        (Node(Int(1), Int(2), KL(())), "stuck", "malformed node"),
+        (Claim(Int(1)), "stuck", "claim of a non-future"),
+        (Arith("+", Var("x"), Int(1)), "stuck", "free name 'x'"),
+        (Claim(Label(5)), "blocked", "frontend waits on label 5"),
+    ])
+    def test_reason_reaches_the_run_result(self, term, status, detail):
+        for scheduler in ("eager", "random"):
+            r = run(state.Configuration((), (), (), term), scheduler=scheduler)
+            assert (r.status, r.steps, r.detail) == (status, 0, detail)
+
+    def test_contractions(self):
+        cases = [
+            (App(Lam("x", INT, Arith("*", Var("x"), Var("x"))), Int(3)),
+             Arith("*", Int(3), Int(3))),
+            (Proj(3, Node(A, Int(1), KL((B,)))), KL((B,))),
+            (Concat(KL((A,)), KL((B,))), KL((A, B))),
+            (Subtract(KL((A, B, A)), KL((A,))), KL((B,))),
+            (Arith("/", Int(-7), Int(2)), Int(-3)),
+            (If0(Int(1), Int(2), Int(3)), Int(3)),
+            (Len(KL((A, B))), Int(2)),
+        ]
+        for term, contractum in cases:
+            config = state.Configuration((), (), (), term)
+            config, _, _ = apply_redex(config, engine.frontend_redex(config))
+            assert config.frontend == contractum
+
+    def test_fix_unrolls_once(self):
+        body = Lam("n", INT, App(Var("f"), Var("n")))
+        fix = Fix(Lam("f", TFun(INT, False, INT), body))
+        config = state.Configuration((), (), (), fix)
+        config, rule, _ = apply_redex(config, engine.frontend_redex(config))
+        assert rule == "Fix"
+        assert config.frontend == Lam("n", INT, App(fix, Var("n")))
 
 
 class TestRouting:
@@ -158,6 +270,10 @@ class TestScheduleIndependence:
                     h.update(rec.to_json().encode() + b"\n")
                 h.update(f"{r.status} {r.steps}\n".encode())
         assert h.hexdigest() == self.GOLDEN_TRACES
+
+    def test_unknown_scheduler_rejected(self):
+        with pytest.raises(ValueError, match="bogus"):
+            run(state.Configuration((), (), (), Int(0)), scheduler="bogus")
 
     def test_same_seed_same_trace(self):
         prog = harness.corpus_program("core_social")

@@ -4,10 +4,14 @@ arithmetic, normalization and the equivalence oracle."""
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pytest
+
+from stationflow.state import to_sexpr
 from stationflow.terms import (
-    NODE, App, Arith, Claim, If0, Int, Key, KL, Lam, Len, Node, Proj, Var,
-    alpha_equiv, arith_eval, compose, eta_contract, free_vars, is_value,
-    kl_subtract, kl_value, normalize, substitute, term_equiv,
+    INT, NODE, App, Arith, Claim, Concat, Emit, Fix, FoldOp, If0, Int, Key,
+    KL, Lam, Len, Node, Proj, Subtract, TFun, Var, alpha_equiv, arith_eval,
+    compose, eta_contract, free_vars, is_value, kl_subtract, kl_value,
+    normalize, substitute, term_equiv,
 )
 
 IDENT = Lam("x", NODE, Var("x"))
@@ -112,6 +116,45 @@ class TestNormalize:
     def test_claim_blocks_normalization(self):
         e, done = normalize(Claim(Var("f")))
         assert done and isinstance(e, Claim)
+
+
+_A, _B = Key("a"), Key("b")
+_COUNTDOWN = Fix(Lam("f", TFun(INT, False, INT), Lam("n", INT, If0(
+    Var("n"), Int(0), App(Var("f"), Arith("-", Var("n"), Int(1)))))))
+
+# term, the least fuel that completes, and a fuel that runs out with the
+# partial term it leaves; pins how much fuel each rule spends
+FUEL_PINS = [
+    (App(Lam("x", INT, Arith("+", Var("x"), Int(1))), Int(2)), 10,
+     1, "(arith + (int 2) (int 1))"),
+    (App(_COUNTDOWN, Int(3)), 56, 28,
+     "(if0 (arith - (int 2) (int 1)) (int 0) (app (fix (lam (int -> int) "
+     "(lam int (if0 (bound 0) (int 0) (app (bound 1) (arith - (bound 0) "
+     "(int 1))))))) (arith - (arith - (int 2) (int 1)) (int 1))))"),
+    (Proj(3, Node(_A, Int(1), Concat(KL((_A,)), KL((_B,))))), 13,
+     1, "(cat (kl (key a)) (kl (key b)))"),
+    (Len(Subtract(KL((_A, _B, _A)), KL((_A,)))), 9,
+     1, "(len (sub (kl (key a) (key b) (key a)) (kl (key a))))"),
+    (Lam("x", INT, App(Lam("y", INT, Var("y")), Var("x"))), 7,
+     1, "(lam int (app (lam int (bound 0)) (bound 0)))"),
+    (Emit(FoldOp(Lam("x", NODE, Lam("y", NODE, Var("y"))),
+                 Node(_A, Arith("*", Int(2), Int(3)), KL(())),
+                 Concat(KL((_A,)), KL(())))), 15,
+     7, "(emit (fold (lam node (lam node (bound 0))) (node (key a) (int 6) "
+        "(kl)) (cat (kl (key a)) (kl))))"),
+    (If0(Var("z"), App(Lam("x", INT, Var("x")), Int(1)), Int(2)), 3,
+     2, "(if0 (free z) (app (lam int (bound 0)) (int 1)) (int 2))"),
+]
+
+
+class TestNormalizeFuel:
+    @pytest.mark.parametrize("term,needed,short,partial", FUEL_PINS)
+    def test_fuel_spent(self, term, needed, short, partial):
+        full, done = normalize(term, needed)
+        assert done
+        assert normalize(term, needed - 1) == (full, False)
+        out, done = normalize(term, short)
+        assert (to_sexpr(out), done) == (partial, False)
 
 
 class TestTermEquiv:

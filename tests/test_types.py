@@ -73,6 +73,19 @@ class TestExpressions:
     def test_arith_requires_ints(self):
         assert "T-Arith" in err_of("#a + 1")
 
+    @pytest.mark.parametrize("src", [
+        "1 + #b",
+        "foreach k in [#a] { 1 + #b }",
+        "foreach k in [#a, #b] { k + 1 }",
+        "[1 + #b | k in [#a]]",
+        "[k + 1 | k in [#a]]",
+    ])
+    def test_sugar_keeps_diagnostic_position(self, src):
+        # foreach and comprehensions expand by substitution, which must
+        # carry the operator's position into every instance
+        col = src.index("+") + 1
+        assert err_of(src).startswith(f"t.cg:1:{col}: T-Arith:")
+
     def test_fix_unrolls_function_type(self):
         t, _ = ty("fix (fun f : (int -> int) -> fun n : int ->"
                   " if0 n then 0 else f (n - 1))")
