@@ -74,11 +74,12 @@ def _find(e: Expr, rebuild):
     return Stuck(_MALFORMED.get(type(e), f"no step for {type(e).__name__}"))
 
 
-def _contract_pure(found: ExprRedex, store) -> Expr | Blocked:
-    """Contract every rule except Emit; Claim reads the store or blocks."""
+def _contract_pure(found: ExprRedex, store_get) -> Expr | Blocked:
+    """Contract every rule except Emit; Claim looks its label up with the
+    configuration's `store_get` or blocks."""
     e = found.node
     if isinstance(e, Claim):
-        entry = store.get(e.arg.index)
+        entry = store_get(e.arg.index)
         if entry is None:
             return Blocked(e.arg.index)
         return found.rebuild(entry.value)
@@ -242,8 +243,7 @@ def apply_frontend(config: Configuration) -> tuple[Configuration, str, list[int]
         new_expr = found.rebuild(Label(label))
         config = replace(config, frontend=new_expr, next_label=label + 1)
         return append_top(config, singleton(label, op)), "Emit", [label]
-    store = config.store_dict()
-    result = _contract_pure(found, store)
+    result = _contract_pure(found, config.store_get)
     assert not isinstance(result, Blocked), "frontend claim applied while blocked"
     labels = [found.node.arg.index] if found.rule == "Claim" else []
     return replace(config, frontend=result), found.rule, labels
@@ -325,13 +325,12 @@ def apply_complete_or_last(config: Configuration, i: int,
 def apply_load(config: Configuration, i: int,
                unit: int | None) -> tuple[Configuration, str, list[int]]:
     station = config.backend[i]
-    store = config.store_dict()
     if unit is None:
         found = _find(station.node, lambda x: x)
         assert isinstance(found, ExprRedex), f"node load stuck: {found}"
         if found.rule == "Emit":
             raise RuntimeError("operation emission attempted during a load")
-        result = _contract_pure(found, store)
+        result = _contract_pure(found, config.store_get)
         if isinstance(result, Blocked):
             raise RuntimeError(f"load blocked on label {result.label}")
         station = replace(station, node=result)
@@ -342,7 +341,7 @@ def apply_load(config: Configuration, i: int,
     assert isinstance(found, ExprRedex), f"base load stuck: {found}"
     if found.rule == "Emit":
         raise RuntimeError("operation emission attempted during a load")
-    result = _contract_pure(found, store)
+    result = _contract_pure(found, config.store_get)
     if isinstance(result, Blocked):
         raise RuntimeError(f"load blocked on label {result.label}")
     new_unit = singleton(label, FoldOp(op.fn, result, op.ks))

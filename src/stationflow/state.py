@@ -9,6 +9,8 @@ Structural conventions
    immutable `Station`, which a step that does not touch it carries over
    unchanged; configuration-wide facts (`is_dry`, `is_terminal`) are not
    cached
+ - the top-level `to_sexpr` text of a term is kept on the immutable term,
+   so `config_digest` prints only the terms a step built
 """
 
 from __future__ import annotations
@@ -80,9 +82,6 @@ class Configuration:
                 return entry
         return None
 
-    def store_dict(self) -> dict[int, StoreEntry]:
-        return dict(self.store)
-
 
 def fresh_key_name(index: int) -> str:
     return f"@k{index}"
@@ -147,7 +146,7 @@ def merge_results(config: Configuration,
                   results: dict[int, StoreEntry]) -> Configuration:
     if not results:
         return config
-    existing = config.store_dict()
+    existing = dict(config.store)
     for label in results:
         assert label not in existing, f"store label {label} already bound"
     existing.update(results)
@@ -173,10 +172,20 @@ def is_terminal(config: Configuration) -> bool:
 ### canonical serialization
 
 def to_sexpr(e: Expr, depth: dict[str, int] | None = None, level: int = 0) -> str:
-    """Deterministic s-expression; lambda parameters become de Bruijn levels
-    so alpha-equivalent terms print identically."""
+    """Deterministic s-expression; bound variables become de Bruijn indices
+    so alpha-equivalent terms print identically.
+
+    A top-level rendering depends on the term alone, so it is kept in the
+    immutable term's instance `__dict__` (which `__eq__`/`__hash__` do not
+    read) and a term carried over by a step is printed once.  A recursive
+    call (`depth` given) is not kept: under binders a subterm's text depends
+    on its context."""
     if depth is None:
-        depth = {}
+        memo = e.__dict__
+        text = memo.get("_sexpr")
+        if text is None:
+            text = memo["_sexpr"] = to_sexpr(e, {}, level)
+        return text
     rec = lambda x: to_sexpr(x, depth, level)
     match e:
         case Var(name):

@@ -447,13 +447,15 @@ CONTRACTIONS = {
 ### bounded normalization
 
 class _Fuel:
-    __slots__ = ("left",)
+    __slots__ = ("left", "exhausted")
 
     def __init__(self, n: int) -> None:
         self.left = n
+        self.exhausted = False  # some `spend` was refused
 
     def spend(self) -> bool:
         if self.left <= 0:
+            self.exhausted = True
             return False
         self.left -= 1
         return True
@@ -462,10 +464,12 @@ class _Fuel:
 def normalize(e: Expr, fuel: int = 10_000) -> tuple[Expr, bool]:
     """Reduce pure redexes (beta, projection, list ops, arithmetic, if0, len, fix)
     to normal form, going under binders. Returns (term, completed); completed is
-    False when fuel ran out. Emit, Claim, and Label redexes are left in place."""
+    False when some reduction was cut off for want of fuel, so a term that
+    reaches normal form on the last unit completes. Emit, Claim, and Label
+    redexes are left in place."""
     f = _Fuel(fuel)
     out = _norm(e, f)
-    return out, f.left > 0
+    return out, not f.exhausted
 
 
 def _norm(e: Expr, f: _Fuel) -> Expr:

@@ -1,14 +1,24 @@
 """Configuration plumbing: result finalization, canonical terminals
 and digests."""
 
+import dataclasses
+import hashlib
+import json
+import random
+import sys
+from pathlib import Path
+
 import pytest
 
 from stationflow import engine, harness, state
 from stationflow.parser import parse_source
 from stationflow.state import Station, StoreEntry, Unit, singleton
 from stationflow.terms import (
-    FoldOp, Int, Key, KL, Lam, MapOp, Node, Var, is_value,
+    INT, App, FoldOp, Int, Key, KL, Lam, MapOp, Node, Var, is_value,
+    with_children,
 )
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def kl(*names):
@@ -88,6 +98,94 @@ class TestStationFlags:
                 r = engine.run(state.init(prog), scheduler=scheduler, seed=seed)
                 assert r.status == "terminal"
                 assert len(seen) == r.steps + 1
+
+
+def reference_digest(config):
+    """`config_digest` by its definition, every term printed afresh: a
+    `depth` argument bypasses the text kept on terms."""
+    def sexpr(e):
+        return state.to_sexpr(e, {}, 0)
+
+    def unit(u):
+        return [[label, state.op_sexpr(op, {}, 0)] for label, op in u.entries]
+
+    shape = {
+        "backend": [[sexpr(s.node), [unit(u) for u in s.streamlet]]
+                    for s in config.backend],
+        "top": [unit(u) for u in config.top],
+        "store": {str(l): [sexpr(e.value), list(e.residual)]
+                  for l, e in config.store},
+        "frontend": sexpr(config.frontend),
+    }
+    blob = json.dumps(shape, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+class TestConfigDigest:
+    def run_checked(self, monkeypatch, prog, scheduler, seed, **kw):
+        """Run with the trace on; at every configuration reached, the digest
+        equals its reference, and so does the trace record of each step."""
+        refs = []
+
+        def checked(config):
+            refs.append(reference_digest(config))
+            assert state.config_digest(config) == refs[-1]
+            return state.is_terminal(config)
+
+        monkeypatch.setattr(engine, "is_terminal", checked)
+        r = engine.run(state.init(prog), scheduler=scheduler, seed=seed,
+                       trace=True, **kw)
+        assert r.status == "terminal"
+        assert len(refs) == r.steps + 1
+        assert [rec.digest for rec in r.trace] == refs[1:]
+        return r
+
+    def test_digest_matches_its_definition_on_the_corpus(self, monkeypatch):
+        for name in harness.RUNNABLE:
+            prog = harness.corpus_program(name)
+            for scheduler, seed in (("eager", 0), ("det", 0), ("random", 3),
+                                    ("tlo-random", 3)):
+                self.run_checked(monkeypatch, prog, scheduler, seed)
+
+    def test_digest_matches_its_definition_after_fusion(self, monkeypatch):
+        # a generated op mix whose tlo-random run fuses maps and reorders a
+        # fold past a map, so `dcomp`'d functions are printed
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        import programs
+        gen = programs.mix_program(8, 1, random.Random(17), random.Random(17))
+        r = self.run_checked(monkeypatch, parse_source(gen.source, "mix.cg"),
+                             "tlo-random", 17, assume_set_adjacency=True)
+        applied = {rec.site.rsplit(":", 1)[1]
+                   for rec in r.trace if rec.rule == "Opt"}
+        assert {"fusem", "reorderrw"} <= applied
+        assert r.config.frontend == Int(gen.expected)
+
+    def test_kept_text_leaves_equality_alone(self):
+        text = harness.corpus_text("core_social")
+        config = state.init(parse_source(text, "a.cg"))
+        fresh = state.init(parse_source(text, "b.cg"))
+        state.config_digest(config)
+        assert "_sexpr" in config.frontend.__dict__
+        assert "_sexpr" not in fresh.frontend.__dict__
+        assert config == fresh and hash(config) == hash(fresh)
+        assert hash(config.frontend) == hash(fresh.frontend)
+        assert state.config_digest(config) == state.config_digest(fresh)
+
+    def test_rebuilt_term_prints_its_own_text(self):
+        e = App(Lam("x", INT, Var("x")), Int(1))
+        assert state.to_sexpr(e) == "(app (lam int (bound 0)) (int 1))"
+        rebuilt = with_children(e, (e.fn, Int(2)))
+        assert state.to_sexpr(rebuilt) == "(app (lam int (bound 0)) (int 2))"
+        replaced = dataclasses.replace(e, arg=Int(3))
+        assert state.to_sexpr(replaced) == "(app (lam int (bound 0)) (int 3))"
+        assert state.to_sexpr(e) == "(app (lam int (bound 0)) (int 1))"
+
+    def test_subterm_text_under_binders_is_not_kept(self):
+        body = App(Var("f"), Var("n"))
+        e = Lam("f", None, Lam("n", INT, body))
+        assert state.to_sexpr(e) == "(lam _ (lam int (app (bound 1) (bound 0))))"
+        assert state.to_sexpr(body) == "(app (free f) (free n))"
 
 
 class TestCanonicalTerminal:

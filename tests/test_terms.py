@@ -125,36 +125,40 @@ _COUNTDOWN = Fix(Lam("f", TFun(INT, False, INT), Lam("n", INT, If0(
 # term, the least fuel that completes, and a fuel that runs out with the
 # partial term it leaves; pins how much fuel each rule spends
 FUEL_PINS = [
-    (App(Lam("x", INT, Arith("+", Var("x"), Int(1))), Int(2)), 10,
+    (App(Lam("x", INT, Arith("+", Var("x"), Int(1))), Int(2)), 9,
      1, "(arith + (int 2) (int 1))"),
-    (App(_COUNTDOWN, Int(3)), 56, 28,
+    (App(_COUNTDOWN, Int(3)), 55, 28,
      "(if0 (arith - (int 2) (int 1)) (int 0) (app (fix (lam (int -> int) "
      "(lam int (if0 (bound 0) (int 0) (app (bound 1) (arith - (bound 0) "
      "(int 1))))))) (arith - (arith - (int 2) (int 1)) (int 1))))"),
-    (Proj(3, Node(_A, Int(1), Concat(KL((_A,)), KL((_B,))))), 13,
+    (Proj(3, Node(_A, Int(1), Concat(KL((_A,)), KL((_B,))))), 12,
      1, "(cat (kl (key a)) (kl (key b)))"),
-    (Len(Subtract(KL((_A, _B, _A)), KL((_A,)))), 9,
+    (Len(Subtract(KL((_A, _B, _A)), KL((_A,)))), 8,
      1, "(len (sub (kl (key a) (key b) (key a)) (kl (key a))))"),
-    (Lam("x", INT, App(Lam("y", INT, Var("y")), Var("x"))), 7,
+    (Lam("x", INT, App(Lam("y", INT, Var("y")), Var("x"))), 6,
      1, "(lam int (app (lam int (bound 0)) (bound 0)))"),
     (Emit(FoldOp(Lam("x", NODE, Lam("y", NODE, Var("y"))),
                  Node(_A, Arith("*", Int(2), Int(3)), KL(())),
-                 Concat(KL((_A,)), KL(())))), 15,
+                 Concat(KL((_A,)), KL(())))), 14,
      7, "(emit (fold (lam node (lam node (bound 0))) (node (key a) (int 6) "
         "(kl)) (cat (kl (key a)) (kl))))"),
-    (If0(Var("z"), App(Lam("x", INT, Var("x")), Int(1)), Int(2)), 3,
-     2, "(if0 (free z) (app (lam int (bound 0)) (int 1)) (int 2))"),
+    (If0(Var("z"), App(Lam("x", INT, Var("x")), Int(1)), Int(2)), 2,
+     1, "(if0 (free z) (app (lam int (bound 0)) (int 1)) (int 2))"),
 ]
 
 
 class TestNormalizeFuel:
     @pytest.mark.parametrize("term,needed,short,partial", FUEL_PINS)
     def test_fuel_spent(self, term, needed, short, partial):
-        full, done = normalize(term, needed)
-        assert done
-        assert normalize(term, needed - 1) == (full, False)
+        assert normalize(term, needed)[1]
+        assert not normalize(term, needed - 1)[1]
         out, done = normalize(term, short)
         assert (to_sexpr(out), done) == (partial, False)
+
+    def test_normal_form_on_the_last_unit_completes(self):
+        term = App(Lam("x", INT, Arith("+", Var("x"), Int(1))), Int(2))
+        assert normalize(term, 9) == (Int(3), True)
+        assert normalize(term, 8)[1] is False
 
 
 class TestTermEquiv:
