@@ -4,6 +4,13 @@ The frontend and the in-graph load sites share one expression stepper; the
 load flavor simply refuses to emit, which is the operational face of the
 phase split.  Station rules, stream routing, and the optimizer hook each
 produce explicit redex descriptions so schedulers can pick among them.
+
+A step changes at most two stations and carries the rest over, so
+`enumerate_redexes` keeps each station's task redexes and load sites on the
+immutable `Station`, and what the redex search finds in a term on the term
+(see `state`); only the store lookups of load sites waiting on a Claim are
+redone every step.  `eager_enumerate` keeps nothing for the wet station,
+which every eager step replaces.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from . import tlo
 from .state import (
     Configuration, Station, StoreEntry, Unit, append_station_tail, append_top,
-    config_digest, finalize, fresh_key_name, is_terminal, is_value,
+    config_digest, finalize, fresh_key_name, is_terminal, is_value, keep,
     merge_results, singleton, station_is_load_free, target,
 )
 from .terms import (
@@ -74,6 +81,28 @@ def _find(e: Expr, rebuild):
     return Stuck(_MALFORMED.get(type(e), f"no step for {type(e).__name__}"))
 
 
+def _hole(x: Expr) -> Expr:
+    return x
+
+
+def _step_of(e: Expr):
+    """What `_find` finds in a non-value, less the rebuild: the rule and the
+    label a Claim waits on (None for every other rule), or the Stuck."""
+    found = _find(e, _hole)
+    if isinstance(found, Stuck):
+        return found
+    return found.rule, found.node.arg.index if found.rule == "Claim" else None
+
+
+def _kept_step(e: Expr):
+    """`_step_of(e)`, kept on the immutable term (see `state`)."""
+    return keep(e, "_step", None, _step_of, e)
+
+
+def _ready(config: Configuration, label: int | None) -> bool:
+    return label is None or config.store_get(label) is not None
+
+
 def _contract_pure(found: ExprRedex, store_get) -> Expr | Blocked:
     """Contract every rule except Emit; Claim looks its label up with the
     configuration's `store_get` or blocks."""
@@ -123,14 +152,13 @@ def _head_singleton(station: Station):
 def frontend_redex(config: Configuration) -> Redex | Blocked | Stuck | None:
     if is_value(config.frontend):
         return None
-    found = _find(config.frontend, lambda x: x)
-    if isinstance(found, Stuck):
-        return found
-    if found.rule == "Claim":
-        label = found.node.arg.index
-        if config.store_get(label) is None:
-            return Blocked(label)
-    return Redex(found.rule, "frontend")
+    step = _kept_step(config.frontend)
+    if isinstance(step, Stuck):
+        return step
+    rule, label = step
+    if not _ready(config, label):
+        return Blocked(label)
+    return Redex(rule, "frontend")
 
 
 def tograph_redex(config: Configuration) -> Redex | None:
@@ -147,15 +175,15 @@ def tograph_redex(config: Configuration) -> Redex | None:
     return Redex("First", "top")
 
 
-def station_task_redexes(config: Configuration, i: int) -> list[Redex]:
-    station = config.backend[i]
+def station_task_redexes(station: Station, i: int, last: bool) -> list[Redex]:
+    """Map, Fold, Complete, Last and Prop at station `i`; `last` says it is
+    the last station of the backend."""
     if not station.streamlet:
         return []
     out: list[Redex] = []
     key = _station_key(station)
     head = station.streamlet[0]
     single = _head_singleton(station)
-    last = i == len(config.backend) - 1
 
     if single is not None:
         label, op = single
@@ -185,29 +213,41 @@ def _finalizable(op: Operation) -> bool:
     return isinstance(op, MapOp)
 
 
-def _loadable(expr: Expr, config: Configuration) -> bool:
-    # a load site steps only when its next contraction is possible now;
-    # a claim on an unfilled label waits, an emit can never happen here
-    found = _find(expr, lambda x: x)
-    if not isinstance(found, ExprRedex) or found.rule == "Emit":
-        return False
-    if found.rule == "Claim":
-        return config.store_get(found.node.arg.index) is not None
-    return True
+def _loads(step) -> bool:
+    """A load site with this `_step_of` can step, now or once its Claim's
+    label is filled: it is not stuck, and a load may not emit."""
+    return not isinstance(step, Stuck) and step[0] != "Emit"
 
 
-def station_load_redexes(config: Configuration, i: int) -> list[Redex]:
-    station = config.backend[i]
-    out: list[Redex] = []
-    if not station.loaded and _loadable(station.node, config):
-        out.append(Redex("Load", f"station:{i}/node", station=i))
+def _load_sites(station: Station, i: int,
+                step_of) -> tuple[tuple[Redex, int | None], ...]:
+    """The Load redexes of station `i` that may step, each with the label
+    its Claim waits on (None: it steps now)."""
+    sites = [] if station.loaded else [(None, station.node)]
     for j, unit in enumerate(station.streamlet):
         if len(unit.entries) == 1:
             _, op = unit.entries[0]
-            if isinstance(op, FoldOp) and not is_value(op.base) \
-                    and _loadable(op.base, config):
-                out.append(Redex("Load", f"station:{i}/unit:{j}", station=i, unit=j))
-    return out
+            if isinstance(op, FoldOp) and not is_value(op.base):
+                sites.append((j, op.base))
+    out = []
+    for j, expr in sites:
+        step = step_of(expr)
+        if _loads(step):
+            where = "node" if j is None else f"unit:{j}"
+            out.append((Redex("Load", f"station:{i}/{where}", station=i,
+                              unit=j), step[1]))
+    return tuple(out)
+
+
+def station_load_redexes(config: Configuration, i: int) -> list[Redex]:
+    """The Load redexes of station `i` that step now, with nothing kept."""
+    return [r for r, label in _load_sites(config.backend[i], i, _step_of)
+            if _ready(config, label)]
+
+
+def _station_redexes(station: Station, i: int, last: bool):
+    return (tuple(station_task_redexes(station, i, last)),
+            _load_sites(station, i, _kept_step))
 
 
 def enumerate_redexes(config: Configuration, tlo_on: bool = False,
@@ -221,9 +261,14 @@ def enumerate_redexes(config: Configuration, tlo_on: bool = False,
     tg = tograph_redex(config)
     if tg is not None:
         out.append(tg)
-    for i in range(len(config.backend)):
-        out.extend(station_task_redexes(config, i))
-        out.extend(station_load_redexes(config, i))
+    last = len(config.backend) - 1
+    for i, station in enumerate(config.backend):
+        tasks, loads = keep(station, "_redexes", (i, i == last),
+                            _station_redexes, station, i, i == last)
+        out.extend(tasks)
+        for r, label in loads:
+            if _ready(config, label):
+                out.append(r)
     if tlo_on:
         for cand in tlo.candidates(config, rules=tlo_rules,
                                    assume_set_adjacency=assume_set_adjacency):
@@ -235,7 +280,7 @@ def enumerate_redexes(config: Configuration, tlo_on: bool = False,
 ### rule application
 
 def apply_frontend(config: Configuration) -> tuple[Configuration, str, list[int]]:
-    found = _find(config.frontend, lambda x: x)
+    found = _find(config.frontend, _hole)
     assert isinstance(found, ExprRedex), f"no frontend redex: {found}"
     if found.rule == "Emit":
         label = config.next_label
@@ -326,7 +371,7 @@ def apply_load(config: Configuration, i: int,
                unit: int | None) -> tuple[Configuration, str, list[int]]:
     station = config.backend[i]
     if unit is None:
-        found = _find(station.node, lambda x: x)
+        found = _find(station.node, _hole)
         assert isinstance(found, ExprRedex), f"node load stuck: {found}"
         if found.rule == "Emit":
             raise RuntimeError("operation emission attempted during a load")
@@ -337,7 +382,7 @@ def apply_load(config: Configuration, i: int,
         return _set_station(config, i, station), "Load", []
     (label, op) = station.streamlet[unit].entries[0]
     assert isinstance(op, FoldOp)
-    found = _find(op.base, lambda x: x)
+    found = _find(op.base, _hole)
     assert isinstance(found, ExprRedex), f"base load stuck: {found}"
     if found.rule == "Emit":
         raise RuntimeError("operation emission attempted during a load")
@@ -391,7 +436,8 @@ def eager_enumerate(config: Configuration) -> list[Redex]:
         i = wet[0]
         station = config.backend[i]
         if not station.loaded:
-            if _loadable(station.node, config):
+            step = _step_of(station.node)
+            if _loads(step) and _ready(config, step[1]):
                 return [Redex("Load", f"station:{i}/node", station=i)]
             return []
         if not station_is_load_free(station):
@@ -399,7 +445,8 @@ def eager_enumerate(config: Configuration) -> list[Redex]:
             if loads and len(station.streamlet) == 1 and loads[0].unit == 0:
                 return [loads[0]]
             return []
-        tasks = {r.rule: r for r in station_task_redexes(config, i)}
+        last = i == len(config.backend) - 1
+        tasks = {r.rule: r for r in station_task_redexes(station, i, last)}
         for rule in _EAGER_TASK_ORDER:
             if rule in tasks:
                 return [tasks[rule]]
@@ -474,8 +521,10 @@ def run(config: Configuration, scheduler: str = "eager", seed: int = 0,
                                  f"eager enumeration returned {len(redexes)} redexes")
         elif scheduler == "det":
             # first structural redex; batched head units admit no task rule,
-            # so unbatching must stay reachable or completion is partial
-            redexes = enumerate_redexes(config, tlo_on=True)
+            # so unbatching must stay reachable or completion is partial.
+            # Rewrites are built only when no structural redex exists.
+            redexes = (enumerate_redexes(config, tlo_on=False)
+                       or enumerate_redexes(config, tlo_on=True))
         elif scheduler == "random":
             redexes = enumerate_redexes(config, tlo_on=False)
         else:  # tlo-random

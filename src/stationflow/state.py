@@ -9,8 +9,25 @@ Structural conventions
    immutable `Station`, which a step that does not touch it carries over
    unchanged; configuration-wide facts (`is_dry`, `is_terminal`) are not
    cached
+ - a station's task redexes and load sites (`engine.enumerate_redexes`) are
+   kept on the `Station` with `keep`, keyed by its index and whether it is
+   the last station: a Redex names its index, an `Add` prepends a station
+   and shifts every index, and the Last and Prop rules read lastness.  The
+   store is not in the key; a load site waiting on a Claim is checked
+   against the store on every step
+ - a station's rewrite candidates (`tlo.candidates`) are kept the same way,
+   keyed by its index, the enabled rules and `assume_set_adjacency`, the
+   only inputs besides the station that a candidate reads
+ - what the redex search finds in a non-value term is kept on the term,
+   which alone decides it, with no key: the rule and the label a Claim
+   waits on, or the Stuck reason.  Neither `_find`'s rebuild closure nor
+   the redex node is kept; the closure always refers back to the term and
+   the node can be the term itself, a cycle only the collector frees
  - the top-level `to_sexpr` text of a term is kept on the immutable term,
    so `config_digest` prints only the terms a step built
+ - kept values live in the instance `__dict__`, which `__eq__` and
+   `__hash__` do not read, and `dataclasses.replace` builds a new object
+   that keeps nothing
 """
 
 from __future__ import annotations
@@ -81,6 +98,17 @@ class Configuration:
             if l == label:
                 return entry
         return None
+
+
+def keep(obj, name: str, key, make, *args):
+    """`make(*args)`, kept in the immutable `obj`'s instance `__dict__` under
+    `name` and returned again while callers ask with an equal `key`.  One
+    slot per name: a different key recomputes and replaces it."""
+    memo = obj.__dict__
+    hit = memo.get(name)
+    if hit is None or hit[0] != key:
+        hit = memo[name] = (key, make(*args))
+    return hit[1]
 
 
 def fresh_key_name(index: int) -> str:

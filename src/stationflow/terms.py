@@ -447,15 +447,16 @@ CONTRACTIONS = {
 ### bounded normalization
 
 class _Fuel:
-    __slots__ = ("left", "exhausted")
+    __slots__ = ("left", "cut", "unroll")
 
     def __init__(self, n: int) -> None:
         self.left = n
-        self.exhausted = False  # some `spend` was refused
+        self.cut = False    # some reduction was refused
+        self.unroll = True  # Fix may unroll
 
     def spend(self) -> bool:
         if self.left <= 0:
-            self.exhausted = True
+            self.cut = True
             return False
         self.left -= 1
         return True
@@ -463,13 +464,18 @@ class _Fuel:
 
 def normalize(e: Expr, fuel: int = 10_000) -> tuple[Expr, bool]:
     """Reduce pure redexes (beta, projection, list ops, arithmetic, if0, len, fix)
-    to normal form, going under binders. Returns (term, completed); completed is
-    False when some reduction was cut off for want of fuel, so a term that
-    reaches normal form on the last unit completes. Emit, Claim, and Label
-    redexes are left in place."""
+    to normal form, going under binders and into the branches of a conditional
+    stuck on its scrutinee. Returns (term, completed); completed is False when
+    some reduction was cut off for want of fuel, so a term that reaches normal
+    form on the last unit completes, or because a fix would unroll inside such
+    a branch. Emit, Claim, and Label redexes are left in place."""
     f = _Fuel(fuel)
     out = _norm(e, f)
-    return out, not f.exhausted
+    if not f.cut:
+        # nothing bounds a fix unrolled where no scrutinee picks a branch
+        f.unroll = False
+        out = _norm_branches(out, f)
+    return out, not f.cut
 
 
 def _norm(e: Expr, f: _Fuel) -> Expr:
@@ -484,9 +490,24 @@ def _norm(e: Expr, f: _Fuel) -> Expr:
         e = with_children(e, tuple(_norm(c, f) for c in strict) + cs[len(strict):])
         if rule is None or not rule.applies(e):
             return e
+        if not f.unroll and type(e) is Fix:
+            f.cut = True
+            return e
         e = rule.contract(e)
         if rule.normal:
             return e
+
+
+def _norm_branches(e: Expr, f: _Fuel) -> Expr:
+    """`e`, a `_norm` result, with the branches of every conditional in it
+    normalized.  `_norm` leaves only conditionals stuck on their scrutinee,
+    and a new branch makes no redex above it."""
+    cs = children(e)
+    if not cs:
+        return e
+    if isinstance(e, If0):
+        cs = cs[:1] + tuple(_norm(c, f) for c in cs[1:])
+    return with_children(e, tuple(_norm_branches(c, f) for c in cs))
 
 
 def arith_eval(op: str, a: int, b: int) -> int:

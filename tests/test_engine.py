@@ -1,21 +1,29 @@
 """Reduction behavior: emission order, routing, station processing,
 claim blocking, the eager policy and schedule-independence."""
 
+import dataclasses
 import hashlib
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stationflow import engine, harness, state
+from stationflow import engine, harness, state, tlo
 from stationflow.engine import (
     apply_redex, eager_enumerate, enumerate_redexes, run,
 )
+from stationflow.parser import parse_source
+from stationflow.state import Station, Unit
 from stationflow.terms import (
     INT, NODE, AddOp, App, Arith, Claim, Concat, Emit, Fix, FoldOp, If0, Int,
-    KL, Key, Label, Lam, Len, MapOp, Node, Proj, Subtract, TFun, Var,
+    KL, Key, Label, Lam, Len, MapOp, Node, Proj, Subtract, TFun, Var, op_args,
+    transform,
 )
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def step_until(config, pred, limit=500):
@@ -298,3 +306,160 @@ class TestNoOvertaking:
             for s in config.backend:
                 heads = [min(l for l, _ in u.entries) for u in s.streamlet]
                 assert heads == sorted(heads)
+
+
+def bare(config):
+    """`config` rebuilt term by term, station by station: equal, and
+    carrying none of the values kept on stations and terms."""
+    def term(e):
+        return transform(e, dataclasses.replace)
+
+    def unit(u):
+        return Unit(tuple((label, type(op)(*map(term, op_args(op))))
+                          for label, op in u.entries))
+
+    backend = tuple(Station(term(s.node), tuple(map(unit, s.streamlet)))
+                    for s in config.backend)
+    out = dataclasses.replace(config, backend=backend,
+                              frontend=term(config.frontend))
+    assert out == config
+    return out
+
+
+KEPT = ("_redexes", "_candidates")
+
+
+class TestKeptRedexes:
+    """Redexes and rewrite candidates kept on stations and terms equal what
+    a bare copy of the configuration yields."""
+
+    def run_compared(self, monkeypatch, prog, scheduler, seed, tlo_rules=None,
+                     assume_set_adjacency=False):
+        # `run` tests every configuration it reaches with `is_terminal`
+        seen = []
+        rewrite = dict(tlo_rules=tlo_rules,
+                       assume_set_adjacency=assume_set_adjacency)
+
+        def checked(config):
+            fresh = bare(config)
+            for kw in (dict(tlo_on=False), dict(tlo_on=True, **rewrite)):
+                assert (enumerate_redexes(config, **kw)
+                        == enumerate_redexes(fresh, **kw))
+            assert (tlo.candidates(config, tlo_rules, assume_set_adjacency)
+                    == tlo.candidates(fresh, tlo_rules, assume_set_adjacency))
+            seen.append(config)
+            return state.is_terminal(config)
+
+        monkeypatch.setattr(engine, "is_terminal", checked)
+        r = run(state.init(prog), scheduler=scheduler, seed=seed, **rewrite)
+        assert r.status == "terminal"
+        assert len(seen) == r.steps + 1
+        return r
+
+    @pytest.mark.parametrize("name", harness.RUNNABLE)
+    def test_kept_equal_bare_on_the_corpus(self, monkeypatch, name):
+        prog = harness.corpus_program(name)
+        for scheduler, seed in (("eager", 0), ("det", 0), ("random", 3),
+                                ("tlo-random", 3)):
+            self.run_compared(monkeypatch, prog, scheduler, seed)
+
+    def test_kept_equal_bare_on_an_op_mix(self, monkeypatch):
+        # schedule 8 applies every rewrite rule, fusemid only under set
+        # adjacency; a reorderrw puts `dcomp` terms into fold functions
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        import programs
+        gen = programs.mix_program(8, 1, random.Random(1), random.Random(1))
+        prog = parse_source(gen.source, "mix.cg")
+        applied = []
+        apply_rewrite = tlo.apply_rewrite
+
+        def recorded(config, cand):
+            applied.append(cand.rule)
+            return apply_rewrite(config, cand)
+
+        monkeypatch.setattr(tlo, "apply_rewrite", recorded)
+        r = self.run_compared(monkeypatch, prog, "tlo-random", 8,
+                              assume_set_adjacency=True)
+        assert r.config.frontend == Int(gen.expected)
+        assert set(applied) == set(tlo.RULE_NAMES)
+
+    def test_an_add_shifts_the_kept_indices(self):
+        config = state.init(parse_source(
+            "graph [#a: 1 [], #b: 2 []]\n"
+            "mapVal (fun v: node -> payload(v) + 1) [#b];\n"
+            "mapVal (fun v: node -> payload(v) * 2) [#b];\n"
+            "let k = claim (add 7) in 0\n", "add.cg"))
+        # emit and route both maps, then emit the add
+        while not (config.top
+                   and isinstance(config.top[-1].entries[0][1], AddOp)):
+            redex = engine.tograph_redex(config) or engine.frontend_redex(config)
+            config, _, _ = apply_redex(config, redex)
+        # both maps wait at #a, at index 0, until the Add puts a station first
+        assert len(config.backend[0].streamlet) == 2
+        before = enumerate_redexes(config, tlo_on=True)
+        assert {r.station for r in before if r.rule == "Opt"} == {0}
+        config, rule, _ = apply_redex(config, engine.tograph_redex(config))
+        assert rule == "Add"
+        after = enumerate_redexes(config, tlo_on=True)
+        assert after == enumerate_redexes(bare(config), tlo_on=True)
+        assert {r.station for r in after if r.rule in ("Opt", "Prop")} == {1}
+
+    def test_eager_keeps_nothing_on_stations(self, monkeypatch):
+        # every eager step replaces the wet station: nothing kept there
+        # would be read again
+        def checked(config):
+            for s in config.backend:
+                assert not set(KEPT) & set(s.__dict__)
+                terms = [s.node] + [op.base for u in s.streamlet
+                                    for _, op in u.entries
+                                    if isinstance(op, FoldOp)]
+                assert not any("_step" in e.__dict__ for e in terms)
+            return state.is_terminal(config)
+
+        monkeypatch.setattr(engine, "is_terminal", checked)
+        for name in harness.RUNNABLE:
+            r = run(state.init(harness.corpus_program(name)))
+            assert r.status == "terminal"
+
+    def test_kept_values_leave_equality_alone(self):
+        config = state.init(harness.corpus_program("chronological_order"))
+        for _ in range(40):
+            config, _, _ = apply_redex(config, enumerate_redexes(config)[0])
+        enumerate_redexes(config, tlo_on=True)
+        kept = [s for s in config.backend if set(KEPT) <= set(s.__dict__)]
+        assert kept
+        for s in kept:
+            fresh = Station(s.node, s.streamlet)
+            assert not set(KEPT) & set(fresh.__dict__)
+            assert fresh == s and hash(fresh) == hash(s)
+            rebuilt = dataclasses.replace(s)
+            assert not set(KEPT) & set(rebuilt.__dict__)
+            assert rebuilt == s
+
+
+class TestDetScheduler:
+    def test_rewrites_built_only_without_a_plain_redex(self, monkeypatch):
+        # a batched head unit admits no task rule: det must unbatch it
+        inc = Lam("x", NODE, Node(Proj(1, Var("x")),
+                                  Arith("+", Proj(2, Var("x")), Int(1)),
+                                  Proj(3, Var("x"))))
+        batched = Unit(((0, MapOp(inc, KL((A,)))), (1, MapOp(inc, KL((A,))))))
+        starts = [state.init(harness.corpus_program(n))
+                  for n in harness.RUNNABLE]
+        starts.append(state.Configuration(
+            (Station(Node(A, Int(3), KL(())), (batched,)),), (), (), Int(0),
+            next_label=2))
+        plain_then = []
+        candidates = tlo.candidates
+
+        def recorded(config, *args, **kwargs):
+            plain_then.append(bool(enumerate_redexes(config, tlo_on=False)))
+            return candidates(config, *args, **kwargs)
+
+        monkeypatch.setattr(tlo, "candidates", recorded)
+        for config in starts:
+            r = run(config, scheduler="det", trace=True)
+            assert r.status == "terminal"
+        assert r.trace[0].site == "station:0:unbatch"
+        assert plain_then and not any(plain_then)

@@ -142,7 +142,8 @@ FUEL_PINS = [
                  Concat(KL((_A,)), KL(())))), 14,
      7, "(emit (fold (lam node (lam node (bound 0))) (node (key a) (int 6) "
         "(kl)) (cat (kl (key a)) (kl))))"),
-    (If0(Var("z"), App(Lam("x", INT, Var("x")), Int(1)), Int(2)), 2,
+    # a stuck scrutinee still has its branches normalized
+    (If0(Var("z"), App(Lam("x", INT, Var("x")), Int(1)), Int(2)), 8,
      1, "(if0 (free z) (app (lam int (bound 0)) (int 1)) (int 2))"),
 ]
 
@@ -154,6 +155,12 @@ class TestNormalizeFuel:
         assert not normalize(term, needed - 1)[1]
         out, done = normalize(term, short)
         assert (to_sexpr(out), done) == (partial, False)
+
+    def test_fix_under_a_stuck_conditional_does_not_complete(self):
+        # the open countdown unrolls once per level with nothing to stop it
+        out, done = normalize(Lam("m", INT, App(_COUNTDOWN, Var("m"))))
+        assert not done
+        assert to_sexpr(out).startswith("(lam int (if0 (bound 0) (int 0) (app (fix")
 
     def test_normal_form_on_the_last_unit_completes(self):
         term = App(Lam("x", INT, Arith("+", Var("x"), Int(1))), Int(2))
@@ -171,6 +178,13 @@ class TestTermEquiv:
 
     def test_alpha_equal(self):
         assert term_equiv(IDENT, Lam("z", NODE, Var("z"))) == "equal"
+
+    def test_branches_under_a_stuck_scrutinee_compare(self):
+        a = Lam("z", INT, If0(Var("z"), App(Lam("x", INT, Var("x")), Int(1)),
+                              Int(2)))
+        b = Lam("z", INT, If0(Var("z"), Int(1), Int(2)))
+        assert term_equiv(a, b) == "equal"
+        assert normalize(a) == (b, True)
 
     def test_unknown_on_fuel_exhaustion(self):
         loop = App(Lam("f", None, App(Var("f"), Var("f"))),

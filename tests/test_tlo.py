@@ -234,6 +234,35 @@ class TestRuleSelection:
             "fusem", "fusemid", "reuse"}
 
 
+class TestKeptCandidates:
+    def test_one_station_under_every_key(self):
+        # append then remove: fusemid under set adjacency only; a fold
+        # behind them gives reorderrw and dcomp
+        app = Lam("x", NODE, Node(Proj(1, Var("x")), Proj(2, Var("x")),
+                                  Concat(Proj(3, Var("x")), kl("z"))))
+        rem = Lam("x", NODE, Node(Proj(1, Var("x")), Proj(2, Var("x")),
+                                  Subtract(Proj(3, Var("x")), kl("z"))))
+        units = (singleton(0, MapOp(app, kl("a"))),
+                 singleton(1, MapOp(rem, kl("a"))),
+                 singleton(2, FoldOp(SUM, BASE, kl("a"))))
+        config = config_with([station("a", 3, *units)])
+        # each key differs from the one before in one part
+        keys = [(None, False), (None, True), (("batch", "fusemid"), True),
+                (("batch", "fusemid"), False), (("reorderrw",), False),
+                (None, False)]
+        seen = []
+        for rules, adjacency in keys:
+            got = tlo.candidates(config, rules, adjacency)
+            bare = config_with([station("a", 3, *units)])
+            assert got == tlo.candidates(bare, rules, adjacency)
+            seen.append(sorted(c.rule for c in got))
+        assert "fusemid" in seen[1] and "fusemid" not in seen[0]
+        assert seen[2] == ["batch", "batch", "fusemid"]
+        assert seen[3] == ["batch", "batch"]
+        assert seen[4] == ["reorderrw"]
+        assert seen[5] == seen[0]
+
+
 class TestProvers:
     def test_plain_identity_proved(self):
         assert tlo.prove_identity(IDENT) == "proved"
