@@ -65,7 +65,7 @@ def _parse_rules(text: str | None):
 @cli.command(name="run")
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--scheduler", default="eager",
-              type=click.Choice(engine.SCHEDULERS))
+              type=click.Choice(tuple(engine.SCHEDULERS)))
 @click.option("--seed", default=0, show_default=True)
 @click.option("--fuel", default=1_000_000, show_default=True)
 @click.option("--trace", "trace_path", default=None,

@@ -5,12 +5,16 @@ load flavor simply refuses to emit, which is the operational face of the
 phase split.  Station rules, stream routing, and the optimizer hook each
 produce explicit redex descriptions so schedulers can pick among them.
 
-A step changes at most two stations and carries the rest over, so
-`enumerate_redexes` keeps each station's task redexes and load sites on the
-immutable `Station`, and what the redex search finds in a term on the term
-(see `state`); only the store lookups of load sites waiting on a Claim are
-redone every step.  `eager_enumerate` keeps nothing for the wet station,
-which every eager step replaces.
+A step changes at most two stations and carries the rest over.  `run` keeps
+an index of what its scheduler draws from: per station the plain redexes
+that step now and the rewrite candidates window by window, with counts; the
+stations that are not idle, which decide terminality; and the stations with
+a load site waiting on each label.  It rebuilds only the stations a step
+touched and, after a store write, those waiting on a written label.  The
+redex search records its hole as a path of child positions, along which the
+Load and frontend rules plug the contractum.  What is kept on stations and
+terms is listed in `state`; `eager_enumerate` keeps nothing for the wet
+station, which every eager step replaces.
 """
 
 from __future__ import annotations
@@ -18,29 +22,26 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field, replace
+from functools import partial
+from itertools import chain
 
 from . import tlo
 from .state import (
     Configuration, Station, StoreEntry, Unit, append_station_tail, append_top,
-    config_digest, finalize, fresh_key_name, is_terminal, is_value, keep,
-    merge_results, singleton, station_is_load_free, target,
+    config_digest, finalize, fresh_key_name, is_value, keep, merge_results,
+    singleton, station_is_load_free, target,
 )
 from .terms import (
     CONTRACTIONS, AddOp, App, Claim, Emit, Expr, FoldOp, Int, KL, Key, Label,
     MapOp, Node, Operation, Proj, Var, children, kl_subtract, with_children,
 )
-# unused here, but perfbench/layers.py counts substitutions at this binding
+# unused here, but perfbench/layers.py wraps these bindings: it counts
+# substitutions and times terminal tests at them
+from .state import is_terminal  # noqa: F401
 from .terms import substitute  # noqa: F401
 
 
 ### one-step search inside an expression
-
-@dataclass(frozen=True)
-class ExprRedex:
-    rule: str
-    rebuild: object  # Expr -> Expr, fills the evaluation hole
-    node: Expr       # the redex itself
-
 
 @dataclass(frozen=True)
 class Blocked:
@@ -56,63 +57,70 @@ class Stuck:
 _MALFORMED = {KL: "malformed key list", Node: "malformed node"}
 
 
-def _find(e: Expr, rebuild):
-    """Locate the unique evaluation-context redex of a non-value, or report
-    Stuck when no rule applies; `rebuild` fills the hole the redex leaves.
-    Callers rule out values first, as every recursive call below does."""
-    if isinstance(e, Var):
-        return Stuck(f"free name {e.name!r}")
-    cs = children(e)
-    rule = CONTRACTIONS.get(type(e))
-    for j, c in enumerate(cs[:rule.strict] if rule else cs):
-        if not is_value(c):
-            return _find(c, lambda x: rebuild(
-                with_children(e, cs[:j] + (x,) + cs[j + 1:])))
+def _find(e: Expr):
+    """The unique evaluation-context redex of a non-value as its rule, the
+    label a Claim waits on (None for every other rule) and its hole, the
+    child positions from `e` down; or the Stuck when no rule applies.
+    Callers rule out values first, and the search enters only non-values."""
+    path = ()
+    while True:
+        if isinstance(e, Var):
+            return Stuck(f"free name {e.name!r}")
+        cs = children(e)
+        rule = CONTRACTIONS.get(type(e))
+        for j, c in enumerate(cs[:rule.strict] if rule else cs):
+            if not is_value(c):
+                break
+        else:
+            break  # every child searched is a value: the redex is `e`
+        path += (j,)
+        e = c
     if rule is not None:
         if rule.applies(e):
-            return ExprRedex(rule.rule, rebuild, e)
+            return rule.rule, None, path
         return Stuck(rule.stuck)
     if isinstance(e, Emit):
-        return ExprRedex("Emit", rebuild, e)
+        return "Emit", None, path
     if isinstance(e, Claim):
         if isinstance(e.arg, Label):
-            return ExprRedex("Claim", rebuild, e)
+            return "Claim", e.arg.index, path
         return Stuck("claim of a non-future")
     return Stuck(_MALFORMED.get(type(e), f"no step for {type(e).__name__}"))
 
 
-def _hole(x: Expr) -> Expr:
+def _descend(e: Expr, path: tuple[int, ...]):
+    """The subterm of `e` at `path`, and the spine above it for `_plug`."""
+    spine = []
+    for j in path:
+        cs = children(e)
+        spine.append((e, cs, j))
+        e = cs[j]
+    return spine, e
+
+
+def _plug(spine, x: Expr) -> Expr:
+    """The term `_descend` walked, with `x` in the hole it left."""
+    for e, cs, j in reversed(spine):
+        x = with_children(e, cs[:j] + (x,) + cs[j + 1:])
     return x
 
 
-def _step_of(e: Expr):
-    """What `_find` finds in a non-value, less the rebuild: the rule and the
-    label a Claim waits on (None for every other rule), or the Stuck."""
-    found = _find(e, _hole)
-    if isinstance(found, Stuck):
-        return found
-    return found.rule, found.node.arg.index if found.rule == "Claim" else None
-
-
 def _kept_step(e: Expr):
-    """`_step_of(e)`, kept on the immutable term (see `state`)."""
-    return keep(e, "_step", None, _step_of, e)
+    """`_find(e)`, kept on the immutable term (see `state`)."""
+    return keep(e, "_step", None, _find, e)
 
 
 def _ready(config: Configuration, label: int | None) -> bool:
     return label is None or config.store_get(label) is not None
 
 
-def _contract_pure(found: ExprRedex, store_get) -> Expr | Blocked:
-    """Contract every rule except Emit; Claim looks its label up with the
-    configuration's `store_get` or blocks."""
-    e = found.node
+def _contract(e: Expr, store_get) -> Expr | Blocked:
+    """Contract a redex of any rule but Emit; Claim looks its label up with
+    the configuration's `store_get` or blocks."""
     if isinstance(e, Claim):
         entry = store_get(e.arg.index)
-        if entry is None:
-            return Blocked(e.arg.index)
-        return found.rebuild(entry.value)
-    return found.rebuild(CONTRACTIONS[type(e)].contract(e))
+        return Blocked(e.arg.index) if entry is None else entry.value
+    return CONTRACTIONS[type(e)].contract(e)
 
 
 ### redex descriptions over configurations
@@ -124,6 +132,12 @@ class Redex:
     station: int | None = None
     unit: int | None = None
     rewrite: object = None  # tlo.Candidate for Opt redexes
+    path: tuple[int, ...] = ()  # frontend and Load: the hole in the term
+
+
+def _opt(cand) -> Redex:
+    return Redex("Opt", f"station:{cand.station}:{cand.rule}",
+                 station=cand.station, rewrite=cand)
 
 
 def _station_key(station: Station) -> str | None:
@@ -155,10 +169,10 @@ def frontend_redex(config: Configuration) -> Redex | Blocked | Stuck | None:
     step = _kept_step(config.frontend)
     if isinstance(step, Stuck):
         return step
-    rule, label = step
+    rule, label, path = step
     if not _ready(config, label):
         return Blocked(label)
-    return Redex(rule, "frontend")
+    return Redex(rule, "frontend", path=path)
 
 
 def tograph_redex(config: Configuration) -> Redex | None:
@@ -214,8 +228,8 @@ def _finalizable(op: Operation) -> bool:
 
 
 def _loads(step) -> bool:
-    """A load site with this `_step_of` can step, now or once its Claim's
-    label is filled: it is not stuck, and a load may not emit."""
+    """A load site where `_find` gives this can step, now or once its
+    Claim's label is filled: it is not stuck, and a load may not emit."""
     return not isinstance(step, Stuck) and step[0] != "Emit"
 
 
@@ -235,19 +249,25 @@ def _load_sites(station: Station, i: int,
         if _loads(step):
             where = "node" if j is None else f"unit:{j}"
             out.append((Redex("Load", f"station:{i}/{where}", station=i,
-                              unit=j), step[1]))
+                              unit=j, path=step[2]), step[1]))
     return tuple(out)
 
 
-def station_load_redexes(config: Configuration, i: int) -> list[Redex]:
-    """The Load redexes of station `i` that step now, with nothing kept."""
-    return [r for r, label in _load_sites(config.backend[i], i, _step_of)
-            if _ready(config, label)]
-
-
-def _station_redexes(station: Station, i: int, last: bool):
-    return (tuple(station_task_redexes(station, i, last)),
-            _load_sites(station, i, _kept_step))
+def _station_plain(config: Configuration, i: int, last: bool,
+                   waiting: dict | None = None) -> list[Redex]:
+    """The task redexes of station `i`, then its load sites that step now;
+    `waiting`, if given, notes `i` under each label a site waits on."""
+    station = config.backend[i]
+    tasks, loads = keep(station, "_redexes", (i, last), lambda: (
+        tuple(station_task_redexes(station, i, last)),
+        _load_sites(station, i, _kept_step)))
+    out = list(tasks)
+    for r, label in loads:
+        if _ready(config, label):
+            out.append(r)
+        elif waiting is not None:
+            waiting.setdefault(label, set()).add(i)
+    return out
 
 
 def enumerate_redexes(config: Configuration, tlo_on: bool = False,
@@ -262,36 +282,27 @@ def enumerate_redexes(config: Configuration, tlo_on: bool = False,
     if tg is not None:
         out.append(tg)
     last = len(config.backend) - 1
-    for i, station in enumerate(config.backend):
-        tasks, loads = keep(station, "_redexes", (i, i == last),
-                            _station_redexes, station, i, i == last)
-        out.extend(tasks)
-        for r, label in loads:
-            if _ready(config, label):
-                out.append(r)
+    for i in range(len(config.backend)):
+        out.extend(_station_plain(config, i, i == last))
     if tlo_on:
-        for cand in tlo.candidates(config, rules=tlo_rules,
-                                   assume_set_adjacency=assume_set_adjacency):
-            out.append(Redex("Opt", f"station:{cand.station}:{cand.rule}",
-                             station=cand.station, rewrite=cand))
+        out.extend(map(_opt, tlo.candidates(
+            config, rules=tlo_rules, assume_set_adjacency=assume_set_adjacency)))
     return out
 
 
 ### rule application
 
-def apply_frontend(config: Configuration) -> tuple[Configuration, str, list[int]]:
-    found = _find(config.frontend, _hole)
-    assert isinstance(found, ExprRedex), f"no frontend redex: {found}"
-    if found.rule == "Emit":
+def apply_frontend(config: Configuration, r: Redex) -> tuple[Configuration, str, list[int]]:
+    spine, e = _descend(config.frontend, r.path)
+    if isinstance(e, Emit):
         label = config.next_label
-        op = found.node.op
-        new_expr = found.rebuild(Label(label))
-        config = replace(config, frontend=new_expr, next_label=label + 1)
-        return append_top(config, singleton(label, op)), "Emit", [label]
-    result = _contract_pure(found, config.store_get)
+        config = replace(config, frontend=_plug(spine, Label(label)),
+                         next_label=label + 1)
+        return append_top(config, singleton(label, e.op)), "Emit", [label]
+    result = _contract(e, config.store_get)
     assert not isinstance(result, Blocked), "frontend claim applied while blocked"
-    labels = [found.node.arg.index] if found.rule == "Claim" else []
-    return replace(config, frontend=result), found.rule, labels
+    labels = [e.arg.index] if isinstance(e, Claim) else []
+    return replace(config, frontend=_plug(spine, result)), r.rule, labels
 
 
 def apply_tograph(config: Configuration) -> tuple[Configuration, str, list[int]]:
@@ -367,28 +378,24 @@ def apply_complete_or_last(config: Configuration, i: int,
     return merge_results(config, {l: entry}), rule, [label]
 
 
-def apply_load(config: Configuration, i: int,
-               unit: int | None) -> tuple[Configuration, str, list[int]]:
-    station = config.backend[i]
+def _load(config: Configuration, e: Expr, path: tuple[int, ...]) -> Expr:
+    spine, redex = _descend(e, path)
+    if isinstance(redex, Emit):
+        raise RuntimeError("operation emission attempted during a load")
+    result = _contract(redex, config.store_get)
+    if isinstance(result, Blocked):
+        raise RuntimeError(f"load blocked on label {result.label}")
+    return _plug(spine, result)
+
+
+def apply_load(config: Configuration, r: Redex) -> tuple[Configuration, str, list[int]]:
+    i, unit, station = r.station, r.unit, config.backend[r.station]
     if unit is None:
-        found = _find(station.node, _hole)
-        assert isinstance(found, ExprRedex), f"node load stuck: {found}"
-        if found.rule == "Emit":
-            raise RuntimeError("operation emission attempted during a load")
-        result = _contract_pure(found, config.store_get)
-        if isinstance(result, Blocked):
-            raise RuntimeError(f"load blocked on label {result.label}")
-        station = replace(station, node=result)
+        station = replace(station, node=_load(config, station.node, r.path))
         return _set_station(config, i, station), "Load", []
     (label, op) = station.streamlet[unit].entries[0]
     assert isinstance(op, FoldOp)
-    found = _find(op.base, _hole)
-    assert isinstance(found, ExprRedex), f"base load stuck: {found}"
-    if found.rule == "Emit":
-        raise RuntimeError("operation emission attempted during a load")
-    result = _contract_pure(found, config.store_get)
-    if isinstance(result, Blocked):
-        raise RuntimeError(f"load blocked on label {result.label}")
+    result = _load(config, op.base, r.path)
     new_unit = singleton(label, FoldOp(op.fn, result, op.ks))
     streamlet = station.streamlet[:unit] + (new_unit,) + station.streamlet[unit + 1:]
     station = replace(station, streamlet=streamlet)
@@ -397,7 +404,7 @@ def apply_load(config: Configuration, i: int,
 
 def apply_redex(config: Configuration, r: Redex) -> tuple[Configuration, str, list[int]]:
     if r.site == "frontend":
-        return apply_frontend(config)
+        return apply_frontend(config, r)
     if r.site == "top":
         return apply_tograph(config)
     if r.rule == "Map":
@@ -409,7 +416,7 @@ def apply_redex(config: Configuration, r: Redex) -> tuple[Configuration, str, li
     if r.rule in ("Complete", "Last"):
         return apply_complete_or_last(config, r.station, r.rule)
     if r.rule == "Load":
-        return apply_load(config, r.station, r.unit)
+        return apply_load(config, r)
     if r.rule == "Opt":
         cfg, labels = tlo.apply_rewrite(config, r.rewrite)
         return cfg, "Opt", labels
@@ -421,27 +428,31 @@ def apply_redex(config: Configuration, r: Redex) -> tuple[Configuration, str, li
 _EAGER_TASK_ORDER = ("Complete", "Map", "Fold", "Last", "Prop")
 
 
-def eager_enumerate(config: Configuration) -> list[Redex]:
+def eager_enumerate(config: Configuration, wet=None) -> list[Redex]:
     """The at-most-one redex the sequential discipline allows: routing beats
     everything, then the single wet station works (loads before tasks),
-    then the frontend resumes on a dry backend."""
+    then the frontend resumes on a dry backend.  `wet`, the stations that
+    are not idle, is found by a scan unless the caller keeps it."""
     tg = tograph_redex(config)
     if tg is not None:
         return [tg]
 
-    wet = [i for i, s in enumerate(config.backend) if not s.idle]
+    if wet is None:
+        wet = [i for i, s in enumerate(config.backend) if not s.idle]
     if len(wet) > 1:
         return []
     if len(wet) == 1:
-        i = wet[0]
+        (i,) = wet
         station = config.backend[i]
         if not station.loaded:
-            step = _step_of(station.node)
+            step = _find(station.node)
             if _loads(step) and _ready(config, step[1]):
-                return [Redex("Load", f"station:{i}/node", station=i)]
+                return [Redex("Load", f"station:{i}/node", station=i,
+                              path=step[2])]
             return []
         if not station_is_load_free(station):
-            loads = station_load_redexes(config, i)
+            loads = [r for r, label in _load_sites(station, i, _find)
+                     if _ready(config, label)]
             if loads and len(station.streamlet) == 1 and loads[0].unit == 0:
                 return [loads[0]]
             return []
@@ -492,7 +503,122 @@ def _is_inverse_opt(prev, cand) -> bool:
             and prev.labels == cand.labels)
 
 
-SCHEDULERS = ("eager", "det", "random", "tlo-random")
+class _Index:
+    """What `run`'s schedulers draw from (see the module docstring)."""
+
+    def __init__(self, config: Configuration, rules, assume_set_adjacency):
+        n = len(config.backend)
+        self.config = config
+        self.rules = tlo.RULE_NAMES if rules is None else tuple(rules)
+        self.adjacency = assume_set_adjacency
+        self.last_opt = None
+        self.busy = {i for i, s in enumerate(config.backend) if not s.idle}
+        self.stale = set(range(n))
+        self.plain = [()] * n  # the plain redexes that step now
+        self.cands, self.ncand = [()] * n, [0] * n  # `tlo.station_windows`
+        self.windows = [{} for _ in range(n)]
+        self.waiting: dict[int, set[int]] = {}  # label -> stations
+        self.nplain = self.ncands = 0
+
+    def terminal(self) -> bool:
+        c = self.config
+        return not self.busy and not c.top and is_value(c.frontend)
+
+    def advance(self, r: Redex, config: Configuration, labels) -> None:
+        """Move to `config`, the result of applying `r`."""
+        old, self.config = self.config, config
+        self.last_opt = r.rewrite
+        touched = ((0,) if r.rule == "First" else () if r.station is None
+                   else (r.station, r.station + 1) if r.rule == "Prop"
+                   else (r.station,))
+        for i in touched:
+            (self.busy.discard if config.backend[i].idle else self.busy.add)(i)
+        self.stale.update(touched)
+        if config.store is not old.store:  # wake the loads waiting on it
+            for label in dict(r.rewrite.results) if r.rewrite else labels:
+                self.stale |= self.waiting.pop(label, set())
+
+    def refresh(self, cands: bool) -> int:
+        """Rebuild the stale stations, with their candidates if `cands`, and
+        count the plain redexes."""
+        config = self.config
+        last = len(config.backend) - 1
+        for i in self.stale:
+            self.nplain -= len(self.plain[i])
+            self.plain[i] = _station_plain(config, i, i == last, self.waiting)
+            self.nplain += len(self.plain[i])
+            if cands:
+                self.cands[i] = tlo.station_windows(
+                    config.backend[i], self.rules, self.adjacency,
+                    self.windows[i])
+                n = sum(map(len, self.cands[i]))
+                self.ncands += n - self.ncand[i]
+                self.ncand[i] = n
+        self.stale.clear()
+        self.front = [r for r in (frontend_redex(config), tograph_redex(config))
+                      if isinstance(r, Redex)]
+        return len(self.front) + self.nplain
+
+    def plain_at(self, k: int) -> Redex:
+        """The `k`-th plain redex in `enumerate_redexes` order."""
+        for rs in chain((self.front,), self.plain):
+            if k < len(rs):
+                return rs[k]
+            k -= len(rs)
+
+    def cand_at(self, k: int, prev=None):
+        """The `k`-th candidate in `tlo.candidates` order, leaving out those
+        that undo `prev`; only its station's candidates are built."""
+        for i, n in enumerate(self.ncand):
+            cs = None
+            if prev is not None and i == prev.station:
+                cs = [c for c in tlo.placed(i, self.cands[i])
+                      if not _is_inverse_opt(prev, c)]
+                n = len(cs)
+            if k < n:
+                return (cs or tlo.placed(i, self.cands[i]))[k]
+            k -= n
+
+
+def _eager(ix: _Index, rng) -> Redex | None:
+    redexes = eager_enumerate(ix.config, ix.busy)
+    return redexes[0] if redexes else None
+
+
+def _det(ix: _Index, rng) -> Redex | None:
+    # first structural redex; batched head units admit no task rule, so
+    # unbatching must stay reachable or completion is partial.  Rewrites
+    # are built only when no structural redex exists.
+    if ix.refresh(cands=False):
+        return ix.plain_at(0)
+    cands = tlo.candidates(ix.config)
+    # unbatch only: strictly increases the unit count, so the fallback
+    # cannot cycle the way batch or the reorders can
+    unb = [c for c in cands if c.rule == "unbatch"]
+    return _opt(unb[0]) if unb else _opt(cands[0]) if cands else None
+
+
+def _draw(ix: _Index, rng, rewrite: bool) -> Redex | None:
+    # rewriting off, this is a uniform draw among the plain redexes
+    n = ix.refresh(cands=rewrite)
+    total, prev, undo = ix.ncands if rewrite else 0, ix.last_opt, 0
+    if prev is not None:
+        undo = sum(_is_inverse_opt(prev, c)
+                   for c in tlo.placed(prev.station, ix.cands[prev.station]))
+    if total > undo and (not n or rng.random() < 0.2):
+        return _opt(ix.cand_at(rng.randrange(total - undo), prev))
+    if n:
+        return ix.plain_at(rng.randrange(n))
+    if total:
+        # the guard may not wedge the run; undo if that is all there is
+        return _opt(ix.cand_at(rng.randrange(total)))
+    return None
+
+
+# name -> its choice among what the index offers, None when nothing applies
+SCHEDULERS = {"eager": _eager, "det": _det,
+              "random": partial(_draw, rewrite=False),
+              "tlo-random": partial(_draw, rewrite=True)}
 
 
 def run(config: Configuration, scheduler: str = "eager", seed: int = 0,
@@ -506,32 +632,17 @@ def run(config: Configuration, scheduler: str = "eager", seed: int = 0,
     random: uniform choice among structural redexes, rewriting off.
     tlo-random: random plus optimizer steps at weight 0.2.
     """
-    if scheduler not in SCHEDULERS:
+    choose = SCHEDULERS.get(scheduler)
+    if choose is None:
         raise ValueError(f"unknown scheduler {scheduler!r}")
     rng = random.Random(seed)
     records: list[StepRecord] = []
-    last_opt = None
+    ix = _Index(config, tlo_rules, assume_set_adjacency)
     for step in range(fuel):
-        if is_terminal(config):
+        if ix.terminal():
             return RunResult(config, "terminal", step, records)
-        if scheduler == "eager":
-            redexes = eager_enumerate(config)
-            if len(redexes) > 1:
-                return RunResult(config, "stuck", step, records,
-                                 f"eager enumeration returned {len(redexes)} redexes")
-        elif scheduler == "det":
-            # first structural redex; batched head units admit no task rule,
-            # so unbatching must stay reachable or completion is partial.
-            # Rewrites are built only when no structural redex exists.
-            redexes = (enumerate_redexes(config, tlo_on=False)
-                       or enumerate_redexes(config, tlo_on=True))
-        elif scheduler == "random":
-            redexes = enumerate_redexes(config, tlo_on=False)
-        else:  # tlo-random
-            redexes = enumerate_redexes(config, tlo_on=True, tlo_rules=tlo_rules,
-                                        assume_set_adjacency=assume_set_adjacency)
-
-        if not redexes:
+        choice = choose(ix, rng)
+        if choice is None:
             fr = frontend_redex(config)
             if isinstance(fr, Blocked):
                 return RunResult(config, "blocked", step, records,
@@ -539,35 +650,11 @@ def run(config: Configuration, scheduler: str = "eager", seed: int = 0,
             if isinstance(fr, Stuck):
                 return RunResult(config, "stuck", step, records, fr.reason)
             return RunResult(config, "stuck", step, records, "no applicable rule")
-
-        if scheduler == "tlo-random":
-            opts_all = [r for r in redexes if r.rule == "Opt"]
-            opts = [r for r in opts_all
-                    if not _is_inverse_opt(last_opt, r.rewrite)]
-            plain = [r for r in redexes if r.rule != "Opt"]
-            if opts and (not plain or rng.random() < 0.2):
-                choice = opts[rng.randrange(len(opts))]
-            elif plain:
-                choice = plain[rng.randrange(len(plain))]
-            else:
-                # the guard may not wedge the run; undo if that is all there is
-                choice = opts_all[rng.randrange(len(opts_all))]
-        elif scheduler == "random":
-            choice = redexes[rng.randrange(len(redexes))]
-        elif scheduler == "det":
-            plain = [r for r in redexes if r.rule != "Opt"]
-            if plain:
-                choice = plain[0]
-            else:
-                # unbatch only: strictly increases the unit count, so the
-                # fallback cannot cycle the way batch or the reorders can
-                unb = [r for r in redexes if r.rewrite.rule == "unbatch"]
-                choice = unb[0] if unb else redexes[0]
-        else:  # eager
-            choice = redexes[0]
-
         config, rule, labels = apply_redex(config, choice)
-        last_opt = choice.rewrite if choice.rule == "Opt" else None
+        if rule == "Add":  # it shifts every station's index
+            ix = _Index(config, tlo_rules, assume_set_adjacency)
+        else:
+            ix.advance(choice, config, labels)
         if trace:
             records.append(StepRecord(step, rule, choice.site, tuple(labels),
                                       config_digest(config)))

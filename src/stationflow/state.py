@@ -8,21 +8,23 @@ Structural conventions
  - station-local facts (`Station.loaded`, `Station.idle`) are memoized on the
    immutable `Station`, which a step that does not touch it carries over
    unchanged; configuration-wide facts (`is_dry`, `is_terminal`) are not
-   cached
+   cached, but `engine.run` keeps its own index across steps (see `engine`)
  - a station's task redexes and load sites (`engine.enumerate_redexes`) are
    kept on the `Station` with `keep`, keyed by its index and whether it is
    the last station: a Redex names its index, an `Add` prepends a station
    and shifts every index, and the Last and Prop rules read lastness.  The
    store is not in the key; a load site waiting on a Claim is checked
-   against the store on every step
+   against the store on every call, and in `engine.run` when a write wakes it
  - a station's rewrite candidates (`tlo.candidates`) are kept the same way,
    keyed by its index, the enabled rules and `assume_set_adjacency`, the
    only inputs besides the station that a candidate reads
  - what the redex search finds in a non-value term is kept on the term,
-   which alone decides it, with no key: the rule and the label a Claim
-   waits on, or the Stuck reason.  Neither `_find`'s rebuild closure nor
-   the redex node is kept; the closure always refers back to the term and
-   the node can be the term itself, a cycle only the collector frees
+   which alone decides it, with no key: the rule, the label a Claim waits
+   on and the hole path, or the Stuck reason.  The redex node is not kept:
+   it can be the term itself, a cycle only the collector frees
+ - `engine.run`'s window table for a station's rewrite candidates is keyed
+   by the identities of a window's two units and lives in the run, not on
+   `Unit`, so a replaced neighbour is freed once its station is rebuilt
  - the top-level `to_sexpr` text of a term is kept on the immutable term,
    so `config_digest` prints only the terms a step built
  - kept values live in the instance `__dict__`, which `__eq__` and

@@ -449,13 +449,18 @@ CONTRACTIONS = {
 class _Fuel:
     __slots__ = ("left", "cut", "unroll")
 
+    # nesting `_norm` may reach, two interpreter frames a level: a `fix`
+    # unrolled under a binder is cut here, not by RecursionError
+    DEPTH = 200
+
     def __init__(self, n: int) -> None:
         self.left = n
         self.cut = False    # some reduction was refused
         self.unroll = True  # Fix may unroll
 
-    def spend(self) -> bool:
-        if self.left <= 0:
+    def spend(self, depth: int) -> bool:
+        """Pay for one reduction at nesting `depth`, or refuse it."""
+        if self.left <= 0 or depth > self.DEPTH:
             self.cut = True
             return False
         self.left -= 1
@@ -467,8 +472,9 @@ def normalize(e: Expr, fuel: int = 10_000) -> tuple[Expr, bool]:
     to normal form, going under binders and into the branches of a conditional
     stuck on its scrutinee. Returns (term, completed); completed is False when
     some reduction was cut off for want of fuel, so a term that reaches normal
-    form on the last unit completes, or because a fix would unroll inside such
-    a branch. Emit, Claim, and Label redexes are left in place."""
+    form on the last unit completes, because a fix would unroll inside such a
+    branch, or because it lies deeper than `_Fuel.DEPTH`. Emit, Claim, and
+    Label redexes are left in place."""
     f = _Fuel(fuel)
     out = _norm(e, f)
     if not f.cut:
@@ -478,16 +484,17 @@ def normalize(e: Expr, fuel: int = 10_000) -> tuple[Expr, bool]:
     return out, not f.cut
 
 
-def _norm(e: Expr, f: _Fuel) -> Expr:
+def _norm(e: Expr, f: _Fuel, depth: int = 0) -> Expr:
     while True:
-        if not f.spend():
+        if not f.spend(depth):
             return e
         cs = children(e)
         if not cs:
             return e
         rule = CONTRACTIONS.get(type(e))
         strict = cs[:rule.strict] if rule else cs
-        e = with_children(e, tuple(_norm(c, f) for c in strict) + cs[len(strict):])
+        e = with_children(e, tuple(_norm(c, f, depth + 1) for c in strict)
+                          + cs[len(strict):])
         if rule is None or not rule.applies(e):
             return e
         if not f.unroll and type(e) is Fix:
@@ -498,7 +505,7 @@ def _norm(e: Expr, f: _Fuel) -> Expr:
             return e
 
 
-def _norm_branches(e: Expr, f: _Fuel) -> Expr:
+def _norm_branches(e: Expr, f: _Fuel, depth: int = 0) -> Expr:
     """`e`, a `_norm` result, with the branches of every conditional in it
     normalized.  `_norm` leaves only conditionals stuck on their scrutinee,
     and a new branch makes no redex above it."""
@@ -506,8 +513,8 @@ def _norm_branches(e: Expr, f: _Fuel) -> Expr:
     if not cs:
         return e
     if isinstance(e, If0):
-        cs = cs[:1] + tuple(_norm(c, f) for c in cs[1:])
-    return with_children(e, tuple(_norm_branches(c, f) for c in cs))
+        cs = cs[:1] + tuple(_norm(c, f, depth + 1) for c in cs[1:])
+    return with_children(e, tuple(_norm_branches(c, f, depth + 1) for c in cs))
 
 
 def arith_eval(op: str, a: int, b: int) -> int:

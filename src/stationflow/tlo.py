@@ -3,8 +3,9 @@
 Every rewrite acts on a contiguous window of one streamlet and may settle
 some labels directly into the store.  Candidates are discovered in a fixed
 order so seeded schedulers replay exactly.  A station's candidates read
-nothing outside the station and the provers are pure, so they are kept on
-the immutable `Station` (see `state`).
+nothing outside the station and the provers are pure, so `candidates` keeps
+them on the immutable `Station` (see `state`).  Those of a window read only
+its two units, so `engine.run` rebuilds only the windows a step changed.
 """
 
 from __future__ import annotations
@@ -62,71 +63,94 @@ def candidates(config: Configuration, rules: tuple[str, ...] | None = None,
         # a candidate names its station's index, which an Add shifts
         out.extend(keep(station, "_candidates",
                         (si, enabled, assume_set_adjacency),
-                        _station_candidates, station, si, enabled,
-                        assume_set_adjacency))
+                        lambda: placed(si, station_windows(
+                            station, enabled, assume_set_adjacency, {}))))
     return out
 
 
-def _station_candidates(station: Station, si: int, enabled: tuple[str, ...],
-                        assume_set_adjacency: bool) -> tuple[Candidate, ...]:
-    out: list[Candidate] = []
+def station_windows(station: Station, enabled: tuple[str, ...],
+                    assume_set_adjacency: bool, windows: dict) -> list[tuple]:
+    """`window_candidates` of the window at each unit of the streamlet.
+    `windows` maps a window's two unit identities to the units, so no other
+    unit takes those, and what they gave under the same rules and adjacency
+    setting; this streamlet's entries are reused, all others dropped."""
+    old = windows.copy()
+    windows.clear()
+    out = []
     sl = station.streamlet
     for j, unit in enumerate(sl):
-        if "unbatch" in enabled and len(unit.entries) >= 2:
-            for split in range(1, len(unit.entries)):
-                left = Unit(unit.entries[:split])
-                right = Unit(unit.entries[split:])
-                out.append(Candidate("unbatch", si, j, 1, (left, right), (),
-                                     unit.labels(), split))
-        if j + 1 >= len(sl):
-            continue
-        nxt = sl[j + 1]
-        labels2 = unit.labels() + nxt.labels()
-        if "batch" in enabled:
-            out.append(Candidate("batch", si, j, 2,
-                                 (Unit(unit.entries + nxt.entries),), (),
-                                 labels2))
-        a, b = _single(unit), _single(nxt)
-        if a is None or b is None:
-            continue
-        (l1, o1), (l2, o2) = a, b
-        t1, t2 = target(o1), target(o2)
-        if "reorderd" in enabled and t1 is not None and t2 is not None \
-                and not (set(t1) & set(t2)):
-            out.append(Candidate("reorderd", si, j, 2, (nxt, unit), (), (l1, l2)))
-        if "reorderrr" in enabled and isinstance(o1, FoldOp) and isinstance(o2, FoldOp):
-            out.append(Candidate("reorderrr", si, j, 2, (nxt, unit), (), (l1, l2)))
-        if "reorderrw" in enabled and isinstance(o1, MapOp) and isinstance(o2, FoldOp):
-            ks1 = _op_target_kl(o1)
-            if ks1 is not None:
-                comp = dcomp(o2.fn, ks1, o1.fn)
-                new_fold = singleton(l2, FoldOp(comp, o2.base, o2.ks))
-                out.append(Candidate("reorderrw", si, j, 2, (new_fold, unit),
-                                     (), (l1, l2)))
-        if ({"fusem", "fusemid"} & set(enabled)) and isinstance(o1, MapOp) \
-                and isinstance(o2, MapOp) and o1.ks == o2.ks:
-            verdict = prove_identity(compose(o2.fn, o1.fn),
-                                     assume_set_adjacency=assume_set_adjacency)
-            if "fusem" in enabled and verdict == "refuted":
-                fused = singleton(l1, MapOp(compose(o2.fn, o1.fn), o1.ks))
-                out.append(Candidate("fusem", si, j, 2, (fused,),
-                                     ((l2, StoreEntry(Int(0), ())),), (l1, l2)))
-            if "fusemid" in enabled and verdict == "proved":
-                out.append(Candidate("fusemid", si, j, 2, (),
-                                     ((l1, StoreEntry(Int(0), ())),
-                                      (l2, StoreEntry(Int(0), ()))), (l1, l2)))
-        if "reuse" in enabled and isinstance(o1, FoldOp) and isinstance(o2, FoldOp):
-            ks1 = _op_target_kl(o1)
-            ks2 = _op_target_kl(o2)
-            if (ks1 is not None and ks2 is not None
-                    and alpha_equiv(o1.fn, o2.fn)
-                    and alpha_equiv(o1.base, o2.base)
-                    and {k.name for k in ks1} <= {k.name for k in ks2}
-                    and prove_commutative(o1.fn) == "proved"):
-                shrunk = KL(kl_subtract(ks2, ks1))
-                second = singleton(l2, FoldOp(o2.fn, Claim(Label(l1)), shrunk))
-                out.append(Candidate("reuse", si, j, 2, (unit, second), (),
-                                     (l1, l2)))
+        nxt = sl[j + 1] if j + 1 < len(sl) else None
+        key = (id(unit), id(nxt))
+        hit = old.get(key)
+        if hit is None:
+            hit = unit, nxt, window_candidates(unit, nxt, enabled,
+                                               assume_set_adjacency)
+        windows[key] = hit
+        out.append(hit[2])
+    return out
+
+
+def placed(si: int, found: list[tuple]) -> tuple[Candidate, ...]:
+    """The candidates of station `si` from its `station_windows`."""
+    return tuple(Candidate(rule, si, j, *rest)
+                 for j, window in enumerate(found) for rule, *rest in window)
+
+
+def window_candidates(unit: Unit, nxt: Unit | None, enabled: tuple[str, ...],
+                      assume_set_adjacency: bool) -> tuple[tuple, ...]:
+    """The rewrites of the window at `unit`, `nxt` the unit after it (None
+    at the tail): `unit`'s unbatch splits, then the pair rules, each as the
+    `Candidate` fields after station and start, which it does not read."""
+    out: list[tuple] = []
+    if "unbatch" in enabled and len(unit.entries) >= 2:
+        for split in range(1, len(unit.entries)):
+            left = Unit(unit.entries[:split])
+            right = Unit(unit.entries[split:])
+            out.append(("unbatch", 1, (left, right), (), unit.labels(), split))
+    if nxt is None:
+        return tuple(out)
+    if "batch" in enabled:
+        out.append(("batch", 2, (Unit(unit.entries + nxt.entries),), (),
+                    unit.labels() + nxt.labels()))
+    a, b = _single(unit), _single(nxt)
+    if a is None or b is None:
+        return tuple(out)
+    (l1, o1), (l2, o2) = a, b
+    t1, t2 = target(o1), target(o2)
+    if "reorderd" in enabled and t1 is not None and t2 is not None \
+            and not (set(t1) & set(t2)):
+        out.append(("reorderd", 2, (nxt, unit), (), (l1, l2)))
+    if "reorderrr" in enabled and isinstance(o1, FoldOp) and isinstance(o2, FoldOp):
+        out.append(("reorderrr", 2, (nxt, unit), (), (l1, l2)))
+    if "reorderrw" in enabled and isinstance(o1, MapOp) and isinstance(o2, FoldOp):
+        ks1 = _op_target_kl(o1)
+        if ks1 is not None:
+            comp = dcomp(o2.fn, ks1, o1.fn)
+            new_fold = singleton(l2, FoldOp(comp, o2.base, o2.ks))
+            out.append(("reorderrw", 2, (new_fold, unit), (), (l1, l2)))
+    if ({"fusem", "fusemid"} & set(enabled)) and isinstance(o1, MapOp) \
+            and isinstance(o2, MapOp) and o1.ks == o2.ks:
+        verdict = prove_identity(compose(o2.fn, o1.fn),
+                                 assume_set_adjacency=assume_set_adjacency)
+        if "fusem" in enabled and verdict == "refuted":
+            fused = singleton(l1, MapOp(compose(o2.fn, o1.fn), o1.ks))
+            out.append(("fusem", 2, (fused,),
+                        ((l2, StoreEntry(Int(0), ())),), (l1, l2)))
+        if "fusemid" in enabled and verdict == "proved":
+            out.append(("fusemid", 2, (),
+                        ((l1, StoreEntry(Int(0), ())),
+                         (l2, StoreEntry(Int(0), ()))), (l1, l2)))
+    if "reuse" in enabled and isinstance(o1, FoldOp) and isinstance(o2, FoldOp):
+        ks1 = _op_target_kl(o1)
+        ks2 = _op_target_kl(o2)
+        if (ks1 is not None and ks2 is not None
+                and alpha_equiv(o1.fn, o2.fn)
+                and alpha_equiv(o1.base, o2.base)
+                and {k.name for k in ks1} <= {k.name for k in ks2}
+                and prove_commutative(o1.fn) == "proved"):
+            shrunk = KL(kl_subtract(ks2, ks1))
+            second = singleton(l2, FoldOp(o2.fn, Claim(Label(l1)), shrunk))
+            out.append(("reuse", 2, (unit, second), (), (l1, l2)))
     return tuple(out)
 
 

@@ -36,3 +36,24 @@ def init_cg():
     def go(text):
         return state.init(parse_source(text, "test.cg"))
     return go
+
+
+@pytest.fixture
+def reached(monkeypatch):
+    """`reached(check)` has `engine.run` call `check(index)` at every
+    configuration it reaches, where its index tests for a terminal, and
+    returns the list those configurations are appended to.  A later call
+    replaces the check."""
+    terminal = engine._Index.terminal
+
+    def install(check):
+        seen = []
+
+        def checked(ix):
+            check(ix)
+            seen.append(ix.config)
+            return terminal(ix)
+
+        monkeypatch.setattr(engine._Index, "terminal", checked)
+        return seen
+    return install

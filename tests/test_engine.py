@@ -113,26 +113,41 @@ REDEX_CONTEXTS = [
     (Emit(FoldOp(ID_INT, Node(A, ARITH, KL(())), KL(()))),
      Emit(FoldOp(ID_INT, Node(A, HOLE, KL(())), KL(())))),
 ]
+# the hole of each context above: child positions from the term down
+CONTEXT_PATHS = [(0,), (1,), (0,), (0, 1), (1,), (1,), (1,), (0,), (1,),
+                 (0,), (0,), (0,), (1, 1)]
+
+
+def fill(term, path, x):
+    """`term` with `x` in the hole at `path`."""
+    spine, _ = engine._descend(term, path)
+    return engine._plug(spine, x)
 
 
 class TestRedexSearch:
     @pytest.mark.parametrize("term,expected", REDEX_SEARCH)
     def test_rule_or_stuck_reason(self, term, expected):
-        found = engine._find(term, lambda x: x)
+        found = engine._find(term)
         if isinstance(found, engine.Stuck):
             assert found.reason == expected
         else:
-            assert (found.rule, found.node, found.rebuild(HOLE)) \
-                == (expected, term, HOLE)
+            rule, label, path = found
+            assert (rule, engine._descend(term, path)[1], path,
+                    fill(term, path, HOLE)) == (expected, term, (), HOLE)
+            assert label == (0 if rule == "Claim" else None)
 
     @pytest.mark.parametrize("term,filled", REDEX_CONTEXTS)
     def test_evaluation_context(self, term, filled):
-        found = engine._find(term, lambda x: x)
-        assert found.rebuild(HOLE) == filled
+        _, _, path = engine._find(term)
+        assert fill(term, path, HOLE) == filled
+
+    def test_hole_paths(self):
+        assert [engine._find(term)[2]
+                for term, _ in REDEX_CONTEXTS] == CONTEXT_PATHS
 
     def test_emit_context_keeps_its_location(self):
         term = Emit(AddOp(ARITH), loc=(3, 4))
-        assert engine._find(term, lambda x: x).rebuild(HOLE).loc == (3, 4)
+        assert fill(term, engine._find(term)[2], HOLE).loc == (3, 4)
 
     @pytest.mark.parametrize("term,status,detail", [
         (App(Int(1), Int(2)), "stuck", "application of a non-function"),
@@ -333,37 +348,34 @@ class TestKeptRedexes:
     """Redexes and rewrite candidates kept on stations and terms equal what
     a bare copy of the configuration yields."""
 
-    def run_compared(self, monkeypatch, prog, scheduler, seed, tlo_rules=None,
+    def run_compared(self, reached, prog, scheduler, seed, tlo_rules=None,
                      assume_set_adjacency=False):
-        # `run` tests every configuration it reaches with `is_terminal`
-        seen = []
         rewrite = dict(tlo_rules=tlo_rules,
                        assume_set_adjacency=assume_set_adjacency)
 
-        def checked(config):
+        def checked(ix):
+            config = ix.config
             fresh = bare(config)
             for kw in (dict(tlo_on=False), dict(tlo_on=True, **rewrite)):
                 assert (enumerate_redexes(config, **kw)
                         == enumerate_redexes(fresh, **kw))
             assert (tlo.candidates(config, tlo_rules, assume_set_adjacency)
                     == tlo.candidates(fresh, tlo_rules, assume_set_adjacency))
-            seen.append(config)
-            return state.is_terminal(config)
 
-        monkeypatch.setattr(engine, "is_terminal", checked)
+        seen = reached(checked)
         r = run(state.init(prog), scheduler=scheduler, seed=seed, **rewrite)
         assert r.status == "terminal"
         assert len(seen) == r.steps + 1
         return r
 
     @pytest.mark.parametrize("name", harness.RUNNABLE)
-    def test_kept_equal_bare_on_the_corpus(self, monkeypatch, name):
+    def test_kept_equal_bare_on_the_corpus(self, reached, name):
         prog = harness.corpus_program(name)
         for scheduler, seed in (("eager", 0), ("det", 0), ("random", 3),
                                 ("tlo-random", 3)):
-            self.run_compared(monkeypatch, prog, scheduler, seed)
+            self.run_compared(reached, prog, scheduler, seed)
 
-    def test_kept_equal_bare_on_an_op_mix(self, monkeypatch):
+    def test_kept_equal_bare_on_an_op_mix(self, monkeypatch, reached):
         # schedule 8 applies every rewrite rule, fusemid only under set
         # adjacency; a reorderrw puts `dcomp` terms into fold functions
         monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -379,7 +391,7 @@ class TestKeptRedexes:
             return apply_rewrite(config, cand)
 
         monkeypatch.setattr(tlo, "apply_rewrite", recorded)
-        r = self.run_compared(monkeypatch, prog, "tlo-random", 8,
+        r = self.run_compared(reached, prog, "tlo-random", 8,
                               assume_set_adjacency=True)
         assert r.config.frontend == Int(gen.expected)
         assert set(applied) == set(tlo.RULE_NAMES)
@@ -405,22 +417,23 @@ class TestKeptRedexes:
         assert after == enumerate_redexes(bare(config), tlo_on=True)
         assert {r.station for r in after if r.rule in ("Opt", "Prop")} == {1}
 
-    def test_eager_keeps_nothing_on_stations(self, monkeypatch):
+    def test_eager_keeps_nothing_on_stations(self, reached):
         # every eager step replaces the wet station: nothing kept there
         # would be read again
-        def checked(config):
-            for s in config.backend:
+        def checked(ix):
+            for s in ix.config.backend:
                 assert not set(KEPT) & set(s.__dict__)
                 terms = [s.node] + [op.base for u in s.streamlet
                                     for _, op in u.entries
                                     if isinstance(op, FoldOp)]
                 assert not any("_step" in e.__dict__ for e in terms)
-            return state.is_terminal(config)
 
-        monkeypatch.setattr(engine, "is_terminal", checked)
+        seen = reached(checked)
         for name in harness.RUNNABLE:
+            seen.clear()
             r = run(state.init(harness.corpus_program(name)))
             assert r.status == "terminal"
+            assert len(seen) == r.steps + 1
 
     def test_kept_values_leave_equality_alone(self):
         config = state.init(harness.corpus_program("chronological_order"))
@@ -463,3 +476,198 @@ class TestDetScheduler:
             assert r.status == "terminal"
         assert r.trace[0].site == "station:0:unbatch"
         assert plain_then and not any(plain_then)
+
+
+def reference_run(config, scheduler="eager", seed=0, fuel=1_000_000,
+                  trace=False, tlo_rules=None, assume_set_adjacency=False,
+                  seen=None):
+    """`run` over the stateless functions: every step scans for a terminal
+    and enumerates every redex and candidate afresh.  Each configuration
+    reached is appended to `seen`, if given."""
+    rng = random.Random(seed)
+    records = []
+    last_opt = None
+    for step in range(fuel):
+        if seen is not None:
+            seen.append(config)
+        if state.is_terminal(config):
+            return engine.RunResult(config, "terminal", step, records)
+        if scheduler == "eager":
+            redexes = eager_enumerate(config)
+        elif scheduler == "det":
+            redexes = (enumerate_redexes(config, tlo_on=False)
+                       or enumerate_redexes(config, tlo_on=True))
+        elif scheduler == "random":
+            redexes = enumerate_redexes(config, tlo_on=False)
+        else:
+            redexes = enumerate_redexes(
+                config, tlo_on=True, tlo_rules=tlo_rules,
+                assume_set_adjacency=assume_set_adjacency)
+        if not redexes:
+            fr = engine.frontend_redex(config)
+            if isinstance(fr, engine.Blocked):
+                return engine.RunResult(config, "blocked", step, records,
+                                        f"frontend waits on label {fr.label}")
+            if isinstance(fr, engine.Stuck):
+                return engine.RunResult(config, "stuck", step, records,
+                                        fr.reason)
+            return engine.RunResult(config, "stuck", step, records,
+                                    "no applicable rule")
+        if scheduler == "tlo-random":
+            opts_all = [r for r in redexes if r.rule == "Opt"]
+            opts = [r for r in opts_all
+                    if not engine._is_inverse_opt(last_opt, r.rewrite)]
+            plain = [r for r in redexes if r.rule != "Opt"]
+            if opts and (not plain or rng.random() < 0.2):
+                choice = opts[rng.randrange(len(opts))]
+            elif plain:
+                choice = plain[rng.randrange(len(plain))]
+            else:
+                choice = opts_all[rng.randrange(len(opts_all))]
+        elif scheduler == "random":
+            choice = redexes[rng.randrange(len(redexes))]
+        elif scheduler == "det":
+            plain = [r for r in redexes if r.rule != "Opt"]
+            unb = [r for r in redexes if r.rule == "Opt"
+                   and r.rewrite.rule == "unbatch"]
+            choice = plain[0] if plain else unb[0] if unb else redexes[0]
+        else:
+            choice = redexes[0]
+        config, rule, labels = apply_redex(config, choice)
+        last_opt = choice.rewrite if choice.rule == "Opt" else None
+        if trace:
+            records.append(engine.StepRecord(step, rule, choice.site,
+                                             tuple(labels),
+                                             state.config_digest(config)))
+    return engine.RunResult(config, "fuel", fuel, records, "fuel exhausted")
+
+
+ADD_SOURCE = ("graph [#a: 1 [], #b: 2 []]\n"
+              "mapVal (fun v: node -> payload(v) + 1) [#b];\n"
+              "mapVal (fun v: node -> payload(v) * 2) [#b];\n"
+              "let k = claim (add 7) in payload(claim (queryNode k))\n")
+
+# (scheduler, seed, tlo_rules, assume_set_adjacency)
+SCHEDULES = (("eager", 0, None, False), ("det", 0, None, True),
+             ("random", 3, None, False), ("tlo-random", 3, None, False),
+             ("tlo-random", 4, None, True),
+             ("tlo-random", 5, ("batch", "unbatch", "reuse"), False))
+
+
+def mix_config(shape):
+    sys.path.insert(0, str(PERFBENCH))
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        import programs
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        sys.dont_write_bytecode = dont_write
+    gen = programs.mix_program(8, 1, random.Random(shape), random.Random(shape))
+    return state.init(parse_source(gen.source, "mix.cg"))
+
+
+def end_states():
+    """Configurations that end blocked or stuck: the frontend waits on a
+    label nothing writes, or cannot step; a node load waits on a label
+    nothing writes, or cannot step."""
+    waits = Station(Node(A, Claim(Label(9)), KL(())))
+    stuck = Station(Node(A, Arith("+", A, Int(1)), KL(())))
+    return [state.Configuration((), (), (), Claim(Label(5))),
+            state.Configuration((), (), (), App(Int(1), Int(2))),
+            state.Configuration((waits,), (), (), Int(0)),
+            state.Configuration((stuck, waits), (), (), Int(0))]
+
+
+class TestIndex:
+    """`run` keeps an index of what it chooses from; it must offer what the
+    stateless enumeration offers, and `run` must step as the reference loop
+    over the stateless functions does."""
+
+    def test_index_offers_what_bare_enumeration_does(self, reached):
+        starts = [(state.init(harness.corpus_program(n)), SCHEDULES)
+                  for n in harness.RUNNABLE]
+        starts.append((state.init(parse_source(ADD_SOURCE, "add.cg")),
+                       SCHEDULES))
+        # schedule 8 applies every rewrite rule, fusemid only under set
+        # adjacency, and reuse leaves a fold base waiting on a Claim
+        starts.append((mix_config(8), [("tlo-random", 8, None, True)]))
+        for config, schedules in starts:
+            for scheduler, seed, rules, adjacency in schedules:
+                def checked(ix):
+                    n = ix.refresh(cands=True)
+                    offered = [ix.plain_at(k) for k in range(n)]
+                    offered += [engine._opt(ix.cand_at(k))
+                                for k in range(ix.ncands)]
+                    assert offered == enumerate_redexes(
+                        bare(ix.config), tlo_on=True, tlo_rules=rules,
+                        assume_set_adjacency=adjacency)
+
+                seen = reached(checked)
+                kw = dict(scheduler=scheduler, seed=seed, tlo_rules=rules,
+                          assume_set_adjacency=adjacency)
+                r = run(config, **kw)
+                assert r.status == "terminal"
+                assert len(seen) == r.steps + 1
+                # looking into the index left the run as it would have been
+                want = []
+                reference_run(config, seen=want, **kw)
+                assert seen == want
+
+    def assert_same_run(self, config, scheduler, seed, rules, adjacency,
+                        fuel=1_000_000):
+        kw = dict(scheduler=scheduler, seed=seed, fuel=fuel, trace=True,
+                  tlo_rules=rules, assume_set_adjacency=adjacency)
+        want = reference_run(config, **kw)
+        got = run(config, **kw)
+        assert ([r.to_json() for r in got.trace]
+                == [r.to_json() for r in want.trace])
+        assert ((got.status, got.steps, got.detail, got.config)
+                == (want.status, want.steps, want.detail, want.config))
+        return got
+
+    @pytest.mark.parametrize("name", harness.RUNNABLE)
+    def test_run_matches_the_reference_on_the_corpus(self, name):
+        config = state.init(harness.corpus_program(name))
+        for schedule in SCHEDULES:
+            assert self.assert_same_run(config, *schedule).status == "terminal"
+            assert self.assert_same_run(config, *schedule,
+                                        fuel=137).steps <= 137
+
+    @pytest.mark.parametrize("shape", (1, 2, 8))
+    def test_run_matches_the_reference_on_op_mixes(self, shape):
+        config = mix_config(shape)
+        for schedule in SCHEDULES:
+            assert self.assert_same_run(config, *schedule).status == "terminal"
+
+    def test_run_matches_the_reference_through_an_add(self):
+        config = state.init(parse_source(ADD_SOURCE, "add.cg"))
+        for schedule in SCHEDULES:
+            r = self.assert_same_run(config, *schedule)
+            assert r.status == "terminal" and r.config.frontend == Int(7)
+            assert [rec.rule for rec in r.trace].count("Add") == 1
+
+    def test_a_store_write_wakes_a_waiting_load(self):
+        # station 0's node waits on label 0, which the map at station 1
+        # writes when it completes; no step touches station 0 before that
+        inc = Lam("x", NODE, Node(Proj(1, Var("x")),
+                                  Arith("+", Proj(2, Var("x")), Int(1)),
+                                  Proj(3, Var("x"))))
+        waits = Station(Node(A, Claim(Label(0)), KL(())))
+        maps = Station(Node(B, Int(2), KL(())),
+                       (Unit(((0, MapOp(inc, KL((B,)))),)),))
+        config = state.Configuration((waits, maps), (), (), Int(0),
+                                     next_label=1)
+        for schedule in SCHEDULES[1:]:  # eager admits one wet station only
+            r = self.assert_same_run(config, *schedule)
+            assert r.status == "terminal"
+            assert r.config.backend[0].node == Node(A, Int(0), KL(()))
+
+    def test_run_matches_the_reference_when_blocked_or_stuck(self):
+        outcomes = set()
+        for config in end_states():
+            for schedule in SCHEDULES:
+                r = self.assert_same_run(config, *schedule)
+                outcomes.add((r.status, r.detail))
+        assert outcomes == {("blocked", "frontend waits on label 5"),
+                            ("stuck", "application of a non-function"),
+                            ("stuck", "no applicable rule")}

@@ -72,12 +72,11 @@ def ring_source(n):
 
 
 class TestStationFlags:
-    def test_flags_match_their_definitions(self, monkeypatch):
-        # `run` tests every configuration it reaches with `is_terminal`;
-        # check the memoized flags there against the uncached definitions
-        seen = []
-
-        def checked(config):
+    def test_flags_match_their_definitions(self, reached):
+        # at every configuration `run` reaches, check the memoized flags
+        # against the uncached definitions
+        def checked(ix):
+            config = ix.config
             for s in config.backend:
                 assert s.loaded == is_value(s.node)
                 assert s.idle == (is_value(s.node) and not s.streamlet)
@@ -85,10 +84,11 @@ class TestStationFlags:
                 assert fresh == s and hash(fresh) == hash(s)
             assert state.is_dry(config) == all(
                 is_value(s.node) and not s.streamlet for s in config.backend)
-            seen.append(config)
-            return state.is_terminal(config)
+            # the index's stations that are not idle, by their definition
+            assert ix.busy == {i for i, s in enumerate(config.backend)
+                               if not is_value(s.node) or s.streamlet}
 
-        monkeypatch.setattr(engine, "is_terminal", checked)
+        seen = reached(checked)
         programs = [harness.corpus_program(n) for n in harness.RUNNABLE]
         programs.append(parse_source(ring_source(32), "ring.cg"))
         for prog in programs:
@@ -122,17 +122,16 @@ def reference_digest(config):
 
 
 class TestConfigDigest:
-    def run_checked(self, monkeypatch, prog, scheduler, seed, **kw):
+    def run_checked(self, reached, prog, scheduler, seed, **kw):
         """Run with the trace on; at every configuration reached, the digest
         equals its reference, and so does the trace record of each step."""
         refs = []
 
-        def checked(config):
-            refs.append(reference_digest(config))
-            assert state.config_digest(config) == refs[-1]
-            return state.is_terminal(config)
+        def checked(ix):
+            refs.append(reference_digest(ix.config))
+            assert state.config_digest(ix.config) == refs[-1]
 
-        monkeypatch.setattr(engine, "is_terminal", checked)
+        reached(checked)
         r = engine.run(state.init(prog), scheduler=scheduler, seed=seed,
                        trace=True, **kw)
         assert r.status == "terminal"
@@ -140,21 +139,22 @@ class TestConfigDigest:
         assert [rec.digest for rec in r.trace] == refs[1:]
         return r
 
-    def test_digest_matches_its_definition_on_the_corpus(self, monkeypatch):
+    def test_digest_matches_its_definition_on_the_corpus(self, reached):
         for name in harness.RUNNABLE:
             prog = harness.corpus_program(name)
             for scheduler, seed in (("eager", 0), ("det", 0), ("random", 3),
                                     ("tlo-random", 3)):
-                self.run_checked(monkeypatch, prog, scheduler, seed)
+                self.run_checked(reached, prog, scheduler, seed)
 
-    def test_digest_matches_its_definition_after_fusion(self, monkeypatch):
+    def test_digest_matches_its_definition_after_fusion(self, monkeypatch,
+                                                         reached):
         # a generated op mix whose tlo-random run fuses maps and reorders a
         # fold past a map, so `dcomp`'d functions are printed
         monkeypatch.syspath_prepend(str(PERFBENCH))
         monkeypatch.setattr(sys, "dont_write_bytecode", True)
         import programs
         gen = programs.mix_program(8, 1, random.Random(17), random.Random(17))
-        r = self.run_checked(monkeypatch, parse_source(gen.source, "mix.cg"),
+        r = self.run_checked(reached, parse_source(gen.source, "mix.cg"),
                              "tlo-random", 17, assume_set_adjacency=True)
         applied = {rec.site.rsplit(":", 1)[1]
                    for rec in r.trace if rec.rule == "Opt"}

@@ -162,6 +162,14 @@ class TestNormalizeFuel:
         assert not done
         assert to_sexpr(out).startswith("(lam int (if0 (bound 0) (int 0) (app (fix")
 
+    @pytest.mark.parametrize("arg", [None, Int(1)])
+    def test_unrolling_under_a_binder_is_cut_not_overflowed(self, arg):
+        # the body applies f outside any conditional: every unrolled copy
+        # nests one level deeper, so the depth budget, not fuel, stops it
+        term = Fix(Lam("f", TFun(INT, False, INT),
+                       Lam("n", INT, App(Var("f"), Var("n")))))
+        assert normalize(term if arg is None else App(term, arg))[1] is False
+
     def test_normal_form_on_the_last_unit_completes(self):
         term = App(Lam("x", INT, Arith("+", Var("x"), Int(1))), Int(2))
         assert normalize(term, 9) == (Int(3), True)

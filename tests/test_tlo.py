@@ -4,6 +4,7 @@ rewrite against deterministic completion, and the equivalence provers."""
 import pytest
 
 from stationflow import engine, state, tlo
+from stationflow.parser import parse_source
 from stationflow.state import Station, Unit, singleton
 from stationflow.terms import (
     Arith, Claim, Concat, FoldOp, Int, Key, KL, Label, Lam, MapOp, Node,
@@ -261,6 +262,24 @@ class TestKeptCandidates:
         assert seen[3] == ["batch", "batch"]
         assert seen[4] == ["reorderrw"]
         assert seen[5] == seen[0]
+
+
+# a map function holding an unapplied `fix` that recurses outside any
+# conditional: the identity prover normalizes it while the maps can fuse
+FIX_IN_MAP = """graph [ #k1: 1 [], #k2: 2 [] ]
+let m1 = map (fun n: node -> let g = fun u: int ->
+  (fix (fun f: (int -> int) -> fun x: int -> f x)) u in n) [#k1] in
+let m2 = map (fun n: node -> node(key(n), payload(n) + 1, adj(n))) [#k1] in
+claim m2
+"""
+
+
+def test_fix_in_a_map_reaches_the_eager_terminal():
+    prog = parse_source(FIX_IN_MAP, "fix.cg")
+    base = engine.run(state.init(prog))
+    r = engine.run(state.init(prog), scheduler="tlo-random", seed=1)
+    assert base.status == r.status == "terminal"
+    assert state.terminal_digest(r.config) == state.terminal_digest(base.config)
 
 
 class TestProvers:
