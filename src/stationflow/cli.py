@@ -7,6 +7,7 @@ to stdout, human summaries to stderr.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 
@@ -31,6 +32,19 @@ def _emit(payload: dict) -> None:
     click.echo(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _depth_bounded(command):
+    """`command`, ending with a one-line usage error where its input nests
+    deeper than the interpreter's recursion limit."""
+    @functools.wraps(command)
+    def bounded(**params):
+        try:
+            return command(**params)
+        except RecursionError:
+            _say(f"{params['path']}: input nests too deeply to process")
+            sys.exit(EXIT_USAGE)
+    return bounded
+
+
 @click.group()
 def cli() -> None:
     """Continuous graph processing playground: typecheck and run programs,
@@ -39,6 +53,7 @@ def cli() -> None:
 
 @cli.command()
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
+@_depth_bounded
 def typecheck(path: str) -> None:
     """Parse and type a .cg program."""
     try:
@@ -70,15 +85,14 @@ def _parse_rules(text: str | None):
 @click.option("--fuel", default=1_000_000, show_default=True)
 @click.option("--trace", "trace_path", default=None,
               type=click.Path(dir_okay=False), help="Write a JSONL step trace.")
-@click.option("--tlo", default=None, type=click.Choice(["off", "on"]),
-              help="Force stream rewriting off or on for the seeded schedulers.")
 @click.option("--tlo-rules", default=None,
               help="Comma list restricting the rewrite rules.")
 @click.option("--assume-set-adjacency", is_flag=True,
               help="Let the identity prover treat adjacency as a set.")
 @click.option("--strict-residuals", is_flag=True,
               help="Include residual targets in the reported digest.")
-def run_cmd(path, scheduler, seed, fuel, trace_path, tlo, tlo_rules,
+@_depth_bounded
+def run_cmd(path, scheduler, seed, fuel, trace_path, tlo_rules,
             assume_set_adjacency, strict_residuals) -> None:
     """Reduce a .cg program to its terminal configuration."""
     try:
@@ -87,10 +101,6 @@ def run_cmd(path, scheduler, seed, fuel, trace_path, tlo, tlo_rules,
     except SourceError as ex:
         _say(str(ex))
         sys.exit(EXIT_USAGE)
-    if tlo == "off" and scheduler == "tlo-random":
-        scheduler = "random"
-    elif tlo == "on" and scheduler == "random":
-        scheduler = "tlo-random"
     result = engine.run(state.init(prog), scheduler=scheduler, seed=seed,
                         fuel=fuel, trace=trace_path is not None,
                         tlo_rules=_parse_rules(tlo_rules),

@@ -12,9 +12,9 @@ stations that are not idle, which decide terminality; and the stations with
 a load site waiting on each label.  It rebuilds only the stations a step
 touched and, after a store write, those waiting on a written label.  The
 redex search records its hole as a path of child positions, along which the
-Load and frontend rules plug the contractum.  What is kept on stations and
-terms is listed in `state`; `eager_enumerate` keeps nothing for the wet
-station, which every eager step replaces.
+Load and frontend rules plug the contractum.  What the redex search finds
+in a term is kept on the term (see `state`), except by `eager_enumerate` for
+the wet station, which every eager step replaces.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def _plug(spine, x: Expr) -> Expr:
 
 def _kept_step(e: Expr):
     """`_find(e)`, kept on the immutable term (see `state`)."""
-    return keep(e, "_step", None, _find, e)
+    return keep(e, "_step", _find, e)
 
 
 def _ready(config: Configuration, label: int | None) -> bool:
@@ -258,11 +258,8 @@ def _station_plain(config: Configuration, i: int, last: bool,
     """The task redexes of station `i`, then its load sites that step now;
     `waiting`, if given, notes `i` under each label a site waits on."""
     station = config.backend[i]
-    tasks, loads = keep(station, "_redexes", (i, last), lambda: (
-        tuple(station_task_redexes(station, i, last)),
-        _load_sites(station, i, _kept_step)))
-    out = list(tasks)
-    for r, label in loads:
+    out = station_task_redexes(station, i, last)
+    for r, label in _load_sites(station, i, _kept_step):
         if _ready(config, label):
             out.append(r)
         elif waiting is not None:

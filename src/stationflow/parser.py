@@ -12,7 +12,7 @@ from .terms import (
     INT, KEY, KL_T, NODE,
     AddOp, App, Arith, Claim, Concat, Emit, Expr, Fix, FoldOp, If0, Int, KL,
     Key, Label, Lam, Len, MapOp, Node, Operation, Proj, Subtract, TFun, TFuture,
-    Type, Var, _fresh_name, children, free_vars,
+    Type, Var, _fresh_name, children, free_vars, op_args,
 )
 
 
@@ -323,11 +323,10 @@ class _Parser:
         t = self.peek()
         if t.kind in ("INT", "IDENT", "KEYLIT", "(", "["):
             return True
-        return t.kind == "KW" and t.text in (
-            "claim", "fix", "add", "map", "fold", "mapVal", "foldVal", "queryNode",
-            "addRelationship", "deleteRelationship", "updatePayload",
-            "node", "key", "payload", "adj", "len",
-        )
+        return t.kind == "KW" and (t.text in GRAPH_OPS or t.text in (
+            "claim", "fix", "add", "map", "fold", "node", "key", "payload",
+            "adj", "len",
+        ))
 
     def prefix_expr(self) -> Expr:
         t = self.peek()
@@ -354,8 +353,7 @@ class _Parser:
             base = self.prefix_expr()
             ks = self.prefix_expr()
             return Emit(FoldOp(fn, base, ks), loc=loc)
-        if t.text in ("mapVal", "foldVal", "queryNode", "addRelationship",
-                      "deleteRelationship", "updatePayload"):
+        if t.text in GRAPH_OPS:
             return self.graph_op()
         return self.atom()
 
@@ -367,10 +365,8 @@ class _Parser:
         if name == "foldVal" and self.at_kw("commutative"):
             self.next()
             comm = True
-        arity = {"mapVal": 2, "foldVal": 3, "queryNode": 1, "addRelationship": 2,
-                 "deleteRelationship": 2, "updatePayload": 2}[name]
-        args = [self.prefix_expr() for _ in range(arity)]
-        return Emit(desugar_graph_op(name, args, commutative=comm), loc=loc)
+        args = [self.prefix_expr() for _ in range(GRAPH_OPS[name][0])]
+        return Emit(desugar_graph_op(name, args, comm, loc), loc=loc)
 
     def atom(self) -> Expr:
         t = self.next()
@@ -471,42 +467,49 @@ def _subst_syntactic(e: Expr, item: Expr, name: str) -> Expr:
 
 ### desugaring of the graph-operation forms
 
-def desugar_graph_op(name: str, args: list[Expr], commutative: bool = False) -> Operation:
-    """Expand a surface graph operation to its core map/fold encoding."""
-    avoid = frozenset()
-    for a in args:
-        avoid |= free_vars(a)
+# surface graph operation -> (arity, builder): the builder makes the core
+# map or fold from the variables `x` and `y` its functions bind, the
+# `commutative` mark and the arguments
+GRAPH_OPS = {
+    "addRelationship": (2, lambda x, y, comm, e, e2: MapOp(Lam(x.name, NODE, Node(
+        Proj(1, x), Proj(2, x), Concat(Proj(3, x), KL((e2,))))), KL((e,)))),
+    "deleteRelationship": (2, lambda x, y, comm, e, e2: MapOp(Lam(x.name, NODE, Node(
+        Proj(1, x), Proj(2, x), Subtract(Proj(3, x), KL((e2,))))), KL((e,)))),
+    "updatePayload": (2, lambda x, y, comm, e, e2: MapOp(Lam(x.name, NODE, Node(
+        Proj(1, x), Proj(2, e2), Proj(3, x))), KL((e,)))),
+    "queryNode": (1, lambda x, y, comm, e: FoldOp(
+        Lam(x.name, NODE, Lam(y.name, NODE, x)),
+        Node(Key("_"), Int(0), KL(())), KL((e,)))),
+    "mapVal": (2, lambda x, y, comm, e, e2: MapOp(Lam(x.name, NODE, Node(
+        Proj(1, x), App(e, x), Proj(3, x))), e2)),
+    "foldVal": (3, lambda x, y, comm, e, e2, e3: FoldOp(
+        Lam(x.name, NODE, Lam(y.name, NODE, Node(
+            Proj(1, y), App(App(e, x), Proj(2, y)), Proj(3, y))), comm),
+        Node(Key("_"), e2, KL(())), e3)),
+}
+
+
+def desugar_graph_op(name: str, args: list[Expr], commutative: bool = False,
+                     loc: tuple[int, int] | None = None) -> Operation:
+    """Expand a surface graph operation to its core map/fold encoding, with
+    `loc` on every term the expansion adds around the arguments."""
+    avoid = frozenset().union(*map(free_vars, args))
     x = "x" if "x" not in avoid else _fresh_name("x", avoid)
     y = "y" if "y" not in avoid and x != "y" else _fresh_name("y", avoid | {x})
-    vx = Var(x)
-    if name == "addRelationship":
-        e, e2 = args
-        fn = Lam(x, NODE, Node(Proj(1, vx), Proj(2, vx), Concat(Proj(3, vx), KL((e2,)))))
-        return MapOp(fn, KL((e,)))
-    if name == "deleteRelationship":
-        e, e2 = args
-        fn = Lam(x, NODE, Node(Proj(1, vx), Proj(2, vx), Subtract(Proj(3, vx), KL((e2,)))))
-        return MapOp(fn, KL((e,)))
-    if name == "updatePayload":
-        e, e2 = args
-        fn = Lam(x, NODE, Node(Proj(1, vx), Proj(2, e2), Proj(3, vx)))
-        return MapOp(fn, KL((e,)))
-    if name == "queryNode":
-        (e,) = args
-        fn = Lam(x, NODE, Lam(y, NODE, vx))
-        return FoldOp(fn, Node(Key("_"), Int(0), KL(())), KL((e,)))
-    if name == "mapVal":
-        e, e2 = args
-        fn = Lam(x, NODE, Node(Proj(1, vx), App(e, vx), Proj(3, vx)))
-        return MapOp(fn, e2)
-    if name == "foldVal":
-        e, e2, e3 = args
-        vy = Var(y)
-        fn = Lam(x, NODE,
-                 Lam(y, NODE, Node(Proj(1, vy), App(App(e, vx), Proj(2, vy)), Proj(3, vy))),
-                 commutative)
-        return FoldOp(fn, Node(Key("_"), e2, KL(())), e3)
-    raise ValueError(f"unknown surface operation {name!r}")
+    op = GRAPH_OPS[name][1](Var(x), Var(y), commutative, *args)
+    parsed = {id(a) for a in args}
+
+    def stamp(e: Expr) -> None:
+        # the expansion's terms are new and in no other term yet, so their
+        # position is set in place; the arguments keep their own
+        if id(e) not in parsed:
+            object.__setattr__(e, "loc", loc)
+            for c in children(e):
+                stamp(c)
+
+    for a in op_args(op):
+        stamp(a)
+    return op
 
 
 ### entry points

@@ -7,19 +7,11 @@ Structural conventions
    stream is index 0
  - station-local facts (`Station.loaded`, `Station.idle`) are memoized on the
    immutable `Station`, which a step that does not touch it carries over
-   unchanged; configuration-wide facts (`is_dry`, `is_terminal`) are not
-   cached, but `engine.run` keeps its own index across steps (see `engine`)
- - a station's task redexes and load sites (`engine.enumerate_redexes`) are
-   kept on the `Station` with `keep`, keyed by its index and whether it is
-   the last station: a Redex names its index, an `Add` prepends a station
-   and shifts every index, and the Last and Prop rules read lastness.  The
-   store is not in the key; a load site waiting on a Claim is checked
-   against the store on every call, and in `engine.run` when a write wakes it
- - a station's rewrite candidates (`tlo.candidates`) are kept the same way,
-   keyed by its index, the enabled rules and `assume_set_adjacency`, the
-   only inputs besides the station that a candidate reads
- - what the redex search finds in a non-value term is kept on the term,
-   which alone decides it, with no key: the rule, the label a Claim waits
+   unchanged, and are all a station keeps; configuration-wide facts
+   (`is_dry`, `is_terminal`) are not cached, but `engine.run` keeps its own
+   index across steps (see `engine`)
+ - what the redex search finds in a non-value term is kept on the term with
+   `keep`, as the term alone decides it: the rule, the label a Claim waits
    on and the hole path, or the Stuck reason.  The redex node is not kept:
    it can be the term itself, a cycle only the collector frees
  - `engine.run`'s window table for a station's rewrite candidates is keyed
@@ -102,15 +94,14 @@ class Configuration:
         return None
 
 
-def keep(obj, name: str, key, make, *args):
+def keep(obj, name: str, make, *args):
     """`make(*args)`, kept in the immutable `obj`'s instance `__dict__` under
-    `name` and returned again while callers ask with an equal `key`.  One
-    slot per name: a different key recomputes and replaces it."""
+    `name` and returned again on later calls."""
     memo = obj.__dict__
     hit = memo.get(name)
-    if hit is None or hit[0] != key:
-        hit = memo[name] = (key, make(*args))
-    return hit[1]
+    if hit is None:
+        hit = memo[name] = make(*args)
+    return hit
 
 
 def fresh_key_name(index: int) -> str:

@@ -2,10 +2,10 @@
 
 Every rewrite acts on a contiguous window of one streamlet and may settle
 some labels directly into the store.  Candidates are discovered in a fixed
-order so seeded schedulers replay exactly.  A station's candidates read
-nothing outside the station and the provers are pure, so `candidates` keeps
-them on the immutable `Station` (see `state`).  Those of a window read only
-its two units, so `engine.run` rebuilds only the windows a step changed.
+order so seeded schedulers replay exactly.  `candidates` builds them afresh
+on every call.  The provers are pure and a window's candidates read only its
+two units, so `engine.run` keeps them window by window and rebuilds only the
+windows a step changed.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .state import (
-    Configuration, Station, StoreEntry, Unit, keep, merge_results, singleton,
-    target,
+    Configuration, Station, StoreEntry, Unit, merge_results, singleton, target,
 )
 from .terms import (
     NODE, App, Claim, Concat, Expr, FoldOp, If0, Int, KL, Key, Label, Lam,
@@ -60,11 +59,8 @@ def candidates(config: Configuration, rules: tuple[str, ...] | None = None,
     enabled = RULE_NAMES if rules is None else tuple(rules)
     out: list[Candidate] = []
     for si, station in enumerate(config.backend):
-        # a candidate names its station's index, which an Add shifts
-        out.extend(keep(station, "_candidates",
-                        (si, enabled, assume_set_adjacency),
-                        lambda: placed(si, station_windows(
-                            station, enabled, assume_set_adjacency, {}))))
+        out.extend(placed(si, station_windows(
+            station, enabled, assume_set_adjacency, {})))
     return out
 
 

@@ -69,11 +69,13 @@ class TestRun:
             digests.add(json.loads(r.stdout)["digest"])
         assert len(digests) == 1
 
-    def test_tlo_off_downgrades(self, runner, prog_file):
+    def test_tlo_option_is_a_usage_error(self, runner, prog_file):
+        # `--scheduler random` or `tlo-random` says whether rewriting is on
         p = prog_file("chronological_order")
         r = runner.invoke(cli, ["run", p, "--scheduler", "tlo-random",
-                                "--tlo", "off", "--trace", "/dev/null"])
-        assert r.exit_code == 0
+                                "--tlo", "off"])
+        assert r.exit_code == 2
+        assert "--tlo" in r.stderr
 
     def test_unknown_rule_name_rejected(self, runner, prog_file):
         r = runner.invoke(cli, ["run", prog_file("core_social"),
@@ -92,6 +94,26 @@ class TestRun:
                                 "--fuel", "5"])
         assert r.exit_code == 3
         assert json.loads(r.stdout)["status"] == "fuel"
+
+
+LET_CHAIN = "let x0 = 0 in\n" + "".join(
+    f"let x{i} = x{i - 1} + 1 in\n" for i in range(1, 401)) + "x400"
+
+
+class TestDeepInput:
+    # parsing, typing and reduction recurse over the term: nesting past the
+    # interpreter's limit must end in one line on stderr, not a traceback
+    @pytest.mark.parametrize("command, text", [
+        ("typecheck", "1;" * 800 + "1"),
+        ("run", LET_CHAIN),
+    ], ids=["typecheck-seq", "run-let-chain"])
+    def test_exits_2_naming_the_file(self, runner, tmp_path, command, text):
+        p = tmp_path / "deep.cg"
+        p.write_text(text)
+        r = runner.invoke(cli, [command, str(p)])
+        assert r.exit_code == 2
+        assert r.stderr.splitlines() == [
+            f"{p}: input nests too deeply to process"]
 
 
 class TestTraceDiff:

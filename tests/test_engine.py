@@ -341,12 +341,12 @@ def bare(config):
     return out
 
 
-KEPT = ("_redexes", "_candidates")
+KEPT = ("_step", "_sexpr")
 
 
 class TestKeptRedexes:
-    """Redexes and rewrite candidates kept on stations and terms equal what
-    a bare copy of the configuration yields."""
+    """Redexes and rewrite candidates read through what terms keep equal
+    what a bare copy of the configuration yields."""
 
     def run_compared(self, reached, prog, scheduler, seed, tlo_rules=None,
                      assume_set_adjacency=False):
@@ -436,19 +436,29 @@ class TestKeptRedexes:
             assert len(seen) == r.steps + 1
 
     def test_kept_values_leave_equality_alone(self):
+        # stations keep no redexes or candidates; the terms they hold keep
+        # what the redex search found and their printed form
         config = state.init(harness.corpus_program("chronological_order"))
         for _ in range(40):
             config, _, _ = apply_redex(config, enumerate_redexes(config)[0])
         enumerate_redexes(config, tlo_on=True)
-        kept = [s for s in config.backend if set(KEPT) <= set(s.__dict__)]
+        state.config_digest(config)
+        terms = [config.frontend] + [s.node for s in config.backend] + [
+            op.base for s in config.backend for u in s.streamlet
+            for _, op in u.entries if isinstance(op, FoldOp)]
+        kept = [e for e in terms if set(KEPT) <= set(e.__dict__)]
         assert kept
-        for s in kept:
-            fresh = Station(s.node, s.streamlet)
+        for e in kept:
+            fresh = type(e)(*(getattr(e, f.name)
+                              for f in dataclasses.fields(e)))
             assert not set(KEPT) & set(fresh.__dict__)
-            assert fresh == s and hash(fresh) == hash(s)
-            rebuilt = dataclasses.replace(s)
+            assert fresh == e and hash(fresh) == hash(e)
+            rebuilt = dataclasses.replace(e)
             assert not set(KEPT) & set(rebuilt.__dict__)
-            assert rebuilt == s
+            assert rebuilt == e and hash(rebuilt) == hash(e)
+        fields = {f.name for f in dataclasses.fields(Station)}
+        for s in config.backend:
+            assert set(s.__dict__) - fields <= {"loaded", "idle"}
 
 
 class TestDetScheduler:

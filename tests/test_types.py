@@ -86,6 +86,16 @@ class TestExpressions:
         col = src.index("+") + 1
         assert err_of(src).startswith(f"t.cg:1:{col}: T-Arith:")
 
+    @pytest.mark.parametrize("op, rule", [
+        ("mapVal (fun n: node -> n) [#a]", "T-Node"),
+        ("foldVal (fun n: node -> fun acc: int -> n) 0 [#a]", "T-Node"),
+        ("updatePayload #a 5", "T-ENode2"),
+    ])
+    def test_sugared_form_reports_its_keyword(self, op, rule):
+        # the error lies in a term the desugaring built, not in an argument
+        src = "graph [ #a: 1 [] ]\nlet k = 0 in\n  " + op
+        assert err_of(src).startswith(f"t.cg:3:3: {rule}:")
+
     def test_fix_unrolls_function_type(self):
         t, _ = ty("fix (fun f : (int -> int) -> fun n : int ->"
                   " if0 n then 0 else f (n - 1))")
