@@ -95,6 +95,11 @@ def _parse_rules(text: str | None):
 def run_cmd(path, scheduler, seed, fuel, trace_path, tlo_rules,
             assume_set_adjacency, strict_residuals) -> None:
     """Reduce a .cg program to its terminal configuration."""
+    # no other scheduler draws rewrites, so it would ignore these options
+    for name, given in (("--tlo-rules", tlo_rules is not None),
+                        ("--assume-set-adjacency", assume_set_adjacency)):
+        if given and scheduler != "tlo-random":
+            raise click.UsageError(f"{name} applies only under --scheduler tlo-random")
     try:
         prog = parse_file(path)
         type_of_expr(prog.expr, file=str(path))

@@ -3,7 +3,6 @@ walks, rewrite soundness sampling, and the bundled program corpus."""
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from importlib import resources
@@ -12,7 +11,7 @@ from . import engine, state, tlo
 from .engine import Blocked, apply_redex, enumerate_redexes, frontend_redex
 from .parser import Program, SourceError, parse_source
 from .state import Configuration, terminal_digest
-from .terms import FoldOp, Int, MapOp, Node
+from .terms import OPERATIONS, Int, Node
 from .types import type_of_config
 
 RUNNABLE = ("incremental_folding", "core_social", "core_pr",
@@ -311,7 +310,7 @@ def eager_emission_kinds(name: str, limit: int | None = None) -> list[str]:
         config, rule, _ = apply_redex(config, redexes[0])
         if rule == "Emit":
             _, op = config.top[-1].entries[0]
-            kinds.append({MapOp: "map", FoldOp: "fold"}.get(type(op), "add"))
+            kinds.append(OPERATIONS[type(op)].keyword)
             if limit is not None and len(kinds) >= limit:
                 break
     return kinds

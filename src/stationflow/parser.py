@@ -6,12 +6,12 @@ describing the initial backend, followed by one frontend expression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .terms import (
-    INT, KEY, KL_T, NODE,
-    AddOp, App, Arith, Claim, Concat, Emit, Expr, Fix, FoldOp, If0, Int, KL,
-    Key, Label, Lam, Len, MapOp, Node, Operation, Proj, Subtract, TFun, TFuture,
+    INT, KEY, KL_T, NODE, OPERATIONS,
+    App, Arith, Claim, Concat, Emit, Expr, Fix, FoldOp, If0, Int, KL, Key,
+    Label, Lam, Len, MapOp, Node, Operation, Proj, Subtract, TFun, TFuture,
     Type, Var, _fresh_name, children, free_vars, op_args,
 )
 
@@ -33,9 +33,12 @@ class SourceError(Exception):
 
 ### lexer
 
+# operation keyword -> operation class
+_OP_CLASSES = {kind.keyword: cls for cls, kind in OPERATIONS.items()}
+
 KEYWORDS = {
-    "let", "in", "fun", "fix", "if0", "then", "else", "foreach",
-    "claim", "add", "map", "fold", "mapVal", "foldVal", "queryNode",
+    *_OP_CLASSES, "let", "in", "fun", "fix", "if0", "then", "else", "foreach",
+    "claim", "mapVal", "foldVal", "queryNode",
     "addRelationship", "deleteRelationship", "updatePayload",
     "commutative", "graph", "node", "key", "payload", "adj", "len",
     "int", "kl", "future",
@@ -323,10 +326,9 @@ class _Parser:
         t = self.peek()
         if t.kind in ("INT", "IDENT", "KEYLIT", "(", "["):
             return True
-        return t.kind == "KW" and (t.text in GRAPH_OPS or t.text in (
-            "claim", "fix", "add", "map", "fold", "node", "key", "payload",
-            "adj", "len",
-        ))
+        return t.kind == "KW" and (
+            t.text in GRAPH_OPS or t.text in _OP_CLASSES or t.text in (
+                "claim", "fix", "node", "key", "payload", "adj", "len"))
 
     def prefix_expr(self) -> Expr:
         t = self.peek()
@@ -339,20 +341,11 @@ class _Parser:
         if t.text == "fix":
             self.next()
             return Fix(self.prefix_expr(), loc=loc)
-        if t.text == "add":
+        cls = _OP_CLASSES.get(t.text)
+        if cls is not None:
             self.next()
-            return Emit(AddOp(self.prefix_expr()), loc=loc)
-        if t.text == "map":
-            self.next()
-            fn = self.prefix_expr()
-            ks = self.prefix_expr()
-            return Emit(MapOp(fn, ks), loc=loc)
-        if t.text == "fold":
-            self.next()
-            fn = self.prefix_expr()
-            base = self.prefix_expr()
-            ks = self.prefix_expr()
-            return Emit(FoldOp(fn, base, ks), loc=loc)
+            args = [self.prefix_expr() for _ in OPERATIONS[cls].args]
+            return Emit(cls(*args), loc=loc)
         if t.text in GRAPH_OPS:
             return self.graph_op()
         return self.atom()
@@ -622,21 +615,10 @@ def _pp(e: Expr, level: int) -> str:
             s = f"claim {_pp(arg, 6)}"
             return s if level <= 5 else f"({s})"
         case Emit(op):
-            return _pp_emit(op, level)
+            s = " ".join([OPERATIONS[type(op)].keyword,
+                          *(_pp(a, 6) for a in op_args(op))])
+            return s if level <= 5 else f"({s})"
     raise TypeError(e)
-
-
-def _pp_emit(op: Operation, level: int) -> str:
-    match op:
-        case AddOp(arg):
-            s = f"add {_pp(arg, 6)}"
-        case MapOp(fn, ks):
-            s = f"map {_pp(fn, 6)} {_pp(ks, 6)}"
-        case FoldOp(fn, base, ks):
-            s = f"fold {_pp(fn, 6)} {_pp(base, 6)} {_pp(ks, 6)}"
-        case _:
-            raise TypeError(op)
-    return s if level <= 5 else f"({s})"
 
 
 def _pp_type_atom(t: Type) -> str:

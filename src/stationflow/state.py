@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .parser import Program, StationDecl
+from .parser import Program
 from .terms import (
-    AddOp, App, Arith, Claim, Concat, Emit, Expr, Fix, FoldOp, If0, Int, KL,
-    Key, Label, Lam, Len, MapOp, Node, Operation, Proj, Subtract, Var,
-    is_value, kl_value,
+    OPERATIONS, App, Arith, Claim, Concat, Emit, Expr, Fix, FoldOp, If0, Int,
+    KL, Key, Label, Lam, Len, MapOp, Node, Operation, Proj, Subtract, Var,
+    children, is_value, kl_value, op_args,
 )
 
 
@@ -192,9 +192,18 @@ def is_terminal(config: Configuration) -> bool:
 
 ### canonical serialization
 
+# the forms printed as their tag followed by their children
+_TAGS = {App: "app", Fix: "fix", KL: "kl", Node: "node", Concat: "cat",
+         Subtract: "sub", If0: "if0", Len: "len", Claim: "claim"}
+
+
 def to_sexpr(e: Expr, depth: dict[str, int] | None = None, level: int = 0) -> str:
     """Deterministic s-expression; bound variables become de Bruijn indices
     so alpha-equivalent terms print identically.
+
+    A form prints as `(tag child ...)`, where the tag of a projection is
+    `proj1`..`proj3` and of arithmetic `arith` and its operator, except a
+    variable, a literal, a lambda and an emission, `(emit (keyword arg ...))`.
 
     A top-level rendering depends on the term alone, so it is kept in the
     immutable term's instance `__dict__` (which `__eq__`/`__hash__` do not
@@ -207,59 +216,37 @@ def to_sexpr(e: Expr, depth: dict[str, int] | None = None, level: int = 0) -> st
         if text is None:
             text = memo["_sexpr"] = to_sexpr(e, {}, level)
         return text
-    rec = lambda x: to_sexpr(x, depth, level)
-    match e:
-        case Var(name):
-            idx = depth.get(name)
-            return f"(bound {level - idx})" if idx is not None else f"(free {name})"
-        case Int(v):
-            return f"(int {v})"
-        case Key(name):
-            return f"(key {name})"
-        case Label(i):
-            return f"(label {i})"
-        case Lam(param, ptype, body, comm):
-            inner = to_sexpr(body, {**depth, param: level + 1}, level + 1)
-            t = str(ptype) if ptype is not None else "_"
-            tag = "lam!" if comm else "lam"
-            return f"({tag} {t} {inner})"
-        case App(fn, arg):
-            return f"(app {rec(fn)} {rec(arg)})"
-        case Fix(fn):
-            return f"(fix {rec(fn)})"
-        case KL(items):
-            return "(kl" + "".join(" " + rec(i) for i in items) + ")"
-        case Node(k, p, a):
-            return f"(node {rec(k)} {rec(p)} {rec(a)})"
-        case Proj(i, arg):
-            return f"(proj{i} {rec(arg)})"
-        case Concat(l, r):
-            return f"(cat {rec(l)} {rec(r)})"
-        case Subtract(l, r):
-            return f"(sub {rec(l)} {rec(r)})"
-        case Arith(op, l, r):
-            return f"(arith {op} {rec(l)} {rec(r)})"
-        case If0(s, t, f):
-            return f"(if0 {rec(s)} {rec(t)} {rec(f)})"
-        case Len(arg):
-            return f"(len {rec(arg)})"
-        case Claim(arg):
-            return f"(claim {rec(arg)})"
-        case Emit(op):
-            return f"(emit {op_sexpr(op, depth, level)})"
-    raise TypeError(e)
+    tag = _TAGS.get(type(e))
+    if tag is None:
+        match e:
+            case Var(name):
+                idx = depth.get(name)
+                return f"(bound {level - idx})" if idx is not None else f"(free {name})"
+            case Int(v):
+                return f"(int {v})"
+            case Key(name):
+                return f"(key {name})"
+            case Label(i):
+                return f"(label {i})"
+            case Lam(param, ptype, body, comm):
+                inner = to_sexpr(body, {**depth, param: level + 1}, level + 1)
+                t = str(ptype) if ptype is not None else "_"
+                tag = "lam!" if comm else "lam"
+                return f"({tag} {t} {inner})"
+            case Proj(i):
+                tag = f"proj{i}"
+            case Arith(op):
+                tag = f"arith {op}"
+            case Emit(op):
+                return f"(emit {op_sexpr(op, depth, level)})"
+            case _:
+                raise TypeError(e)
+    return f"({tag}{''.join([' ' + to_sexpr(c, depth, level) for c in children(e)])})"
 
 
 def op_sexpr(op: Operation, depth=None, level: int = 0) -> str:
-    rec = lambda x: to_sexpr(x, depth, level)
-    match op:
-        case AddOp(arg):
-            return f"(add {rec(arg)})"
-        case MapOp(fn, ks):
-            return f"(map {rec(fn)} {rec(ks)})"
-        case FoldOp(fn, base, ks):
-            return f"(fold {rec(fn)} {rec(base)} {rec(ks)})"
-    raise TypeError(op)
+    args = " ".join([to_sexpr(a, depth, level) for a in op_args(op)])
+    return f"({OPERATIONS[type(op)].keyword} {args})"
 
 
 def _rename_key(name: str, keymap: dict[str, str]) -> str:

@@ -1,4 +1,8 @@
-"""Term language: expressions, values, operations, substitution, normalization."""
+"""Term language: expressions, values, operations, substitution, normalization.
+
+`OPERATIONS` gives each operation kind its keyword, the role and type of each
+argument and the future it yields; no other module spells these out.
+"""
 
 from __future__ import annotations
 
@@ -198,6 +202,24 @@ class FoldOp:
 
 
 Operation = AddOp | MapOp | FoldOp
+
+
+@dataclass(frozen=True)
+class OpKind:
+    keyword: str
+    args: tuple[tuple[str, Type], ...]  # (role, type) of each field, in order
+    future: Type  # the type of the label an emission yields
+
+
+# operation class -> its signature
+OPERATIONS = {
+    AddOp: OpKind("add", (("add payload", INT),), TFuture(KEY)),
+    MapOp: OpKind("map", (("map function", TFun(NODE, False, NODE)),
+                          ("map target", KL_T)), TFuture(INT)),
+    FoldOp: OpKind("fold", (
+        ("fold function", TFun(NODE, False, TFun(NODE, False, NODE))),
+        ("fold base", NODE), ("fold target", KL_T)), TFuture(NODE)),
+}
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from .state import (
 )
 from .terms import (
     NODE, App, Claim, Concat, Expr, FoldOp, If0, Int, KL, Key, Label, Lam,
-    Len, MapOp, Node, Operation, Proj, Subtract, Var, alpha_equiv, compose,
+    Len, MapOp, Node, Proj, Subtract, Var, alpha_equiv, compose,
     eta_contract, kl_subtract, normalize, term_equiv, transform, _fresh_name,
     free_vars,
 )
@@ -42,14 +42,6 @@ class Candidate:
 def _single(unit: Unit):
     if len(unit.entries) == 1:
         return unit.entries[0]
-    return None
-
-
-def _op_target_kl(op: Operation) -> tuple[Key, ...] | None:
-    match op:
-        case MapOp(_, KL(items)) | FoldOp(_, _, KL(items)):
-            if all(isinstance(i, Key) for i in items):
-                return items
     return None
 
 
@@ -119,9 +111,8 @@ def window_candidates(unit: Unit, nxt: Unit | None, enabled: tuple[str, ...],
     if "reorderrr" in enabled and isinstance(o1, FoldOp) and isinstance(o2, FoldOp):
         out.append(("reorderrr", 2, (nxt, unit), (), (l1, l2)))
     if "reorderrw" in enabled and isinstance(o1, MapOp) and isinstance(o2, FoldOp):
-        ks1 = _op_target_kl(o1)
-        if ks1 is not None:
-            comp = dcomp(o2.fn, ks1, o1.fn)
+        if t1 is not None:
+            comp = dcomp(o2.fn, o1.ks.items, o1.fn)
             new_fold = singleton(l2, FoldOp(comp, o2.base, o2.ks))
             out.append(("reorderrw", 2, (new_fold, unit), (), (l1, l2)))
     if ({"fusem", "fusemid"} & set(enabled)) and isinstance(o1, MapOp) \
@@ -137,14 +128,12 @@ def window_candidates(unit: Unit, nxt: Unit | None, enabled: tuple[str, ...],
                         ((l1, StoreEntry(Int(0), ())),
                          (l2, StoreEntry(Int(0), ()))), (l1, l2)))
     if "reuse" in enabled and isinstance(o1, FoldOp) and isinstance(o2, FoldOp):
-        ks1 = _op_target_kl(o1)
-        ks2 = _op_target_kl(o2)
-        if (ks1 is not None and ks2 is not None
+        if (t1 is not None and t2 is not None
                 and alpha_equiv(o1.fn, o2.fn)
                 and alpha_equiv(o1.base, o2.base)
-                and {k.name for k in ks1} <= {k.name for k in ks2}
+                and set(t1) <= set(t2)
                 and prove_commutative(o1.fn) == "proved"):
-            shrunk = KL(kl_subtract(ks2, ks1))
+            shrunk = KL(kl_subtract(o2.ks.items, o1.ks.items))
             second = singleton(l2, FoldOp(o2.fn, Claim(Label(l1)), shrunk))
             out.append(("reuse", 2, (unit, second), (), (l1, l2)))
     return tuple(out)

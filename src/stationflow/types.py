@@ -12,10 +12,10 @@ from dataclasses import dataclass, field, replace
 
 from .parser import SourceError
 from .terms import (
-    INT, KEY, KL_T, NODE,
-    AddOp, App, Arith, Claim, Concat, Emit, Expr, Fix, FoldOp, If0, Int, KL,
-    Key, Label, Lam, Len, MapOp, Node, Operation, Proj, Subtract, TFun,
-    TFuture, Type, Var, children,
+    INT, KEY, KL_T, NODE, OPERATIONS,
+    AddOp, App, Arith, Claim, Concat, Emit, Expr, Fix, If0, Int, KL, Key,
+    Label, Lam, Len, Node, Proj, Subtract, TFun, TFuture, Type, Var,
+    children, op_args,
 )
 
 F = False
@@ -185,56 +185,32 @@ def _ty(e: Expr, env: Env, file: str) -> tuple[Type, bool]:
                 raise _err(file, e.loc, "T-Claim",
                            f"claim argument has type {at}, expected a future")
             return at.inner, ae
-        case Emit(op):
-            return _ty_emit(e, op, env, file)
+        case Emit():
+            return _ty_emit(e, env, file)
     raise TypeError(e)
 
 
-def _ty_emit(e: Expr, op: Operation, env: Env, file: str) -> tuple[Type, bool]:
-    match op:
-        case AddOp(arg):
-            at, _ = _ty(arg, env, file)
-            if at != INT:
-                raise _err(file, arg.loc or e.loc, "T-Add",
-                           f"add takes an int payload, got {at}")
-            return TFuture(KEY), T
-        case MapOp(fn, ks):
-            ft, _ = _ty(fn, env, file)
-            want = TFun(NODE, F, NODE)
-            if ft == TFun(NODE, T, NODE):
-                loc = _find_emit_loc(fn) or fn.loc or e.loc
-                raise _err(file, loc, "T-Map",
-                           "map function may emit; graph operations must be emission-free")
-            if ft != want:
-                raise _err(file, fn.loc or e.loc, "T-Map",
-                           f"map function has type {ft}, expected {want}")
-            kt, _ = _ty(ks, env, file)
-            if kt != KL_T:
-                raise _err(file, ks.loc or e.loc, "T-Map",
-                           f"map target has type {kt}, expected kl")
-            return TFuture(INT), T
-        case FoldOp(fn, base, ks):
-            ft, _ = _ty(fn, env, file)
-            want = TFun(NODE, F, TFun(NODE, F, NODE))
-            if (isinstance(ft, TFun) and ft.param == NODE
-                    and isinstance(ft.result, TFun) and ft.result.param == NODE
-                    and ft.result.result == NODE and (ft.eff or ft.result.eff)):
-                loc = _find_emit_loc(fn) or fn.loc or e.loc
-                raise _err(file, loc, "T-Fold",
-                           "fold function may emit; graph operations must be emission-free")
-            if ft != want:
-                raise _err(file, fn.loc or e.loc, "T-Fold",
-                           f"fold function has type {ft}, expected {want}")
-            bt, _ = _ty(base, env, file)
-            if bt != NODE:
-                raise _err(file, base.loc or e.loc, "T-Fold",
-                           f"fold base has type {bt}, expected node")
-            kt, _ = _ty(ks, env, file)
-            if kt != KL_T:
-                raise _err(file, ks.loc or e.loc, "T-Fold",
-                           f"fold target has type {kt}, expected kl")
-            return TFuture(NODE), T
-    raise TypeError(op)
+def _ty_emit(e: Emit, env: Env, file: str) -> tuple[Type, bool]:
+    kind = OPERATIONS[type(e.op)]
+    rule = f"T-{kind.keyword.capitalize()}"
+    for arg, (role, want) in zip(op_args(e.op), kind.args):
+        t, _ = _ty(arg, env, file)
+        if t == want:
+            continue
+        if _without_effects(t) == want:
+            raise _err(file, _find_emit_loc(arg) or arg.loc or e.loc, rule,
+                       f"{role} may emit; graph operations must be emission-free")
+        raise _err(file, arg.loc or e.loc, rule,
+                   f"add takes an int payload, got {t}" if isinstance(e.op, AddOp)
+                   else f"{role} has type {t}, expected {want}")
+    return kind.future, T
+
+
+def _without_effects(t: Type) -> Type:
+    """`t` with every arrow marked emission-free."""
+    if isinstance(t, TFun):
+        return TFun(_without_effects(t.param), F, _without_effects(t.result))
+    return t
 
 
 ### whole-configuration typing
@@ -246,52 +222,26 @@ class ConfigType:
     env: Env = field(compare=False, default=Env())
 
 
-def _op_future_type(op: Operation) -> Type:
-    match op:
-        case AddOp():
-            return TFuture(KEY)
-        case MapOp():
-            return TFuture(INT)
-        case FoldOp():
-            return TFuture(NODE)
-    raise TypeError(op)
-
-
-def _ty_op_args(op: Operation, env: Env, file: str, where: str) -> None:
-    # operation arguments sit in the graph; they must be phase-F throughout
-    def pure(e: Expr, want: Type, what: str) -> None:
-        t, eff = _ty(e, env, file)
-        if t != want:
-            raise _err(file, e.loc, "RT-StreamUnit",
-                       f"{what} in {where} has type {t}, expected {want}")
-        if eff:
-            raise _err(file, e.loc, "RT-StreamUnit",
-                       f"{what} in {where} may emit")
-
-    match op:
-        case AddOp(arg):
-            pure(arg, INT, "add payload")
-        case MapOp(fn, ks):
-            pure(fn, TFun(NODE, F, NODE), "map function")
-            pure(ks, KL_T, "map target")
-        case FoldOp(fn, base, ks):
-            pure(fn, TFun(NODE, F, TFun(NODE, F, NODE)), "fold function")
-            pure(base, NODE, "fold base")
-            pure(ks, KL_T, "fold target")
-
-
 def _ty_stream(units, env: Env, file: str, where: str, allow_add: bool) -> Env:
     for unit in units:
         for label, op in unit.entries:
             if isinstance(op, AddOp) and not allow_add:
                 raise _err(file, None, "RT-Stream",
                            f"add operation found inside {where}")
-            _ty_op_args(op, env, file, where)
+            # operation arguments sit in the graph; they must be phase-F
+            for arg, (role, want) in zip(op_args(op), OPERATIONS[type(op)].args):
+                t, eff = _ty(arg, env, file)
+                if t != want:
+                    raise _err(file, arg.loc, "RT-StreamUnit",
+                               f"{role} in {where} has type {t}, expected {want}")
+                if eff:
+                    raise _err(file, arg.loc, "RT-StreamUnit",
+                               f"{role} in {where} may emit")
         for label, op in unit.entries:
             if env.lookup_label(label) is not None:
                 raise _err(file, None, "RT-Stream",
                            f"label %{label} bound twice in {where}")
-            env = cached_env_insert(env, label, _op_future_type(op))
+            env = cached_env_insert(env, label, OPERATIONS[type(op)].future)
     return env
 
 

@@ -77,6 +77,19 @@ class TestRun:
         assert r.exit_code == 2
         assert "--tlo" in r.stderr
 
+    @pytest.mark.parametrize("scheduler", ["eager", "random", "det"])
+    @pytest.mark.parametrize("option", [["--tlo-rules", "batch"],
+                                        ["--assume-set-adjacency"]],
+                             ids=["tlo-rules", "assume-set-adjacency"])
+    def test_rewrite_option_needs_tlo_random(self, runner, prog_file,
+                                             scheduler, option):
+        # only `tlo-random` draws rewrites, so elsewhere the option would
+        # be ignored
+        r = runner.invoke(cli, ["run", prog_file("core_social"),
+                                "--scheduler", scheduler] + option)
+        assert r.exit_code == 2
+        assert option[0] in r.stderr
+
     def test_unknown_rule_name_rejected(self, runner, prog_file):
         r = runner.invoke(cli, ["run", prog_file("core_social"),
                                 "--scheduler", "tlo-random",

@@ -5,8 +5,8 @@ import pytest
 
 from stationflow.parser import SourceError, parse_source, to_source as pretty
 from stationflow.terms import (
-    Claim, Emit, FoldOp, HOLE_KEY, Int, Key, KL, Lam, MapOp, Node, Proj, Var,
-    alpha_equiv, free_vars,
+    NODE, AddOp, App, Arith, Claim, Concat, Emit, FoldOp, HOLE_KEY, Int, Key,
+    KL, Lam, MapOp, Node, Proj, Var, alpha_equiv, free_vars,
 )
 
 
@@ -177,6 +177,22 @@ class TestRoundTrip:
             prog = harness.corpus_program(name)
             again = parse1(pretty(prog.expr))
             assert alpha_equiv(prog.expr, again), name
+
+    @pytest.mark.parametrize("op, text", [
+        (AddOp(Int(3)), "add 3"),
+        (AddOp(Arith("+", Int(1), Int(2))), "add (1 + 2)"),
+        (MapOp(Lam("x", NODE, Var("x")), KL((Key("a"),))),
+         "map (fun x: node -> x) [#a]"),
+        (MapOp(Var("f"), Concat(KL((Key("a"),)), KL(()))),
+         "map f ([#a] ++ [])"),
+        (FoldOp(Lam("x", NODE, Lam("y", NODE, Var("x"))),
+                Node(HOLE_KEY, Int(0), KL(())), KL((Key("a"),))),
+         "fold (fun x: node -> fun y: node -> x) node(#_, 0, []) [#a]"),
+    ])
+    def test_operations(self, op, text):
+        assert pretty(Emit(op)) == text
+        assert pretty(App(Var("g"), Emit(op))) == f"g ({text})"
+        assert pretty(Concat(Emit(op), KL(()))) == f"{text} ++ []"
 
     def test_label_has_no_surface_form(self):
         from stationflow.terms import Label

@@ -14,8 +14,9 @@ from stationflow import engine, harness, state
 from stationflow.parser import parse_source
 from stationflow.state import Station, StoreEntry, Unit, singleton
 from stationflow.terms import (
-    INT, App, FoldOp, Int, Key, KL, Lam, MapOp, Node, Var, is_value,
-    with_children,
+    INT, NODE, AddOp, App, Arith, Claim, Concat, Emit, Fix, FoldOp, If0, Int,
+    Key, KL, Label, Lam, Len, MapOp, Node, Proj, Subtract, TFun, Var,
+    is_value, with_children,
 )
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -186,6 +187,55 @@ class TestConfigDigest:
         e = Lam("f", None, Lam("n", INT, body))
         assert state.to_sexpr(e) == "(lam _ (lam int (app (bound 1) (bound 0))))"
         assert state.to_sexpr(body) == "(app (free f) (free n))"
+
+
+X = Var("x")
+NODE_A = Node(Key("a"), Int(1), KL((Key("b"),)))
+
+
+class TestSexprText:
+    """The printed form of one term of each of the 17 expression forms."""
+
+    @pytest.mark.parametrize("term, text", [
+        (Var("x"), "(free x)"),
+        (Lam("x", INT, Lam("y", None, App(App(X, Var("y")), Var("z")))),
+         "(lam int (lam _ (app (app (bound 1) (bound 0)) (free z))))"),
+        (Int(-3), "(int -3)"),
+        (Key("a"), "(key a)"),
+        (Label(4), "(label 4)"),
+        (Lam("x", TFun(NODE, False, NODE), Lam("y", NODE, X), True),
+         "(lam! (node -> node) (lam node (bound 1)))"),
+        (App(Lam("x", None, X), Int(1)), "(app (lam _ (bound 0)) (int 1))"),
+        (Fix(Lam("f", TFun(INT, False, INT),
+                 Lam("n", INT, App(Var("f"), Var("n"))))),
+         "(fix (lam (int -> int) (lam int (app (bound 1) (bound 0)))))"),
+        (KL(()), "(kl)"),
+        (KL((Key("a"), Var("k"))), "(kl (key a) (free k))"),
+        (NODE_A, "(node (key a) (int 1) (kl (key b)))"),
+        (Proj(1, NODE_A), "(proj1 (node (key a) (int 1) (kl (key b))))"),
+        (Proj(2, NODE_A), "(proj2 (node (key a) (int 1) (kl (key b))))"),
+        (Proj(3, NODE_A), "(proj3 (node (key a) (int 1) (kl (key b))))"),
+        (Concat(kl("a"), kl()), "(cat (kl (key a)) (kl))"),
+        (Subtract(kl("a"), kl("a")), "(sub (kl (key a)) (kl (key a)))"),
+        *[(Arith(op, Int(1), Int(2)), f"(arith {op} (int 1) (int 2))")
+          for op in "+-*/"],
+        (If0(Int(0), Int(1), Int(2)), "(if0 (int 0) (int 1) (int 2))"),
+        (Len(kl("a")), "(len (kl (key a)))"),
+        (Claim(Label(0)), "(claim (label 0))"),
+        (Emit(AddOp(Int(3))), "(emit (add (int 3)))"),
+        (Emit(MapOp(Lam("x", NODE, X), kl("a"))),
+         "(emit (map (lam node (bound 0)) (kl (key a))))"),
+        (Emit(FoldOp(Lam("x", NODE, Lam("y", NODE, X)),
+                     Node(Key("_"), Int(0), kl()), kl("a"))),
+         "(emit (fold (lam node (lam node (bound 1)))"
+         " (node (key _) (int 0) (kl)) (kl (key a))))"),
+        (Lam("y", INT, Emit(MapOp(Lam("x", NODE, App(Var("y"), X)),
+                                  Var("k")))),
+         "(lam int (emit (map (lam node (app (bound 1) (bound 0)))"
+         " (free k))))"),
+    ])
+    def test_each_form(self, term, text):
+        assert state.to_sexpr(term) == text
 
 
 class TestCanonicalTerminal:

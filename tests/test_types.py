@@ -8,7 +8,10 @@ import pytest
 from stationflow import engine, state
 from stationflow.engine import apply_redex, enumerate_redexes
 from stationflow.parser import SourceError, parse_source
-from stationflow.terms import INT, KEY, KL_T, NODE, TFun, TFuture
+from stationflow.terms import (
+    INT, KEY, KL_T, NODE, AddOp, FoldOp, Int, Key, KL, MapOp, Node, TFun,
+    TFuture,
+)
 from stationflow.types import type_of_config, type_of_expr
 
 
@@ -165,3 +168,106 @@ class TestConfigTyping:
         assert r.status == "terminal"
         ct = type_of_config(r.config)
         assert ct.frontend == INT and not ct.effect
+
+
+class TestOperationDiagnostics:
+    """The full text of every operation diagnostic, one case per emit rule
+    and argument role, statically and in a configuration's streams."""
+
+    @pytest.mark.parametrize("src, msg", [
+        ("add #a",
+         "t.cg:1:5: T-Add: add takes an int payload, got key"),
+        ("add (claim (add 1))",
+         "t.cg:1:6: T-Add: add takes an int payload, got key"),
+        ("map (fun x : int -> x) [#a]",
+         "t.cg:1:6: T-Map: map function has type (int -> int),"
+         " expected (node -> node)"),
+        ("map 1 [#a]",
+         "t.cg:1:5: T-Map: map function has type int, expected (node -> node)"),
+        # the function is checked before the target is typed
+        ("map (fun x : int -> x) (1 + #a)",
+         "t.cg:1:6: T-Map: map function has type (int -> int),"
+         " expected (node -> node)"),
+        ("map (fun v : node -> let q = add 9 in v) [#a]",
+         "t.cg:1:30: T-Map: map function may emit;"
+         " graph operations must be emission-free"),
+        ("map (fun x : int -> let q = add 9 in x) [#a]",
+         "t.cg:1:6: T-Map: map function has type (int ->! int),"
+         " expected (node -> node)"),
+        # no emit inside the argument itself: the argument's position
+        ("let g = fun v : node -> let q = add 9 in v in map g [#a]",
+         "t.cg:1:51: T-Map: map function may emit;"
+         " graph operations must be emission-free"),
+        ("map (fun x : node -> x) 1",
+         "t.cg:1:25: T-Map: map target has type int, expected kl"),
+        ("fold (fun x : node -> x) node(#_, 0, []) [#a]",
+         "t.cg:1:7: T-Fold: fold function has type (node -> node),"
+         " expected (node -> (node -> node))"),
+        ("fold (fun v : node -> let q = add 9 in fun acc : node -> acc)"
+         " node(#_, 0, []) [#a]",
+         "t.cg:1:31: T-Fold: fold function may emit;"
+         " graph operations must be emission-free"),
+        ("fold (fun v : node -> fun acc : node -> let q = add 9 in acc)"
+         " node(#_, 0, []) [#a]",
+         "t.cg:1:49: T-Fold: fold function may emit;"
+         " graph operations must be emission-free"),
+        ("fold (fun v : node -> let p = add 8 in"
+         " fun acc : node -> let q = add 9 in acc) node(#_, 0, []) [#a]",
+         "t.cg:1:66: T-Fold: fold function may emit;"
+         " graph operations must be emission-free"),
+        ("fold (fun v : node -> let q = add 9 in v) node(#_, 0, []) [#a]",
+         "t.cg:1:7: T-Fold: fold function has type (node ->! node),"
+         " expected (node -> (node -> node))"),
+        ("fold (fun x : node -> fun y : node -> x) 1 [#a]",
+         "t.cg:1:42: T-Fold: fold base has type int, expected node"),
+        ("fold (fun x : node -> fun y : node -> x) node(#_, 0, []) 1",
+         "t.cg:1:58: T-Fold: fold target has type int, expected kl"),
+    ])
+    def test_emit_rules(self, src, msg):
+        assert err_of(src) == msg
+
+    GOOD = {AddOp: ["1"],
+            MapOp: ["fun x : node -> x", "[#a]"],
+            FoldOp: ["fun x : node -> fun y : node -> x", "node(#_, 0, [])",
+                     "[#a]"]}
+    EMITS = "claim (add 1); "
+
+    @staticmethod
+    def config_error(op, in_station):
+        node = Node(Key("a"), Int(1), KL(()))
+        unit = state.singleton(0, op)
+        if in_station:
+            config = state.Configuration((state.Station(node, (unit,)),),
+                                         (), (), Int(0))
+        else:
+            config = state.Configuration((state.Station(node),), (unit,), (),
+                                         Int(0))
+        with pytest.raises(SourceError) as ei:
+            type_of_config(config)
+        return str(ei.value)
+
+    @pytest.mark.parametrize("in_station", [False, True])
+    @pytest.mark.parametrize("kind, i, role, bad, has_type", [
+        (AddOp, 0, "add payload", "#a", "key, expected int"),
+        (MapOp, 0, "map function", "fun x : int -> x",
+         "(int -> int), expected (node -> node)"),
+        (MapOp, 1, "map target", "1", "int, expected kl"),
+        (FoldOp, 0, "fold function", "fun x : node -> x",
+         "(node -> node), expected (node -> (node -> node))"),
+        (FoldOp, 1, "fold base", "1", "int, expected node"),
+        (FoldOp, 2, "fold target", "1", "int, expected kl"),
+    ])
+    def test_stream_units(self, in_station, kind, i, role, bad, has_type):
+        where = "a station streamlet" if in_station else "the top stream"
+        for arg, pos, msg in (
+                (bad, "1:1", f"{role} in {where} has type {has_type}"),
+                (self.EMITS + self.GOOD[kind][i], "1:14",
+                 f"{role} in {where} may emit")):
+            args = [parse_source(a, "t.cg").expr for a in self.GOOD[kind]]
+            args[i] = parse_source(arg, "t.cg").expr
+            text = self.config_error(kind(*args), in_station)
+            if kind is AddOp and in_station:
+                assert text == ("<config>:0:0: RT-Stream: add operation"
+                                " found inside a station streamlet")
+            else:
+                assert text == f"<config>:{pos}: RT-StreamUnit: {msg}"
