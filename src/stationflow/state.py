@@ -7,9 +7,9 @@ Structural conventions
    stream is index 0
  - station-local facts (`Station.loaded`, `Station.idle`) are memoized on the
    immutable `Station`, which a step that does not touch it carries over
-   unchanged, and are all a station keeps; configuration-wide facts
-   (`is_dry`, `is_terminal`) are not cached, but `engine.run` keeps its own
-   index across steps (see `engine`)
+   unchanged, and are all a station keeps besides its digest text (below);
+   configuration-wide facts (`is_dry`, `is_terminal`) are not cached, but
+   `engine.run` keeps its own index across steps (see `engine`)
  - what the redex search finds in a non-value term is kept on the term with
    `keep`, as the term alone decides it: the rule, the label a Claim waits
    on and the hole path, or the Stuck reason.  The redex node is not kept:
@@ -17,8 +17,12 @@ Structural conventions
  - `engine.run`'s window table for a station's rewrite candidates is keyed
    by the identities of a window's two units and lives in the run, not on
    `Unit`, so a replaced neighbour is freed once its station is rebuilt
- - the top-level `to_sexpr` text of a term is kept on the immutable term,
-   so `config_digest` prints only the terms a step built
+ - the `to_sexpr` text of every closed compound term is kept on the
+   immutable term, and the JSON text `config_digest` writes for a station
+   (node text and streamlet), a unit (its `[label, operation]` pairs) and a
+   store entry (`[value, residual]`) is kept on that object as `_json`, so a
+   traced step encodes only the objects it built; nothing kept is built by
+   iterating a set or dict in hash order
  - kept values live in the instance `__dict__`, which `__eq__` and
    `__hash__` do not read, and `dataclasses.replace` builds a new object
    that keeps nothing
@@ -33,8 +37,8 @@ from functools import cached_property
 
 from .parser import Program
 from .terms import (
-    OPERATIONS, App, Arith, Claim, Concat, Emit, Expr, Fix, FoldOp, If0, Int,
-    KL, Key, Label, Lam, Len, MapOp, Node, Operation, Proj, Subtract, Var,
+    OPERATIONS, App, Claim, Concat, Emit, Expr, Fix, FoldOp, If0, Int, KL,
+    Key, Label, Lam, Len, MapOp, Node, Operation, Proj, Subtract, Var,
     children, is_value, kl_value, op_args,
 )
 
@@ -197,7 +201,11 @@ _TAGS = {App: "app", Fix: "fix", KL: "kl", Node: "node", Concat: "cat",
          Subtract: "sub", If0: "if0", Len: "len", Claim: "claim"}
 
 
-def to_sexpr(e: Expr, depth: dict[str, int] | None = None, level: int = 0) -> str:
+# the lowest binder level reached by a term without variables
+_NO_VARS = 1 << 62
+
+
+def to_sexpr(e: Expr) -> str:
     """Deterministic s-expression; bound variables become de Bruijn indices
     so alpha-equivalent terms print identically.
 
@@ -205,48 +213,71 @@ def to_sexpr(e: Expr, depth: dict[str, int] | None = None, level: int = 0) -> st
     `proj1`..`proj3` and of arithmetic `arith` and its operator, except a
     variable, a literal, a lambda and an emission, `(emit (keyword arg ...))`.
 
-    A top-level rendering depends on the term alone, so it is kept in the
-    immutable term's instance `__dict__` (which `__eq__`/`__hash__` do not
-    read) and a term carried over by a step is printed once.  A recursive
-    call (`depth` given) is not kept: under binders a subterm's text depends
-    on its context."""
-    if depth is None:
-        memo = e.__dict__
-        text = memo.get("_sexpr")
-        if text is None:
-            text = memo["_sexpr"] = to_sexpr(e, {}, level)
-        return text
-    tag = _TAGS.get(type(e))
-    if tag is None:
-        match e:
-            case Var(name):
-                idx = depth.get(name)
-                return f"(bound {level - idx})" if idx is not None else f"(free {name})"
-            case Int(v):
-                return f"(int {v})"
-            case Key(name):
-                return f"(key {name})"
-            case Label(i):
-                return f"(label {i})"
-            case Lam(param, ptype, body, comm):
-                inner = to_sexpr(body, {**depth, param: level + 1}, level + 1)
-                t = str(ptype) if ptype is not None else "_"
-                tag = "lam!" if comm else "lam"
-                return f"({tag} {t} {inner})"
-            case Proj(i):
-                tag = f"proj{i}"
-            case Arith(op):
-                tag = f"arith {op}"
-            case Emit(op):
-                return f"(emit {op_sexpr(op, depth, level)})"
-            case _:
-                raise TypeError(e)
-    return f"({tag}{''.join([' ' + to_sexpr(c, depth, level) for c in children(e)])})"
+    The text of every closed compound term, one without free variables, is
+    kept in the immutable term's instance `__dict__` (which `__eq__` and
+    `__hash__` do not read).  That is sound because every variable in a
+    closed term is bound inside it and prints as the distance to its
+    binder, so the term prints the same at top level and under any
+    binders.  An open term keeps nothing: its text depends on its context.
+    A term carried over by a step, or left unchanged by a substitution
+    (see `terms.substitute`), is printed once."""
+    return _sexpr(e, {}, 0)[0]
 
 
-def op_sexpr(op: Operation, depth=None, level: int = 0) -> str:
-    args = " ".join([to_sexpr(a, depth, level) for a in op_args(op)])
-    return f"({OPERATIONS[type(op)].keyword} {args})"
+def _sexpr(e: Expr, depth: dict[str, int], level: int) -> tuple[str, int]:
+    """The text of `e` under `level` binders, `depth` giving the level of
+    the binder of each name in scope, and the lowest binder level its
+    variables reach (0 for a free one).  `e` is closed when that is above
+    `level`."""
+    t = type(e)
+    if t is Var:
+        idx = depth.get(e.name)
+        if idx is None:
+            return f"(free {e.name})", 0
+        return f"(bound {level - idx})", idx
+    if t is Int:
+        return f"(int {e.value})", _NO_VARS
+    if t is Key:
+        return f"(key {e.name})", _NO_VARS
+    if t is Label:
+        return f"(label {e.index})", _NO_VARS
+    memo = e.__dict__
+    text = memo.get("_sexpr")
+    if text is not None:
+        return text, _NO_VARS
+    if t is Lam:
+        inner, low = _sexpr(e.body, {**depth, e.param: level + 1}, level + 1)
+        ptype = str(e.ptype) if e.ptype is not None else "_"
+        text = f"({'lam!' if e.commutative else 'lam'} {ptype} {inner})"
+    elif t is Emit:
+        inner, low = _op_sexpr(e.op, depth, level)
+        text = f"(emit {inner})"
+    else:
+        tag = _TAGS.get(t)
+        if tag is None:
+            tag = f"proj{e.index}" if t is Proj else f"arith {e.op}"
+        text, low = _form(tag, children(e), depth, level)
+    if low > level:
+        memo["_sexpr"] = text
+    return text, low
+
+
+def _op_sexpr(op: Operation, depth: dict[str, int],
+              level: int) -> tuple[str, int]:
+    return _form(OPERATIONS[type(op)].keyword, op_args(op), depth, level)
+
+
+def _form(tag: str, subterms, depth: dict[str, int],
+          level: int) -> tuple[str, int]:
+    """`(tag sub ...)` and the lowest binder level the subterms reach."""
+    low = _NO_VARS
+    parts = [tag]
+    for c in subterms:
+        part, clow = _sexpr(c, depth, level)
+        parts.append(part)
+        if clow < low:
+            low = clow
+    return f"({' '.join(parts)})", low
 
 
 def _rename_key(name: str, keymap: dict[str, str]) -> str:
@@ -308,20 +339,45 @@ def terminal_digest(config: Configuration, strict_residuals: bool = False) -> st
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _unit_json(unit: Unit) -> list:
-    return [[label, op_sexpr(op)] for label, op in unit.entries]
+# compact JSON, as `json.dumps` with these separators writes it; a
+# fragment holds no object, so key order does not arise
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _unit_json(unit: Unit) -> str:
+    return _encode([[label, _op_sexpr(op, {}, 0)[0]]
+                    for label, op in unit.entries])
+
+
+def _station_json(station: Station) -> str:
+    units = ",".join([keep(u, "_json", _unit_json, u)
+                      for u in station.streamlet])
+    return f"[{_encode(to_sexpr(station.node))},[{units}]]"
+
+
+def _entry_json(entry: StoreEntry) -> str:
+    return _encode([to_sexpr(entry.value), list(entry.residual)])
 
 
 def config_digest(config: Configuration) -> str:
     """Digest of the entire configuration, streams included, without any
-    renaming; used to fingerprint intermediate states in traces."""
-    shape = {
-        "backend": [[to_sexpr(s.node), [_unit_json(u) for u in s.streamlet]]
-                    for s in config.backend],
-        "top": [_unit_json(u) for u in config.top],
-        "store": {str(l): [to_sexpr(e.value), list(e.residual)]
-                  for l, e in config.store},
-        "frontend": to_sexpr(config.frontend),
-    }
-    blob = json.dumps(shape, sort_keys=True, separators=(",", ":"))
+    renaming; used to fingerprint intermediate states in traces.
+
+    The digest is the sha256 of `json.dumps(shape, sort_keys=True,
+    separators=(",", ":"))` over the shape {"backend": [[node, streamlet],
+    ...], "top": [unit, ...], "store": {label: [value, residual]},
+    "frontend": text}, each unit a list of [label, operation] and each
+    term its `to_sexpr` text.  That blob is assembled here from the JSON
+    text of each station, unit and store entry, kept on the immutable
+    object, so a step encodes only the objects it built."""
+    backend = ",".join([keep(s, "_json", _station_json, s)
+                        for s in config.backend])
+    top = ",".join([keep(u, "_json", _unit_json, u) for u in config.top])
+    # sort_keys orders the store by label text, not by label
+    store = ",".join([f'"{label}":{keep(e, "_json", _entry_json, e)}'
+                      for label, e in sorted(config.store,
+                                             key=lambda le: str(le[0]))])
+    blob = (f'{{"backend":[{backend}],'
+            f'"frontend":{_encode(to_sexpr(config.frontend))},'
+            f'"store":{{{store}}},"top":[{top}]}}')
     return hashlib.sha256(blob.encode()).hexdigest()

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from operator import is_
 
 
 ### types
@@ -257,15 +258,16 @@ def is_value(e: Expr) -> bool:
             return False
 
 
+# operation class -> its arguments, in field order
+_OP_ARGS = {
+    AddOp: lambda op: (op.arg,),
+    MapOp: lambda op: (op.fn, op.ks),
+    FoldOp: lambda op: (op.fn, op.base, op.ks),
+}
+
+
 def op_args(op: Operation) -> tuple[Expr, ...]:
-    match op:
-        case AddOp(arg):
-            return (arg,)
-        case MapOp(fn, ks):
-            return (fn, ks)
-        case FoldOp(fn, base, ks):
-            return (fn, base, ks)
-    raise TypeError(op)
+    return _OP_ARGS[type(op)](op)
 
 
 ### generic traversal
@@ -341,7 +343,9 @@ def _fresh_name(base: str, avoid: frozenset[str]) -> str:
 
 
 def substitute(e: Expr, v: Expr, x: str) -> Expr:
-    """Capture-avoiding substitution of x by v in e."""
+    """Capture-avoiding substitution of x by v in e.  Where x does not
+    occur free the subterm itself is returned, so a closed part keeps its
+    identity and what is kept on it (see `state`)."""
     if isinstance(e, Var):
         return v if e.name == x else e
     if isinstance(e, Lam):
@@ -352,11 +356,17 @@ def substitute(e: Expr, v: Expr, x: str) -> Expr:
             renamed = _fresh_name(param, free_vars(body) | free_vars(v))
             body = substitute(body, Var(renamed), param)
             param = renamed
-        return Lam(param, e.ptype, substitute(body, v, x), e.commutative, e.loc)
+        new = substitute(body, v, x)
+        if new is e.body:
+            return e
+        return Lam(param, e.ptype, new, e.commutative, e.loc)
     cs = children(e)
     if not cs:
         return e
-    return with_children(e, tuple(substitute(c, v, x) for c in cs))
+    new = tuple([substitute(c, v, x) for c in cs])
+    if all(map(is_, new, cs)):
+        return e
+    return with_children(e, new)
 
 
 def transform(e: Expr, fn) -> Expr:
@@ -382,10 +392,14 @@ def kl_value(names) -> KL:
 ### alpha equivalence
 
 def alpha_equiv(a: Expr, b: Expr) -> bool:
-    return _alpha(a, b, {}, {})
+    return _alpha(a, b, {}, {}, 0)
 
 
-def _alpha(a: Expr, b: Expr, la: dict[str, int], lb: dict[str, int]) -> bool:
+def _alpha(a: Expr, b: Expr, la: dict[str, int], lb: dict[str, int],
+           depth: int) -> bool:
+    """`la`/`lb` map each name in scope to the nesting level of its binder;
+    `depth` binders enclose `a` and `b`.  A level, unlike the count of
+    names in scope, grows when a binder shadows a name."""
     if type(a) is not type(b):
         return False
     if isinstance(a, Var):
@@ -395,9 +409,8 @@ def _alpha(a: Expr, b: Expr, la: dict[str, int], lb: dict[str, int]) -> bool:
     if isinstance(a, Lam):
         if a.ptype != b.ptype or a.commutative != b.commutative:
             return False
-        depth = len(la)
         return _alpha(a.body, b.body, {**la, a.param: depth},
-                      {**lb, b.param: depth})
+                      {**lb, b.param: depth}, depth + 1)
     if (isinstance(a, Proj) and a.index != b.index
             or isinstance(a, Arith) and a.op != b.op
             or isinstance(a, Emit) and type(a.op) is not type(b.op)):
@@ -405,7 +418,8 @@ def _alpha(a: Expr, b: Expr, la: dict[str, int], lb: dict[str, int]) -> bool:
     ca, cb = children(a), children(b)
     if not ca:
         return a == b  # Int, Key and Label compare their value
-    return len(ca) == len(cb) and all(_alpha(x, y, la, lb) for x, y in zip(ca, cb))
+    return len(ca) == len(cb) and all(_alpha(x, y, la, lb, depth)
+                                      for x, y in zip(ca, cb))
 
 
 ### the pure reduction rules

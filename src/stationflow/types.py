@@ -57,14 +57,17 @@ def _err(file: str, loc, rule: str, msg: str) -> SourceError:
 
 
 def _find_emit_loc(e: Expr):
-    # leftmost emit inside a term, for phase diagnostics
-    if isinstance(e, Emit):
-        return e.loc
+    # the emission that comes first in the source, for phase diagnostics; a
+    # `let` is `App(Lam(body), bound)`, so the children of a term are not
+    # in source order
+    return min(_emit_locs(e), default=None)
+
+
+def _emit_locs(e: Expr):
+    if isinstance(e, Emit) and e.loc:
+        yield e.loc
     for c in children(e):
-        loc = _find_emit_loc(c)
-        if loc:
-            return loc
-    return None
+        yield from _emit_locs(c)
 
 
 def type_of_expr(e: Expr, env: Env | None = None, file: str = "<program>") -> tuple[Type, bool]:

@@ -436,29 +436,41 @@ class TestKeptRedexes:
             assert len(seen) == r.steps + 1
 
     def test_kept_values_leave_equality_alone(self):
-        # stations keep no redexes or candidates; the terms they hold keep
-        # what the redex search found and their printed form
+        # stations keep `loaded`/`idle` and, like units and store entries,
+        # their digest text; the terms they hold keep what the redex search
+        # found and their printed form
         config = state.init(harness.corpus_program("chronological_order"))
         for _ in range(40):
             config, _, _ = apply_redex(config, enumerate_redexes(config)[0])
         enumerate_redexes(config, tlo_on=True)
         state.config_digest(config)
+
+        def ignored(x, names):
+            fresh = type(x)(*(getattr(x, f.name)
+                              for f in dataclasses.fields(x)))
+            assert not set(names) & set(fresh.__dict__)
+            assert fresh == x and hash(fresh) == hash(x)
+            rebuilt = dataclasses.replace(x)
+            assert not set(names) & set(rebuilt.__dict__)
+            assert rebuilt == x and hash(rebuilt) == hash(x)
+
         terms = [config.frontend] + [s.node for s in config.backend] + [
             op.base for s in config.backend for u in s.streamlet
             for _, op in u.entries if isinstance(op, FoldOp)]
         kept = [e for e in terms if set(KEPT) <= set(e.__dict__)]
         assert kept
         for e in kept:
-            fresh = type(e)(*(getattr(e, f.name)
-                              for f in dataclasses.fields(e)))
-            assert not set(KEPT) & set(fresh.__dict__)
-            assert fresh == e and hash(fresh) == hash(e)
-            rebuilt = dataclasses.replace(e)
-            assert not set(KEPT) & set(rebuilt.__dict__)
-            assert rebuilt == e and hash(rebuilt) == hash(e)
+            ignored(e, KEPT)
         fields = {f.name for f in dataclasses.fields(Station)}
         for s in config.backend:
-            assert set(s.__dict__) - fields <= {"loaded", "idle"}
+            assert set(s.__dict__) - fields <= {"loaded", "idle", "_json"}
+        holders = [*config.backend, *(u for s in config.backend
+                                      for u in s.streamlet),
+                   *(e for _, e in config.store)]
+        assert {type(x) for x in holders} == {Station, Unit, state.StoreEntry}
+        for x in holders:
+            assert "_json" in x.__dict__
+            ignored(x, ("_json",))
 
 
 class TestDetScheduler:

@@ -15,8 +15,8 @@ from stationflow.parser import parse_source
 from stationflow.state import Station, StoreEntry, Unit, singleton
 from stationflow.terms import (
     INT, NODE, AddOp, App, Arith, Claim, Concat, Emit, Fix, FoldOp, If0, Int,
-    Key, KL, Label, Lam, Len, MapOp, Node, Proj, Subtract, TFun, Var,
-    is_value, with_children,
+    OPERATIONS, Key, KL, Label, Lam, Len, MapOp, Node, Proj, Subtract, TFun,
+    Var, children, is_value, op_args, substitute, with_children,
 )
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -101,22 +101,58 @@ class TestStationFlags:
                 assert len(seen) == r.steps + 1
 
 
-def reference_digest(config):
-    """`config_digest` by its definition, every term printed afresh: a
-    `depth` argument bypasses the text kept on terms."""
-    def sexpr(e):
-        return state.to_sexpr(e, {}, 0)
+REFERENCE_TAGS = {App: "app", Fix: "fix", KL: "kl", Node: "node",
+                  Concat: "cat", Subtract: "sub", If0: "if0", Len: "len",
+                  Claim: "claim"}
 
+
+def reference_sexpr(e, depth=None, level=0):
+    """`state.to_sexpr` by its definition, every subterm printed afresh
+    under its binders, nothing read from or kept on a term."""
+    depth = {} if depth is None else depth
+    match e:
+        case Var(name):
+            idx = depth.get(name)
+            return f"(bound {level - idx})" if idx is not None else f"(free {name})"
+        case Int(v):
+            return f"(int {v})"
+        case Key(name):
+            return f"(key {name})"
+        case Label(i):
+            return f"(label {i})"
+        case Lam(param, ptype, body, comm):
+            inner = reference_sexpr(body, {**depth, param: level + 1}, level + 1)
+            t = str(ptype) if ptype is not None else "_"
+            return f"({'lam!' if comm else 'lam'} {t} {inner})"
+        case Emit(op):
+            return f"(emit {reference_op_sexpr(op, depth, level)})"
+        case Proj(i):
+            tag = f"proj{i}"
+        case Arith(op):
+            tag = f"arith {op}"
+        case _:
+            tag = REFERENCE_TAGS[type(e)]
+    return f"({tag}{''.join(' ' + reference_sexpr(c, depth, level) for c in children(e))})"
+
+
+def reference_op_sexpr(op, depth=None, level=0):
+    args = " ".join(reference_sexpr(a, depth, level) for a in op_args(op))
+    return f"({OPERATIONS[type(op)].keyword} {args})"
+
+
+def reference_digest(config):
+    """`config_digest` by its definition: one `json.dumps` over the whole
+    shape, every term printed afresh by `reference_sexpr`."""
     def unit(u):
-        return [[label, state.op_sexpr(op, {}, 0)] for label, op in u.entries]
+        return [[label, reference_op_sexpr(op)] for label, op in u.entries]
 
     shape = {
-        "backend": [[sexpr(s.node), [unit(u) for u in s.streamlet]]
+        "backend": [[reference_sexpr(s.node), [unit(u) for u in s.streamlet]]
                     for s in config.backend],
         "top": [unit(u) for u in config.top],
-        "store": {str(l): [sexpr(e.value), list(e.residual)]
+        "store": {str(l): [reference_sexpr(e.value), list(e.residual)]
                   for l, e in config.store},
-        "frontend": sexpr(config.frontend),
+        "frontend": reference_sexpr(config.frontend),
     }
     blob = json.dumps(shape, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -141,11 +177,15 @@ class TestConfigDigest:
         return r
 
     def test_digest_matches_its_definition_on_the_corpus(self, reached):
+        rules = set()
         for name in harness.RUNNABLE:
             prog = harness.corpus_program(name)
             for scheduler, seed in (("eager", 0), ("det", 0), ("random", 3),
                                     ("tlo-random", 3)):
-                self.run_checked(reached, prog, scheduler, seed)
+                r = self.run_checked(reached, prog, scheduler, seed)
+                rules.update(rec.rule for rec in r.trace)
+        # a station added, a unit moved, a rewrite, and both store writes
+        assert {"Add", "Prop", "Opt", "Complete", "Last"} <= rules
 
     def test_digest_matches_its_definition_after_fusion(self, monkeypatch,
                                                          reached):
@@ -186,7 +226,37 @@ class TestConfigDigest:
         body = App(Var("f"), Var("n"))
         e = Lam("f", None, Lam("n", INT, body))
         assert state.to_sexpr(e) == "(lam _ (lam int (app (bound 1) (bound 0))))"
+        assert "_sexpr" not in body.__dict__
+        assert "_sexpr" not in e.body.__dict__
         assert state.to_sexpr(body) == "(app (free f) (free n))"
+        assert "_sexpr" not in body.__dict__
+
+    def test_closed_subterm_keeps_its_text_under_binders(self):
+        # `inc` is closed, so it prints alike at top level and under the
+        # three binders around it, whose names it also shadows
+        inc = Lam("x", NODE, Node(Proj(1, Var("x")),
+                                  Arith("+", Proj(2, Var("x")), Int(1)),
+                                  Proj(3, Var("x"))))
+        open_app = App(inc, Var("y"))
+        e = Lam("x", NODE, Lam("y", NODE, Lam("z", INT,
+                                                App(open_app, Var("x")))))
+        text = state.to_sexpr(e)
+        assert text == reference_sexpr(e)
+        assert inc.__dict__["_sexpr"] == reference_sexpr(inc)
+        assert inc.__dict__["_sexpr"] in text
+        assert "_sexpr" not in open_app.__dict__
+        assert "_sexpr" not in e.body.body.__dict__
+        assert e.__dict__["_sexpr"] == text
+        # what was kept under binders is what a top-level print gives
+        assert state.to_sexpr(inc) == reference_sexpr(inc)
+        assert state.to_sexpr(open_app) == reference_sexpr(open_app)
+
+    def test_substitution_keeps_closed_parts(self):
+        fn = Lam("n", NODE, Node(Proj(1, Var("n")), Int(0), Proj(3, Var("n"))))
+        body = App(fn, Var("v"))
+        state.to_sexpr(fn)
+        out = substitute(body, Node(Key("a"), Int(1), KL(())), "v")
+        assert out.fn is fn and "_sexpr" in out.fn.__dict__
 
 
 X = Var("x")

@@ -42,6 +42,15 @@ class TestSubstitution:
         e = App(Lam("y", None, Var("y")), Var("x"))
         assert free_vars(substitute(e, Int(5), "x")) == frozenset()
 
+    def test_unchanged_subterms_are_returned_as_is(self):
+        fn = Lam("n", NODE, Node(Proj(1, Var("n")), Int(0), Proj(3, Var("n"))))
+        e = App(App(fn, Var("x")), fn)
+        assert substitute(e, Int(5), "y") is e
+        assert substitute(fn, Int(5), "n") is fn
+        out = substitute(e, Int(5), "x")
+        assert out == App(App(fn, Int(5)), fn)
+        assert out.fn.fn is fn and out.arg is fn
+
 
 class TestAlphaEquiv:
     def test_renamed_binders_equal(self):
@@ -57,6 +66,16 @@ class TestAlphaEquiv:
 
     def test_locations_ignored(self):
         assert alpha_equiv(Int(3, loc=(1, 1)), Int(3, loc=(9, 9)))
+
+    def test_shadowing_binder_gets_its_own_level(self):
+        # the second `x` shadows the first, so the bodies name the third
+        # and the fourth binder
+        def lams(body):
+            return Lam("x", INT, Lam("y", INT, Lam("x", INT,
+                                                   Lam("z", INT, body))))
+        assert not alpha_equiv(lams(Var("x")), lams(Var("z")))
+        assert alpha_equiv(lams(Var("x")), Lam("a", INT, Lam("b", INT, Lam(
+            "c", INT, Lam("d", INT, Var("c"))))))
 
 
 class TestKlSubtract:

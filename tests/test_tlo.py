@@ -282,6 +282,27 @@ def test_fix_in_a_map_reaches_the_eager_terminal():
     assert state.terminal_digest(r.config) == state.terminal_digest(base.config)
 
 
+SHADOWED_FOLDS = """
+graph [ #a: 5 [], #b: 3 [] ]
+let f1 = fold (commutative fun n: node -> fun acc: node -> let n = acc in let z = node(key(n), payload(n) + 1, adj(n)) in n) node(#_, 0, []) [#a, #b] in
+let f2 = fold (commutative fun n: node -> fun acc: node -> let n = acc in let z = node(key(n), payload(n) + 1, adj(n)) in z) node(#_, 0, []) [#a, #b] in
+payload(claim f1) * 100 + payload(claim f2)
+"""
+
+
+def test_folds_differing_under_a_shadowed_name_are_not_reused():
+    # the functions differ only in returning the shadowing `n` or `z`;
+    # `reuse` read them as alpha-equivalent and ran one fold for both
+    prog = parse_source(SHADOWED_FOLDS, "shadow.cg")
+    base = engine.run(state.init(prog))
+    assert base.status == "terminal"
+    assert base.config.frontend == Int(2)
+    for seed in range(41):
+        r = engine.run(state.init(prog), scheduler="tlo-random", seed=seed)
+        assert r.status == "terminal"
+        assert r.config.frontend == Int(2), f"seed {seed}"
+
+
 class TestProvers:
     def test_plain_identity_proved(self):
         assert tlo.prove_identity(IDENT) == "proved"

@@ -213,7 +213,7 @@ class TestOperationDiagnostics:
          " graph operations must be emission-free"),
         ("fold (fun v : node -> let p = add 8 in"
          " fun acc : node -> let q = add 9 in acc) node(#_, 0, []) [#a]",
-         "t.cg:1:66: T-Fold: fold function may emit;"
+         "t.cg:1:31: T-Fold: fold function may emit;"
          " graph operations must be emission-free"),
         ("fold (fun v : node -> let q = add 9 in v) node(#_, 0, []) [#a]",
          "t.cg:1:7: T-Fold: fold function has type (node ->! node),"
