@@ -82,7 +82,8 @@ def _parse_rules(text: str | None):
 @click.option("--scheduler", default="eager",
               type=click.Choice(tuple(engine.SCHEDULERS)))
 @click.option("--seed", default=0, show_default=True)
-@click.option("--fuel", default=1_000_000, show_default=True)
+@click.option("--fuel", default=1_000_000, show_default=True,
+              type=click.IntRange(min=0))
 @click.option("--trace", "trace_path", default=None,
               type=click.Path(dir_okay=False), help="Write a JSONL step trace.")
 @click.option("--tlo-rules", default=None,
@@ -129,10 +130,12 @@ def run_cmd(path, scheduler, seed, fuel, trace_path, tlo_rules,
 
 
 @cli.command(name="check-determinism")
-@click.option("--schedules", default=50, show_default=True)
+@click.option("--schedules", default=50, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--programs", default=None,
               help="Comma list of corpus programs (default: the standard four).")
-@click.option("--fuel", default=1_000_000, show_default=True)
+@click.option("--fuel", default=1_000_000, show_default=True,
+              type=click.IntRange(min=0))
 @click.option("--strict-residuals", is_flag=True)
 def check_determinism_cmd(schedules, programs, fuel, strict_residuals) -> None:
     """Compare terminals across one eager and many rewriting schedules."""
@@ -153,8 +156,9 @@ def check_determinism_cmd(schedules, programs, fuel, strict_residuals) -> None:
 
 @cli.command(name="check-metatheory")
 @click.option("--steps", default=10_000, show_default=True,
-              help="Random-walk steps to re-type.")
+              type=click.IntRange(min=0), help="Random-walk steps to re-type.")
 @click.option("--soundness-pairs", default=200, show_default=True,
+              type=click.IntRange(min=0),
               help="Rewrite soundness samples; 0 skips that phase.")
 def check_metatheory_cmd(steps, soundness_pairs) -> None:
     """Preservation and progress on random walks, plus rewrite soundness."""
@@ -178,8 +182,21 @@ def check_metatheory_cmd(steps, soundness_pairs) -> None:
 def trace_diff(left, right) -> None:
     """Compare two JSONL step traces and report the first divergence."""
     def load(p):
-        with open(p, encoding="utf-8") as fh:
-            return [json.loads(line) for line in fh if line.strip()]
+        records = []
+        with open(p, "rb") as fh:
+            for n, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    rec = json.loads(line)
+                except (ValueError, RecursionError):
+                    rec = None
+                if not (isinstance(rec, dict) and {"rule", "site"} <= rec.keys()):
+                    _say(f"{p}:{n}: not a trace record "
+                         "(a JSON object with rule and site)")
+                    sys.exit(EXIT_USAGE)
+                records.append(rec)
+        return records
 
     a, b = load(left), load(right)
     for i, (ra, rb) in enumerate(zip(a, b)):

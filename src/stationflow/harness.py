@@ -1,17 +1,20 @@
-"""Validation harnesses: schedule determinism, preservation and progress
-walks, rewrite soundness sampling, and the bundled program corpus."""
+"""Validation harnesses over the bundled program corpus: schedule
+determinism, checked against each program's `-- expect` terminal, and
+preservation, progress, soundness and reuse checks on one random `_walk`."""
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+import json
+import random
+import re
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 
 from . import engine, state, tlo
 from .engine import Blocked, apply_redex, enumerate_redexes, frontend_redex
 from .parser import Program, SourceError, parse_source
 from .state import Configuration, terminal_digest
-from .terms import OPERATIONS, Int, Node
+from .terms import OPERATIONS
 from .types import type_of_config
 
 RUNNABLE = ("incremental_folding", "core_social", "core_pr",
@@ -19,6 +22,8 @@ RUNNABLE = ("incremental_folding", "core_social", "core_pr",
 REJECTED = ("phase_violation",)
 DETERMINISM_SET = ("core_social", "core_pr", "chronological_order",
                    "incremental_folding")
+SOUNDNESS_SET = ("core_social", "core_pr", "chronological_order",
+                 "reuse_guard")
 
 
 def corpus_text(name: str) -> str:
@@ -29,63 +34,24 @@ def corpus_program(name: str) -> Program:
     return parse_source(corpus_text(name), f"{name}.cg")
 
 
-### expected terminal facts, one checker per program
+### expected terminal facts
 
-def _check_incremental_folding(config: Configuration) -> str | None:
-    front = config.frontend
-    if not (isinstance(front, Node) and isinstance(front.payload, Int)
-            and front.payload.value == 3):
-        return f"expected folded payload 3, got {state.to_sexpr(front)}"
-    return None
-
-
-def _check_core_social(config: Configuration) -> str | None:
-    if config.frontend != Int(2):
-        return f"expected queried payload 2, got {state.to_sexpr(config.frontend)}"
-    return None
-
-
-def _check_core_pr(config: Configuration) -> str | None:
-    if config.frontend != Int(5000):
-        return f"expected fixed-point rank 5000, got {state.to_sexpr(config.frontend)}"
-    for s in config.backend:
-        if not (isinstance(s.node, Node) and s.node.payload == Int(5000)):
-            return f"station payload drifted: {state.to_sexpr(s.node)}"
-    return None
-
-
-def _check_chronological_order(config: Configuration) -> str | None:
-    if config.frontend == Int(22):
-        return "operations were reordered: payload 22"
-    if config.frontend != Int(12):
-        return f"expected payload 12, got {state.to_sexpr(config.frontend)}"
-    return None
-
-
-def _check_reuse_guard(config: Configuration) -> str | None:
-    if config.frontend == Int(-1):
-        return "fold result was wrongly shared: payload -1"
-    if config.frontend != Int(1):
-        return f"expected payload 1, got {state.to_sexpr(config.frontend)}"
-    seconds = [e for _, e in config.store
-               if isinstance(e.value, Node) and e.value.payload == Int(1)]
-    if not any(e.residual == ("k3",) for e in seconds):
-        return "second fold should retain the unmatched key k3 as residual"
-    return None
-
-
-FACT_CHECKS = {
-    "incremental_folding": _check_incremental_folding,
-    "core_social": _check_core_social,
-    "core_pr": _check_core_pr,
-    "chronological_order": _check_chronological_order,
-    "reuse_guard": _check_reuse_guard,
-}
+_EXPECT = re.compile(r"^-- expect (\w+): (.*)$", re.MULTILINE)
 
 
 def check_facts(name: str, config: Configuration) -> str | None:
-    check = FACT_CHECKS.get(name)
-    return check(config) if check else None
+    """None when the terminal `config` has every field that corpus program
+    `name` declares in a line `-- expect FIELD: JSON`, FIELD a key of
+    `state.canonical_terminal`; else what differs."""
+    expected = _EXPECT.findall(corpus_text(name))
+    if not expected:
+        return f"{name}.cg declares no expected terminal"
+    shape = state.canonical_terminal(config)
+    for key, text in expected:
+        want, got = json.loads(text), shape.get(key)
+        if want != got:
+            return f"{key}: expected {json.dumps(want)}, got {json.dumps(got)}"
+    return None
 
 
 ### determinism across schedules
@@ -107,21 +73,13 @@ class ProgramVerdict:
 @dataclass
 class DeterminismReport:
     verdicts: list[ProgramVerdict]
-    elapsed: float = field(default=0.0, compare=False)
 
     @property
     def ok(self) -> bool:
         return all(v.ok for v in self.verdicts)
 
     def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "programs": [{
-                "program": v.program, "digest": v.digest,
-                "schedules": v.schedules, "agreed": v.agreed,
-                "fact_error": v.fact_error, "failures": v.failures,
-            } for v in self.verdicts],
-        }
+        return {"ok": self.ok, "programs": [asdict(v) for v in self.verdicts]}
 
 
 def check_determinism(programs=DETERMINISM_SET, schedules: int = 50,
@@ -129,7 +87,6 @@ def check_determinism(programs=DETERMINISM_SET, schedules: int = 50,
                       fuel: int = 1_000_000) -> DeterminismReport:
     """One eager run plus seeded rewriting runs per program; every schedule
     must land on the same canonical terminal."""
-    t0 = time.time()
     verdicts = []
     for name in programs:
         prog = corpus_program(name)
@@ -155,146 +112,140 @@ def check_determinism(programs=DETERMINISM_SET, schedules: int = 50,
             else "no eager terminal"
         verdicts.append(ProgramVerdict(name, digest, schedules, agreed,
                                        fact_error, failures))
-    return DeterminismReport(verdicts, time.time() - t0)
+    return DeterminismReport(verdicts)
+
+
+### uniformly random walks
+
+def _walk(config: Configuration, rng: random.Random, tlo_on: bool):
+    """Steps drawn uniformly by `rng` from `config`.  Yields each
+    configuration reached, the rule that led there (None at the start) and
+    its redexes, None once it is terminal; ends there or where no redex
+    is left."""
+    rule = None
+    while True:
+        redexes = None if state.is_terminal(config) \
+            else enumerate_redexes(config, tlo_on=tlo_on)
+        yield config, rule, redexes
+        if not redexes:
+            return
+        config, rule, _ = apply_redex(
+            config, redexes[rng.randrange(len(redexes))])
+
+
+class _JSONReport:
+    def to_json(self) -> dict:
+        return {"ok": self.ok, **asdict(self)}
 
 
 ### preservation and progress
 
 @dataclass
-class MetatheoryReport:
+class MetatheoryReport(_JSONReport):
     steps: int
     type_changes: int
     effect_flips: int
     stuck_states: int
     notes: list[str] = field(default_factory=list)
-    elapsed: float = field(default=0.0, compare=False)
 
     @property
     def ok(self) -> bool:
         return (self.type_changes == 0 and self.effect_flips == 0
                 and self.stuck_states == 0)
 
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "steps": self.steps,
-                "type_changes": self.type_changes,
-                "effect_flips": self.effect_flips,
-                "stuck_states": self.stuck_states, "notes": self.notes}
 
-
-def check_preservation_progress(total_steps: int = 10_000,
-                                programs=RUNNABLE) -> MetatheoryReport:
+def check_preservation_progress(total_steps: int = 10_000) -> MetatheoryReport:
     """Randomly scheduled walks, re-typing the configuration after every
     step: the frontend type must never change, a pure frontend must stay
     pure, and a well-typed non-terminal must always offer a redex."""
-    import random
-    t0 = time.time()
     steps = type_changes = effect_flips = stuck_states = 0
     notes: list[str] = []
     walk = 0
     while steps < total_steps:
-        name = programs[walk % len(programs)]
+        name = RUNNABLE[walk % len(RUNNABLE)]
         rng = random.Random(1000 + walk)
         walk += 1
         config = state.init(corpus_program(name))
         ct = type_of_config(config)
-        while steps < total_steps:
-            if state.is_terminal(config):
+        for config, rule, redexes in _walk(config, rng, tlo_on=False):
+            if rule is not None:
+                steps += 1
+                try:
+                    ct2 = type_of_config(config)
+                except SourceError as ex:
+                    type_changes += 1
+                    notes.append(f"{name}: step {rule} broke typing: {ex}")
+                    break
+                if ct2.frontend != ct.frontend:
+                    type_changes += 1
+                    notes.append(f"{name}: type changed {ct.frontend} -> "
+                                 f"{ct2.frontend} after {rule}")
+                if not ct.effect and ct2.effect:
+                    effect_flips += 1
+                    notes.append(f"{name}: pure frontend turned emitting "
+                                 f"after {rule}")
+                ct = ct2
+            if steps >= total_steps:
                 break
-            redexes = enumerate_redexes(config, tlo_on=False)
-            if not redexes:
+            if redexes == []:
+                stuck_states += 1
                 fr = frontend_redex(config)
-                if isinstance(fr, Blocked):
-                    stuck_states += 1
-                    notes.append(f"{name}: no redex, frontend waits on "
-                                 f"label {fr.label}")
-                else:
-                    stuck_states += 1
-                    notes.append(f"{name}: no redex in non-terminal state")
-                break
-            config, rule, _ = apply_redex(
-                config, redexes[rng.randrange(len(redexes))])
-            steps += 1
-            try:
-                ct2 = type_of_config(config)
-            except SourceError as ex:
-                type_changes += 1
-                notes.append(f"{name}: step {rule} broke typing: {ex}")
-                break
-            if ct2.frontend != ct.frontend:
-                type_changes += 1
-                notes.append(f"{name}: type changed {ct.frontend} -> "
-                             f"{ct2.frontend} after {rule}")
-            if not ct.effect and ct2.effect:
-                effect_flips += 1
-                notes.append(f"{name}: pure frontend turned emitting after {rule}")
-            ct = ct2
+                notes.append(f"{name}: no redex, frontend waits on label "
+                             f"{fr.label}" if isinstance(fr, Blocked)
+                             else f"{name}: no redex in non-terminal state")
     return MetatheoryReport(steps, type_changes, effect_flips, stuck_states,
-                            notes[:20], time.time() - t0)
+                            notes[:20])
 
 
 ### rewrite soundness
 
 @dataclass
-class SoundnessReport:
+class SoundnessReport(_JSONReport):
     pairs: int
     agreed: int
     counterexamples: list[str] = field(default_factory=list)
-    elapsed: float = field(default=0.0, compare=False)
 
     @property
     def ok(self) -> bool:
         return self.pairs == self.agreed and not self.counterexamples
 
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "pairs": self.pairs, "agreed": self.agreed,
-                "counterexamples": self.counterexamples}
+
+def _complete(config: Configuration):
+    return engine.run(config, scheduler="det")
 
 
-def _complete(config: Configuration, fuel: int = 1_000_000):
-    return engine.run(config, scheduler="det", fuel=fuel)
-
-
-def check_rewrite_soundness(min_pairs: int = 200,
-                            programs=("core_social", "core_pr",
-                                      "chronological_order", "reuse_guard"),
-                            fuel: int = 200_000) -> SoundnessReport:
+def check_rewrite_soundness(min_pairs: int = 200) -> SoundnessReport:
     """Sample reachable configurations and single rewrite applications;
     completing with and without the rewrite must agree on the terminal."""
-    import random
-    t0 = time.time()
     pairs = agreed = 0
     counterexamples: list[str] = []
     walk = 0
     while pairs < min_pairs and walk < 400:
-        name = programs[walk % len(programs)]
+        name = SOUNDNESS_SET[walk % len(SOUNDNESS_SET)]
         rng = random.Random(5000 + walk)
         walk += 1
-        config = state.init(corpus_program(name))
-        for _ in range(fuel):
-            if state.is_terminal(config) or pairs >= min_pairs:
+        for config, _, redexes in _walk(state.init(corpus_program(name)),
+                                        rng, tlo_on=True):
+            if redexes is None or pairs >= min_pairs:
                 break
-            cands = tlo.candidates(config)
-            if cands:
-                cand = cands[rng.randrange(len(cands))]
-                rewritten, _ = tlo.apply_rewrite(config, cand)
-                left = _complete(config)
-                right = _complete(rewritten)
-                pairs += 1
-                if (left.status == right.status == "terminal"
-                        and terminal_digest(left.config)
-                        == terminal_digest(right.config)):
-                    agreed += 1
-                else:
-                    counterexamples.append(
-                        f"{name}: {cand.rule} at station {cand.station} "
-                        f"offset {cand.start} -> {left.status}/{right.status}")
-            redexes = enumerate_redexes(config, tlo_on=True)
-            if not redexes:
-                break
-            config, _, _ = apply_redex(
-                config, redexes[rng.randrange(len(redexes))])
-    return SoundnessReport(pairs, agreed, counterexamples[:10],
-                           time.time() - t0)
+            cands = [r.rewrite for r in redexes if r.rule == "Opt"]
+            if not cands:
+                continue
+            # drawn before the walk draws its next step, from the same rng
+            cand = cands[rng.randrange(len(cands))]
+            rewritten, _ = tlo.apply_rewrite(config, cand)
+            left = _complete(config)
+            right = _complete(rewritten)
+            pairs += 1
+            if (left.status == right.status == "terminal"
+                    and terminal_digest(left.config)
+                    == terminal_digest(right.config)):
+                agreed += 1
+            else:
+                counterexamples.append(
+                    f"{name}: {cand.rule} at station {cand.station} "
+                    f"offset {cand.start} -> {left.status}/{right.status}")
+    return SoundnessReport(pairs, agreed, counterexamples[:10])
 
 
 ### single-run helpers
@@ -319,20 +270,11 @@ def eager_emission_kinds(name: str, limit: int | None = None) -> list[str]:
 def reuse_never_offered(seeds: int = 20) -> bool:
     """Drive the guard program under rewriting schedules and watch the
     candidate lists: the non-commutative fold pair must never offer reuse."""
-    import random
     prog = corpus_program("reuse_guard")
     for seed in range(seeds):
-        rng = random.Random(seed)
-        config = state.init(prog)
-        for _ in range(5000):
-            if state.is_terminal(config):
-                break
-            for cand in tlo.candidates(config):
-                if cand.rule == "reuse":
-                    return False
-            redexes = enumerate_redexes(config, tlo_on=True)
-            if not redexes:
-                break
-            config, _, _ = apply_redex(
-                config, redexes[rng.randrange(len(redexes))])
+        for _, _, redexes in _walk(state.init(prog), random.Random(seed),
+                                   tlo_on=True):
+            if any(r.rule == "Opt" and r.rewrite.rule == "reuse"
+                   for r in redexes or ()):
+                return False
     return True

@@ -102,6 +102,13 @@ class TestRun:
                                 "--tlo-rules", "batch,unbatch"])
         assert r.exit_code == 0
 
+    def test_negative_fuel_is_a_usage_error(self, runner, prog_file):
+        r = runner.invoke(cli, ["run", prog_file("core_social"),
+                                "--fuel", "-5"])
+        assert r.exit_code == 2
+        assert "Invalid value for '--fuel'" in r.stderr
+        assert r.stdout == ""
+
     def test_fuel_exhaustion_exits_3(self, runner, prog_file):
         r = runner.invoke(cli, ["run", prog_file("core_social"),
                                 "--fuel", "5"])
@@ -160,6 +167,23 @@ class TestTraceDiff:
         assert r.exit_code == 0
         assert json.loads(r.stdout)["equal"] is True
 
+    @pytest.mark.parametrize("lines, bad_line", [
+        (['{"rule": "Beta", "site": "frontend"}', "not json"], 2),
+        (['{"step": 0}'], 1),
+        (["[1, 2]"], 1),
+        (["[" * 100_000], 1),
+    ], ids=["not-json", "no-rule-or-site", "not-an-object", "too-deep"])
+    def test_malformed_trace_exits_2(self, runner, tmp_path, lines, bad_line):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        other = tmp_path / "other.jsonl"
+        other.write_text('{"step": 1}\n')
+        r = runner.invoke(cli, ["trace-diff", str(bad), str(other)])
+        assert r.exit_code == 2
+        assert r.stderr.splitlines() == [
+            f"{bad}:{bad_line}: not a trace record "
+            "(a JSON object with rule and site)"]
+
     def test_trace_record_fields(self, runner, prog_file, tmp_path):
         p = prog_file("incremental_folding")
         t = str(tmp_path / "t.jsonl")
@@ -184,6 +208,28 @@ class TestCheckCommands:
         assert r.exit_code == 0
         out = json.loads(r.stdout)
         assert out["metatheory"]["ok"] and out["soundness"]["ok"]
+
+    @pytest.mark.parametrize("args, option", [
+        (["check-determinism", "--schedules", "0",
+          "--programs", "incremental_folding"], "--schedules"),
+        (["check-determinism", "--fuel", "-1",
+          "--programs", "incremental_folding"], "--fuel"),
+        (["check-metatheory", "--steps", "-3"], "--steps"),
+        (["check-metatheory", "--steps", "0",
+          "--soundness-pairs", "-2"], "--soundness-pairs"),
+    ], ids=["schedules-0", "determinism-fuel-negative", "steps-negative",
+            "soundness-pairs-negative"])
+    def test_out_of_range_count_is_a_usage_error(self, runner, args, option):
+        r = runner.invoke(cli, args)
+        assert r.exit_code == 2
+        assert f"Invalid value for '{option}'" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    def test_zero_pairs_skips_soundness(self, runner):
+        r = runner.invoke(cli, ["check-metatheory", "--steps", "0",
+                                "--soundness-pairs", "0"])
+        assert r.exit_code == 0
+        assert set(json.loads(r.stdout)) == {"metatheory"}
 
     def test_unknown_program_rejected(self, runner):
         r = runner.invoke(cli, ["check-determinism", "--programs", "nope"])

@@ -1,6 +1,8 @@
 """Expected results of the bundled programs, pinned independently of the
 harness fact checkers where the value admits a short direct assertion."""
 
+from dataclasses import replace
+
 import pytest
 
 from stationflow import engine, harness, state
@@ -56,18 +58,20 @@ class TestResults:
 
 
 class TestFactCheckersCatchWrongAnswers:
+    # each failure names the field, the declared value and the actual one
     def test_chronological_detects_swap(self):
-        cfg = eager_terminal("chronological_order")
-        bad = state.Configuration(backend=cfg.backend, top=cfg.top,
-                                  store=cfg.store, frontend=Int(22),
-                                  next_label=cfg.next_label,
-                                  next_key=cfg.next_key)
-        assert "reordered" in harness.check_facts("chronological_order", bad)
+        bad = replace(eager_terminal("chronological_order"), frontend=Int(22))
+        msg = harness.check_facts("chronological_order", bad)
+        assert "frontend" in msg and "(int 12)" in msg and "(int 22)" in msg
 
     def test_reuse_checker_detects_sharing(self):
+        bad = replace(eager_terminal("reuse_guard"), frontend=Int(-1))
+        msg = harness.check_facts("reuse_guard", bad)
+        assert "frontend" in msg and "(int 1)" in msg and "(int -1)" in msg
+
+    def test_reuse_checker_detects_a_lost_residual(self):
         cfg = eager_terminal("reuse_guard")
-        bad = state.Configuration(backend=cfg.backend, top=cfg.top,
-                                  store=cfg.store, frontend=Int(-1),
-                                  next_label=cfg.next_label,
-                                  next_key=cfg.next_key)
-        assert "shared" in harness.check_facts("reuse_guard", bad)
+        bad = replace(cfg, store=tuple((label, replace(e, residual=()))
+                                       for label, e in cfg.store))
+        msg = harness.check_facts("reuse_guard", bad)
+        assert "residuals" in msg and "k3" in msg
