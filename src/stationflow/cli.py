@@ -151,7 +151,8 @@ def check_determinism_cmd(schedules, programs, fuel, strict_residuals) -> None:
     for v in report.verdicts:
         _say(f"{v.program}: {v.agreed}/{v.schedules} schedules agree"
              + (f"; facts: {v.fact_error}" if v.fact_error else ""))
-    sys.exit(EXIT_OK if report.ok else EXIT_PROPERTY)
+    sys.exit(EXIT_OK if report.ok else EXIT_INCONCLUSIVE
+             if report.faults == {"fuel"} else EXIT_PROPERTY)
 
 
 @cli.command(name="check-metatheory")

@@ -73,6 +73,8 @@ class ProgramVerdict:
 @dataclass
 class DeterminismReport:
     verdicts: list[ProgramVerdict]
+    # each way a run failed: its status, "diverged" or "facts"
+    faults: set[str] = field(default_factory=set)
 
     @property
     def ok(self) -> bool:
@@ -87,32 +89,36 @@ def check_determinism(programs=DETERMINISM_SET, schedules: int = 50,
                       fuel: int = 1_000_000) -> DeterminismReport:
     """One eager run plus seeded rewriting runs per program; every schedule
     must land on the same canonical terminal."""
-    verdicts = []
+    report = DeterminismReport([])
     for name in programs:
         prog = corpus_program(name)
         base = engine.run(state.init(prog), scheduler="eager", fuel=fuel)
         failures: list[str] = []
         agreed = 0
         if base.status != "terminal":
-            digest = ""
+            digest, fact_error = "", "no eager terminal"
             failures.append(f"eager: {base.status} {base.detail}")
+            report.faults.add(base.status)
         else:
             digest = terminal_digest(base.config, strict_residuals)
             agreed = 1
+            fact_error = check_facts(name, base.config)
+            if fact_error:
+                report.faults.add("facts")
             for seed in range(schedules - 1):
                 r = engine.run(state.init(prog), scheduler="tlo-random",
                                seed=seed, fuel=fuel)
                 if r.status != "terminal":
                     failures.append(f"seed {seed}: {r.status} {r.detail}")
+                    report.faults.add(r.status)
                 elif terminal_digest(r.config, strict_residuals) != digest:
                     failures.append(f"seed {seed}: terminal diverged")
+                    report.faults.add("diverged")
                 else:
                     agreed += 1
-        fact_error = check_facts(name, base.config) if base.status == "terminal" \
-            else "no eager terminal"
-        verdicts.append(ProgramVerdict(name, digest, schedules, agreed,
-                                       fact_error, failures))
-    return DeterminismReport(verdicts)
+        report.verdicts.append(ProgramVerdict(name, digest, schedules, agreed,
+                                              fact_error, failures))
+    return report
 
 
 ### uniformly random walks

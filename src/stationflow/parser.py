@@ -12,7 +12,7 @@ from .terms import (
     INT, KEY, KL_T, NODE, OPERATIONS,
     App, Arith, Claim, Concat, Emit, Expr, Fix, FoldOp, If0, Int, KL, Key,
     Label, Lam, Len, MapOp, Node, Operation, Proj, Subtract, TFun, TFuture,
-    Type, Var, _fresh_name, children, free_vars, op_args,
+    Type, Var, _fresh_name, children, free_vars, op_args, with_children,
 )
 
 
@@ -31,17 +31,104 @@ class SourceError(Exception):
         return f"{self.file}:{self.line}:{self.col}: {self.rule}: {self.msg}"
 
 
+### surface forms
+
+# Each table below holds a form as a term of it with blank (`None`)
+# subterms.  The parser builds a term through its form (`_build`), and the
+# printer finds a term's form by blanking its subterms (`_shape`).
+
+# infix operator -> (binding level, form); all associate to the left
+INFIX = {
+    "++": (2, Concat(None, None)), "\\\\": (2, Subtract(None, None)),
+    "+": (3, Arith("+", None, None)), "-": (3, Arith("-", None, None)),
+    "*": (4, Arith("*", None, None)), "/": (4, Arith("/", None, None)),
+}
+
+# keyword -> form whose arguments follow as operands
+PREFIX = {
+    "claim": Claim(None), "fix": Fix(None),
+    **{kind.keyword: Emit(cls(*(None for _ in kind.args)))
+       for cls, kind in OPERATIONS.items()},
+}
+
+# keyword -> form whose arguments follow in parentheses
+CALLS = {
+    "node": Node(None, None, None), "key": Proj(1, None),
+    "payload": Proj(2, None), "adj": Proj(3, None), "len": Len(None),
+}
+
+# keyword -> base type
+BASE_TYPES = {str(t): t for t in (INT, KEY, KL_T, NODE)}
+
+
+def _shape(e: Expr) -> Expr:
+    """The form of `e`: `e` with its subterms blank."""
+    return with_children(e, (None,) * len(children(e)))
+
+
+def _build(form: Expr, args, tok: Token) -> Expr:
+    """A term of `form` around `args`, at the position of `tok`."""
+    e = with_children(form, args)
+    # the term is new and in no other term yet, so its position is set in place
+    object.__setattr__(e, "loc", (tok.line, tok.col))
+    return e
+
+
+### desugaring of the graph-operation forms
+
+# surface graph operation -> (arity, builder): the builder makes the core
+# map or fold from the variables `x` and `y` its functions bind, the
+# `commutative` mark and the arguments
+GRAPH_OPS = {
+    "addRelationship": (2, lambda x, y, comm, e, e2: MapOp(Lam(x.name, NODE, Node(
+        Proj(1, x), Proj(2, x), Concat(Proj(3, x), KL((e2,))))), KL((e,)))),
+    "deleteRelationship": (2, lambda x, y, comm, e, e2: MapOp(Lam(x.name, NODE, Node(
+        Proj(1, x), Proj(2, x), Subtract(Proj(3, x), KL((e2,))))), KL((e,)))),
+    "updatePayload": (2, lambda x, y, comm, e, e2: MapOp(Lam(x.name, NODE, Node(
+        Proj(1, x), Proj(2, e2), Proj(3, x))), KL((e,)))),
+    "queryNode": (1, lambda x, y, comm, e: FoldOp(
+        Lam(x.name, NODE, Lam(y.name, NODE, x)),
+        Node(Key("_"), Int(0), KL(())), KL((e,)))),
+    "mapVal": (2, lambda x, y, comm, e, e2: MapOp(Lam(x.name, NODE, Node(
+        Proj(1, x), App(e, x), Proj(3, x))), e2)),
+    "foldVal": (3, lambda x, y, comm, e, e2, e3: FoldOp(
+        Lam(x.name, NODE, Lam(y.name, NODE, Node(
+            Proj(1, y), App(App(e, x), Proj(2, y)), Proj(3, y))), comm),
+        Node(Key("_"), e2, KL(())), e3)),
+}
+
+
+def desugar_graph_op(name: str, args: list[Expr], commutative: bool = False,
+                     loc: tuple[int, int] | None = None) -> Operation:
+    """Expand a surface graph operation to its core map/fold encoding, with
+    `loc` on every term the expansion adds around the arguments."""
+    avoid = frozenset().union(*map(free_vars, args))
+    x = "x" if "x" not in avoid else _fresh_name("x", avoid)
+    y = "y" if "y" not in avoid and x != "y" else _fresh_name("y", avoid | {x})
+    op = GRAPH_OPS[name][1](Var(x), Var(y), commutative, *args)
+    parsed = {id(a) for a in args}
+
+    def stamp(e: Expr) -> None:
+        # the expansion's terms are new and in no other term yet, so their
+        # position is set in place; the arguments keep their own
+        if id(e) not in parsed:
+            object.__setattr__(e, "loc", loc)
+            for c in children(e):
+                stamp(c)
+
+    for a in op_args(op):
+        stamp(a)
+    return op
+
+
 ### lexer
 
-# operation keyword -> operation class
-_OP_CLASSES = {kind.keyword: cls for cls, kind in OPERATIONS.items()}
+# keywords that begin an operand of application
+_OPERAND_KEYWORDS = {*PREFIX, *CALLS, *GRAPH_OPS}
 
 KEYWORDS = {
-    *_OP_CLASSES, "let", "in", "fun", "fix", "if0", "then", "else", "foreach",
-    "claim", "mapVal", "foldVal", "queryNode",
-    "addRelationship", "deleteRelationship", "updatePayload",
-    "commutative", "graph", "node", "key", "payload", "adj", "len",
-    "int", "kl", "future",
+    "let", "in", "fun", "if0", "then", "else", "foreach", "commutative",
+    "graph", "future", *_OPERAND_KEYWORDS, *BASE_TYPES,
 }
 
 _PUNCT = [
@@ -79,17 +166,6 @@ def tokenize(src: str, file: str) -> list[Token]:
             continue
         if c == "$":
             raise SourceError(file, line, col, "syntax", "names starting with '$' are reserved")
-        if c == "#":
-            j = i + 1
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            name = src[i + 1:j]
-            if not name:
-                raise SourceError(file, line, col, "syntax", "'#' must introduce a key literal")
-            toks.append(Token("KEYLIT", name, line, col))
-            col += j - i
-            i = j
-            continue
         if c.isdigit():
             j = i
             while j < n and src[j].isdigit():
@@ -98,13 +174,16 @@ def tokenize(src: str, file: str) -> list[Token]:
             col += j - i
             i = j
             continue
-        if c.isalpha() or c == "_":
-            j = i
+        # a key literal is `#` and a name
+        if c.isalpha() or c in "_#":
+            j = i + 1
             while j < n and (src[j].isalnum() or src[j] == "_"):
                 j += 1
             word = src[i:j]
-            kind = "KW" if word in KEYWORDS else "IDENT"
-            toks.append(Token(kind, word, line, col))
+            if word == "#":
+                raise SourceError(file, line, col, "syntax", "'#' must introduce a key literal")
+            kind = "KEYLIT" if c == "#" else "KW" if word in KEYWORDS else "IDENT"
+            toks.append(Token(kind, word.removeprefix("#"), line, col))
             col += j - i
             i = j
             continue
@@ -166,48 +245,51 @@ class _Parser:
         t = self.peek()
         return t.kind == "KW" and t.text == word
 
+    def at_kw_in(self, table) -> bool:
+        t = self.peek()
+        return t.kind == "KW" and t.text in table
+
     def eat_kw(self, word: str) -> Token:
         t = self.next()
         if not (t.kind == "KW" and t.text == word):
             raise self.err(t, f"expected {word!r}")
         return t
 
+    def comma_list(self, item, first=None) -> list:
+        """The `item`s of a list whose `[` is read, through its `]`; `first`
+        is its first item if the caller has read that already."""
+        if first is None:
+            if self.peek().kind == "]":
+                self.next()
+                return []
+            first = item()
+        out = [first]
+        while self.peek().kind == ",":
+            self.next()
+            out.append(item())
+        self.expect("]")
+        return out
+
     ### graph preamble
 
     def program(self) -> Program:
         stations: tuple[StationDecl, ...] = ()
         if self.at_kw("graph"):
-            stations = self.graph_block()
+            self.next()
+            self.expect("[")
+            stations = tuple(self.comma_list(self.station_decl))
         e = self.expr()
         t = self.peek()
         if t.kind != "EOF":
             raise self.err(t, f"trailing input {t.text!r}")
         return Program(stations, e)
 
-    def graph_block(self) -> tuple[StationDecl, ...]:
-        self.eat_kw("graph")
-        self.expect("[")
-        out: list[StationDecl] = []
-        if self.peek().kind != "]":
-            out.append(self.station_decl())
-            while self.peek().kind == ",":
-                self.next()
-                out.append(self.station_decl())
-        self.expect("]")
-        return tuple(out)
-
     def station_decl(self) -> StationDecl:
         k = self.expect("KEYLIT", "a key literal")
         self.expect(":")
         p = self.expect("INT", "an integer payload")
         self.expect("[")
-        adj: list[str] = []
-        if self.peek().kind != "]":
-            adj.append(self.expect("KEYLIT", "a key literal").text)
-            while self.peek().kind == ",":
-                self.next()
-                adj.append(self.expect("KEYLIT", "a key literal").text)
-        self.expect("]")
+        adj = self.comma_list(lambda: self.expect("KEYLIT", "a key literal").text)
         return StationDecl(k.text, int(p.text), tuple(adj), (k.line, k.col))
 
     ### expressions, loosest binding first
@@ -234,10 +316,9 @@ class _Parser:
         return App(Lam(name, None, body), bound, loc=(kw.line, kw.col))
 
     def fun_expr(self) -> Expr:
-        comm = False
-        if self.at_kw("commutative"):
+        comm = self.at_kw("commutative")
+        if comm:
             self.next()
-            comm = True
         kw = self.eat_kw("fun")
         name = self.expect("IDENT", "a parameter name").text
         ptype: Type | None = None
@@ -261,7 +342,8 @@ class _Parser:
         kw = self.eat_kw("foreach")
         name = self.expect("IDENT", "a name").text
         self.eat_kw("in")
-        items = self.literal_list()
+        self.expect("[")
+        items = self.comma_list(self.expr)
         self.expect("{")
         body = self.expr()
         self.expect("}")
@@ -271,48 +353,21 @@ class _Parser:
             out = inst if out is None else App(Lam("_", None, inst), out)
         return Int(0, loc=(kw.line, kw.col)) if out is None else out
 
-    def literal_list(self) -> list[Expr]:
-        self.expect("[")
-        items: list[Expr] = []
-        if self.peek().kind != "]":
-            items.append(self.expr())
-            while self.peek().kind == ",":
-                self.next()
-                items.append(self.expr())
-        self.expect("]")
-        return items
-
     def seq_expr(self) -> Expr:
-        left = self.kl_expr()
+        left = self.infix_expr(2)
         if self.peek().kind == ";":
             t = self.next()
             right = self.expr()
             return App(Lam("_", None, right), left, loc=(t.line, t.col))
         return left
 
-    def kl_expr(self) -> Expr:
-        left = self.add_expr()
-        while self.peek().kind in ("++", "\\\\"):
-            t = self.next()
-            right = self.add_expr()
-            cls = Concat if t.kind == "++" else Subtract
-            left = cls(left, right, loc=(t.line, t.col))
-        return left
-
-    def add_expr(self) -> Expr:
-        left = self.mul_expr()
-        while self.peek().kind in ("+", "-"):
-            t = self.next()
-            right = self.mul_expr()
-            left = Arith(t.kind, left, right, loc=(t.line, t.col))
-        return left
-
-    def mul_expr(self) -> Expr:
+    def infix_expr(self, level: int) -> Expr:
+        """Applications joined by the infix operators of `level` or tighter."""
         left = self.app_expr()
-        while self.peek().kind in ("*", "/"):
+        while (op := INFIX.get(self.peek().kind)) and op[0] >= level:
             t = self.next()
-            right = self.app_expr()
-            left = Arith(t.kind, left, right, loc=(t.line, t.col))
+            right = self.infix_expr(op[0] + 1)
+            left = _build(op[1], (left, right), t)
         return left
 
     def app_expr(self) -> Expr:
@@ -323,43 +378,24 @@ class _Parser:
         return e
 
     def _starts_prefix(self) -> bool:
-        t = self.peek()
-        if t.kind in ("INT", "IDENT", "KEYLIT", "(", "["):
-            return True
-        return t.kind == "KW" and (
-            t.text in GRAPH_OPS or t.text in _OP_CLASSES or t.text in (
-                "claim", "fix", "node", "key", "payload", "adj", "len"))
+        return (self.peek().kind in ("INT", "IDENT", "KEYLIT", "(", "[")
+                or self.at_kw_in(_OPERAND_KEYWORDS))
 
     def prefix_expr(self) -> Expr:
         t = self.peek()
-        if t.kind != "KW":
-            return self.atom()
-        loc = (t.line, t.col)
-        if t.text == "claim":
+        if self.at_kw_in(PREFIX):
             self.next()
-            return Claim(self.prefix_expr(), loc=loc)
-        if t.text == "fix":
+            form = PREFIX[t.text]
+            return _build(form, [self.prefix_expr() for _ in children(form)], t)
+        if self.at_kw_in(GRAPH_OPS):
             self.next()
-            return Fix(self.prefix_expr(), loc=loc)
-        cls = _OP_CLASSES.get(t.text)
-        if cls is not None:
-            self.next()
-            args = [self.prefix_expr() for _ in OPERATIONS[cls].args]
-            return Emit(cls(*args), loc=loc)
-        if t.text in GRAPH_OPS:
-            return self.graph_op()
+            comm = t.text == "foldVal" and self.at_kw("commutative")
+            if comm:
+                self.next()
+            args = [self.prefix_expr() for _ in range(GRAPH_OPS[t.text][0])]
+            loc = (t.line, t.col)
+            return Emit(desugar_graph_op(t.text, args, comm, loc), loc=loc)
         return self.atom()
-
-    def graph_op(self) -> Expr:
-        t = self.next()
-        loc = (t.line, t.col)
-        name = t.text
-        comm = False
-        if name == "foldVal" and self.at_kw("commutative"):
-            self.next()
-            comm = True
-        args = [self.prefix_expr() for _ in range(GRAPH_OPS[name][0])]
-        return Emit(desugar_graph_op(name, args, comm, loc), loc=loc)
 
     def atom(self) -> Expr:
         t = self.next()
@@ -376,61 +412,36 @@ class _Parser:
             return e
         if t.kind == "[":
             return self.bracket_rest(loc)
-        if t.kind == "KW":
-            if t.text == "node":
-                self.expect("(")
-                a = self.expr()
+        if t.kind == "KW" and t.text in CALLS:
+            form = CALLS[t.text]
+            self.expect("(")
+            args = [self.expr()]
+            for _ in children(form)[1:]:
                 self.expect(",")
-                b = self.expr()
-                self.expect(",")
-                c = self.expr()
-                self.expect(")")
-                return Node(a, b, c, loc=loc)
-            if t.text in ("key", "payload", "adj"):
-                idx = {"key": 1, "payload": 2, "adj": 3}[t.text]
-                self.expect("(")
-                e = self.expr()
-                self.expect(")")
-                return Proj(idx, e, loc=loc)
-            if t.text == "len":
-                self.expect("(")
-                e = self.expr()
-                self.expect(")")
-                return Len(e, loc=loc)
+                args.append(self.expr())
+            self.expect(")")
+            return _build(form, args, t)
         raise self.err(t, f"unexpected {t.text!r}" if t.text else "unexpected end of input")
 
     def bracket_rest(self, loc: tuple[int, int]) -> Expr:
         # called just past "["; either a list literal or a comprehension
-        if self.peek().kind == "]":
-            self.next()
-            return KL((), loc=loc)
-        first = self.expr()
-        if self.peek().kind == "|":
+        first = None if self.peek().kind == "]" else self.expr()
+        if first is not None and self.peek().kind == "|":
             self.next()
             name = self.expect("IDENT", "a name").text
             self.eat_kw("in")
-            items = self.literal_list()
+            self.expect("[")
+            items = self.comma_list(self.expr)
             self.expect("]")
             return KL(tuple(_subst_syntactic(first, i, name) for i in items), loc=loc)
-        items = [first]
-        while self.peek().kind == ",":
-            self.next()
-            items.append(self.expr())
-        self.expect("]")
-        return KL(tuple(items), loc=loc)
+        return KL(tuple(self.comma_list(self.expr, first)), loc=loc)
 
     ### types
 
     def type_atom(self) -> Type:
         t = self.next()
-        if t.kind == "KW" and t.text == "int":
-            return INT
-        if t.kind == "KW" and t.text == "key":
-            return KEY
-        if t.kind == "KW" and t.text == "kl":
-            return KL_T
-        if t.kind == "KW" and t.text == "node":
-            return NODE
+        if t.kind == "KW" and t.text in BASE_TYPES:
+            return BASE_TYPES[t.text]
         if t.kind == "KW" and t.text == "future":
             self.expect("[")
             inner = self.type_full()
@@ -456,53 +467,6 @@ def _subst_syntactic(e: Expr, item: Expr, name: str) -> Expr:
     # foreach/comprehension instantiation; item is surface syntax, not a value
     from .terms import substitute
     return substitute(e, item, name)
-
-
-### desugaring of the graph-operation forms
-
-# surface graph operation -> (arity, builder): the builder makes the core
-# map or fold from the variables `x` and `y` its functions bind, the
-# `commutative` mark and the arguments
-GRAPH_OPS = {
-    "addRelationship": (2, lambda x, y, comm, e, e2: MapOp(Lam(x.name, NODE, Node(
-        Proj(1, x), Proj(2, x), Concat(Proj(3, x), KL((e2,))))), KL((e,)))),
-    "deleteRelationship": (2, lambda x, y, comm, e, e2: MapOp(Lam(x.name, NODE, Node(
-        Proj(1, x), Proj(2, x), Subtract(Proj(3, x), KL((e2,))))), KL((e,)))),
-    "updatePayload": (2, lambda x, y, comm, e, e2: MapOp(Lam(x.name, NODE, Node(
-        Proj(1, x), Proj(2, e2), Proj(3, x))), KL((e,)))),
-    "queryNode": (1, lambda x, y, comm, e: FoldOp(
-        Lam(x.name, NODE, Lam(y.name, NODE, x)),
-        Node(Key("_"), Int(0), KL(())), KL((e,)))),
-    "mapVal": (2, lambda x, y, comm, e, e2: MapOp(Lam(x.name, NODE, Node(
-        Proj(1, x), App(e, x), Proj(3, x))), e2)),
-    "foldVal": (3, lambda x, y, comm, e, e2, e3: FoldOp(
-        Lam(x.name, NODE, Lam(y.name, NODE, Node(
-            Proj(1, y), App(App(e, x), Proj(2, y)), Proj(3, y))), comm),
-        Node(Key("_"), e2, KL(())), e3)),
-}
-
-
-def desugar_graph_op(name: str, args: list[Expr], commutative: bool = False,
-                     loc: tuple[int, int] | None = None) -> Operation:
-    """Expand a surface graph operation to its core map/fold encoding, with
-    `loc` on every term the expansion adds around the arguments."""
-    avoid = frozenset().union(*map(free_vars, args))
-    x = "x" if "x" not in avoid else _fresh_name("x", avoid)
-    y = "y" if "y" not in avoid and x != "y" else _fresh_name("y", avoid | {x})
-    op = GRAPH_OPS[name][1](Var(x), Var(y), commutative, *args)
-    parsed = {id(a) for a in args}
-
-    def stamp(e: Expr) -> None:
-        # the expansion's terms are new and in no other term yet, so their
-        # position is set in place; the arguments keep their own
-        if id(e) not in parsed:
-            object.__setattr__(e, "loc", loc)
-            for c in children(e):
-                stamp(c)
-
-    for a in op_args(op):
-        stamp(a)
-    return op
 
 
 ### entry points
@@ -557,9 +521,25 @@ def to_source(e: Expr) -> str:
     return _pp(e, 0)
 
 
-# precedence levels: 0 expr, 1 seq, 2 kl, 3 add, 4 mul, 5 app, 6 atom
+# the tables inverted: a form -> how it is written
+_INFIX_OF = {form: (op, level) for op, (level, form) in INFIX.items()}
+_PREFIX_OF = {form: kw for kw, form in PREFIX.items()}
+_CALL_OF = {form: kw for kw, form in CALLS.items()}
+
+# precedence levels: 0 expr, 1 seq, 2-4 the INFIX levels, 5 app, 6 atom
 
 def _pp(e: Expr, level: int) -> str:
+    form = _shape(e)
+    if form in _INFIX_OF:
+        op, at = _INFIX_OF[form]
+        left, right = children(e)
+        s = f"{_pp(left, at)} {op} {_pp(right, at + 1)}"
+        return s if level <= at else f"({s})"
+    if form in _PREFIX_OF:
+        s = " ".join([_PREFIX_OF[form], *(_pp(a, 6) for a in children(e))])
+        return s if level <= 5 else f"({s})"
+    if form in _CALL_OF:
+        return f"{_CALL_OF[form]}({', '.join(_pp(a, 0) for a in children(e))})"
     match e:
         case Var(name):
             return name
@@ -576,7 +556,7 @@ def _pp(e: Expr, level: int) -> str:
             s = f"let {p} = {_pp(bound, 0)} in {_pp(body, 0)}"
             return s if level == 0 else f"({s})"
         case Lam(p, t, body, comm):
-            ann = f": {_pp_type_atom(t)} " if t is not None else ""
+            ann = f": {_pp_type(t)} " if t is not None else ""
             s = f"fun {p}{ann}-> {_pp(body, 0)}"
             if comm:
                 s = f"commutative {s}"
@@ -587,51 +567,18 @@ def _pp(e: Expr, level: int) -> str:
         case App(fn, arg):
             s = f"{_pp(fn, 5)} {_pp(arg, 6)}"
             return s if level <= 5 else f"({s})"
-        case Fix(fn):
-            s = f"fix {_pp(fn, 6)}"
-            return s if level <= 5 else f"({s})"
-        case Concat(l, r):
-            s = f"{_pp(l, 2)} ++ {_pp(r, 3)}"
-            return s if level <= 2 else f"({s})"
-        case Subtract(l, r):
-            s = f"{_pp(l, 2)} \\\\ {_pp(r, 3)}"
-            return s if level <= 2 else f"({s})"
-        case Arith(op, l, r):
-            if op in "+-":
-                s = f"{_pp(l, 3)} {op} {_pp(r, 4)}"
-                return s if level <= 3 else f"({s})"
-            s = f"{_pp(l, 4)} {op} {_pp(r, 5)}"
-            return s if level <= 4 else f"({s})"
         case KL(items):
             return "[" + ", ".join(_pp(i, 0) for i in items) + "]"
-        case Node(k, p, a):
-            return f"node({_pp(k, 0)}, {_pp(p, 0)}, {_pp(a, 0)})"
-        case Proj(i, arg):
-            kw = {1: "key", 2: "payload", 3: "adj"}[i]
-            return f"{kw}({_pp(arg, 0)})"
-        case Len(arg):
-            return f"len({_pp(arg, 0)})"
-        case Claim(arg):
-            s = f"claim {_pp(arg, 6)}"
-            return s if level <= 5 else f"({s})"
-        case Emit(op):
-            s = " ".join([OPERATIONS[type(op)].keyword,
-                          *(_pp(a, 6) for a in op_args(op))])
-            return s if level <= 5 else f"({s})"
     raise TypeError(e)
 
 
-def _pp_type_atom(t: Type) -> str:
+def _pp_type(t: Type, bare: bool = False) -> str:
+    """`t` as written in an annotation; an arrow type is parenthesised
+    unless `bare`, as it may be right of an arrow or inside `future[...]`."""
     if isinstance(t, TFun):
         arrow = "->!" if t.eff else "->"
-        return f"({_pp_type_atom(t.param)} {arrow} {_pp_type_rhs(t.result)})"
+        s = f"{_pp_type(t.param)} {arrow} {_pp_type(t.result, True)}"
+        return s if bare else f"({s})"
     if isinstance(t, TFuture):
-        return f"future[{_pp_type_rhs(t.inner)}]"
+        return f"future[{_pp_type(t.inner, True)}]"
     return str(t)
-
-
-def _pp_type_rhs(t: Type) -> str:
-    if isinstance(t, TFun):
-        arrow = "->!" if t.eff else "->"
-        return f"{_pp_type_atom(t.param)} {arrow} {_pp_type_rhs(t.result)}"
-    return _pp_type_atom(t)

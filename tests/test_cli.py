@@ -1,12 +1,14 @@
 """Command line behavior: exit codes, JSON on stdout, diagnostics on
 stderr, trace files."""
 
+import dataclasses
+import itertools
 import json
 
 import pytest
 from click.testing import CliRunner
 
-from stationflow import harness
+from stationflow import engine, harness
 from stationflow.cli import cli
 
 
@@ -201,6 +203,46 @@ class TestCheckCommands:
                                 "--programs", "incremental_folding"])
         assert r.exit_code == 0
         assert json.loads(r.stdout)["ok"] is True
+
+    def test_check_determinism_out_of_fuel_exits_3(self, runner):
+        r = runner.invoke(cli, ["check-determinism", "--fuel", "5",
+                                "--programs", "incremental_folding",
+                                "--schedules", "2"])
+        assert r.exit_code == 3
+        assert json.loads(r.stdout)["ok"] is False
+
+    # seed -> the status its rewriting run is made to end with
+    @pytest.mark.parametrize("statuses, code", [
+        ({0: "fuel"}, 3), ({0: "fuel", 1: "fuel"}, 3), ({0: "stuck"}, 1),
+        ({0: "blocked"}, 1), ({0: "fuel", 1: "stuck"}, 1),
+    ], ids=["fuel", "fuel-twice", "stuck", "blocked", "fuel-and-stuck"])
+    def test_check_determinism_exit_follows_run_status(
+            self, runner, monkeypatch, statuses, code):
+        run = engine.run
+
+        def ended(config, scheduler="eager", seed=0, **kw):
+            r = run(config, scheduler=scheduler, seed=seed, **kw)
+            if scheduler == "tlo-random" and seed in statuses:
+                return dataclasses.replace(r, status=statuses[seed])
+            return r
+
+        monkeypatch.setattr(engine, "run", ended)
+        r = runner.invoke(cli, ["check-determinism", "--schedules", "3",
+                                "--programs", "incremental_folding"])
+        assert r.exit_code == code
+
+    # every terminal digest differs, or the declared facts do
+    @pytest.mark.parametrize("target, fake", [
+        ("terminal_digest", lambda *a, n=itertools.count(): str(next(n))),
+        ("check_facts", lambda *a: "payload: expected 1, got 2"),
+    ], ids=["diverged", "facts-differ"])
+    def test_check_determinism_property_failure_exits_1(
+            self, runner, monkeypatch, target, fake):
+        monkeypatch.setattr(harness, target, fake)
+        r = runner.invoke(cli, ["check-determinism", "--schedules", "2",
+                                "--programs", "incremental_folding"])
+        assert r.exit_code == 1
+        assert json.loads(r.stdout)["ok"] is False
 
     def test_check_metatheory(self, runner):
         r = runner.invoke(cli, ["check-metatheory", "--steps", "150",

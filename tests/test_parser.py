@@ -1,6 +1,8 @@
 """Surface syntax: lexing, parsing, desugaring, the pretty printer
 round trip, and source error positions."""
 
+import hashlib
+
 import pytest
 
 from stationflow.parser import SourceError, parse_source, to_source as pretty
@@ -39,6 +41,14 @@ class TestBasics:
         from stationflow.terms import Arith
         assert parse1("1 + 2 * 3") == Arith("+", Int(1),
                                             Arith("*", Int(2), Int(3)))
+
+    def test_infix_operators_associate_left(self):
+        from stationflow.terms import Subtract
+        assert parse1("8 / 4 * 2 - 1 - 3") == Arith(
+            "-", Arith("-", Arith("*", Arith("/", Int(8), Int(4)), Int(2)),
+                       Int(1)), Int(3))
+        a, b, c = (KL((Key(k),)) for k in "abc")
+        assert parse1("[#a] ++ [#b] \\\\ [#c]") == Subtract(Concat(a, b), c)
 
     def test_foreach_unrolls(self):
         e = parse1("foreach k in [#a, #b] { add 1 }")
@@ -140,6 +150,14 @@ class TestErrors:
         msg = err_of("#@k0")
         assert msg.startswith("t.cg:1:")
 
+    # the lexer has no primes in names and no negative literals
+    @pytest.mark.parametrize("text, msg", [
+        ("let x' = 1 in x'", "t.cg:1:6: syntax: unexpected character \"'\""),
+        ("-5", "t.cg:1:1: syntax: unexpected '-'"),
+    ])
+    def test_lexical_rejections(self, text, msg):
+        assert err_of(text) == msg
+
     def test_preamble_must_lead(self):
         msg = err_of("0 ; graph [#a : 1 []]")
         assert "graph" in msg
@@ -163,6 +181,14 @@ class TestRoundTrip:
         "foldVal commutative (fun v : int -> fun acc : int -> v + acc) 0 [#a]",
         "(fun x : int -> x) 1; 2",
         "fix (fun f : (int -> int) -> fun n : int -> if0 n then 0 else f (n - 1))",
+        "fun x : node -> key(x)",
+        "fun x : node -> adj(x) ++ [key(x)]",
+        "fun a : int -> fun b : int -> fun c : int -> a - (b - c)",
+        "fun a : kl -> fun b : kl -> fun c : kl -> a ++ (b \\\\ c)",
+        "fun f : (int -> int) -> fun g : ((int -> int) -> int -> int) -> f (fix g)",
+        "1 + claim (add 2) * 3",
+        "fun f : future[int] -> fun g : (int -> kl -> node) -> g",
+        "fun h : (node ->! future[kl]) -> h",
     ]
 
     @pytest.mark.parametrize("src", SNIPPETS)
@@ -198,3 +224,52 @@ class TestRoundTrip:
         from stationflow.terms import Label
         with pytest.raises(ValueError):
             pretty(Label(0))
+
+
+# printed text of well-formed inputs whose forms the corpus lacks
+PRINTED = [
+    "fun f : future[int -> kl] -> f",
+    "fun f : (int -> int) -> fun g : (node ->! (kl -> int)) -> g",
+    "fun f : ((int ->! int) -> future[node]) -> f",
+    "fun n : int -> (n - (n - 1)) * (n / (2 + n))",
+    "fun a : kl -> a ++ (a \\\\ [#b]) \\\\ a",
+    "let f = fun n : int -> n in f (fix f) + claim (add 1) * 2",
+    "queryNode (claim (add 0)); [k | k in [#a, #b]]",
+]
+
+# malformed inputs, one per way a form can be written wrong
+MALFORMED = [
+    "node(#a, 1)", "node(#a, 1, [], 2)", "node #a", "node(#a 1, [])",
+    "key(#a", "len()", "payload 1", "adj(node(#a, 1, []), 2)",
+    "[#a, #b", "[#a, ]", "[x | x in #a]", "[x | x in [#a]",
+    "1 +", "[#a] ++", "2 *", "1 - ", "[#a] \\\\", "1 + * 2", "(1", "1 )",
+    "claim", "fix", "add", "map (fun x : node -> x)", "foldVal commutative",
+    "let x = 1 x", "let = 1 in 2", "if0 1 then 2", "foreach x in [#a] 1",
+    "fun -> 1", "fun x : int 1", "commutative 1",
+    "fun x : foo -> x", "fun x : future int -> x", "fun x : future[int -> x",
+    "fun x : (int -> int -> x", "fun x : int ->! -> x", "fun x : -> x",
+    "graph [#a 1 []]\n0", "graph [#a : x []]\n0", "graph #a\n0",
+    "graph [#a : 1 [] #b : 2 []]\n0", "graph [#a : 1 [#b #c]]\n0",
+    "graph [#a : 1 []\n0", "graph [#a : 1 [#b]\n0", "graph [#a : 1 [1]]\n0",
+    "graph [#a : 1 [#_]]\n0", "graph [#a : 1 [], #a : 2 []]\n0",
+    "graph [#a : 1 []]", "0 ; graph [#a : 1 []]",
+    "let x' = 1 in x'", "-5", "#", "$x", "", "x", "let y = z in y", "1 ; ",
+]
+
+# sha256 over the printed text of every corpus program and of PRINTED, and
+# over the diagnostic of every MALFORMED input; a change to the printer or
+# to a diagnostic's wording or position updates it on purpose and says so
+GOLDEN_SURFACE = (
+    "f60f7baa46b2d8dbdc8a3607d13204cf109b03f02f7b65faa7fb5a399a0218d1")
+
+
+def test_printer_and_diagnostics_are_pinned():
+    from stationflow import harness
+    h = hashlib.sha256()
+    for name in harness.RUNNABLE + harness.REJECTED:
+        h.update(pretty(harness.corpus_program(name).expr).encode() + b"\n")
+    for src in PRINTED:
+        h.update(pretty(parse1(src)).encode() + b"\n")
+    for src in MALFORMED:
+        h.update(err_of(src).encode() + b"\n")
+    assert h.hexdigest() == GOLDEN_SURFACE
