@@ -4,6 +4,9 @@ The frontend and the in-graph load sites share one expression stepper; the
 load flavor simply refuses to emit, which is the operational face of the
 phase split.  Station rules, stream routing, and the optimizer hook each
 produce explicit redex descriptions so schedulers can pick among them.
+Each station rule is written once: `station_task_redexes` decides Map, Fold,
+Complete, Last and Prop in one pass, and `apply_redex` steps every rule
+through one `_STEPS` table, the frontend and routing steps by site.
 
 A step changes at most two stations and carries the rest over.  `run` keeps
 an index of what its scheduler draws from: per station the plain redexes
@@ -27,13 +30,13 @@ from itertools import chain
 
 from . import tlo
 from .state import (
-    Configuration, Station, StoreEntry, Unit, append_station_tail, append_top,
+    Configuration, Station, StoreEntry, append_station_tail, append_top,
     config_digest, finalize, fresh_key_name, is_value, keep, merge_results,
     singleton, station_is_load_free, target,
 )
 from .terms import (
     CONTRACTIONS, AddOp, App, Claim, Emit, Expr, FoldOp, Int, KL, Key, Label,
-    MapOp, Node, Operation, Proj, Var, children, kl_subtract, with_children,
+    MapOp, Node, Proj, Var, children, kl_subtract, with_children,
 )
 # unused here, but perfbench/layers.py wraps these bindings: it counts
 # substitutions and times terminal tests at them
@@ -140,29 +143,6 @@ def _opt(cand) -> Redex:
                  station=cand.station, rewrite=cand)
 
 
-def _station_key(station: Station) -> str | None:
-    n = station.node
-    if isinstance(n, Node) and isinstance(n.key, Key):
-        return n.key.name
-    return None
-
-
-def _unit_targets(unit: Unit) -> tuple[str, ...] | None:
-    out: list[str] = []
-    for _, op in unit.entries:
-        t = target(op)
-        if t is None:
-            return None
-        out.extend(t)
-    return tuple(out)
-
-
-def _head_singleton(station: Station):
-    if station.streamlet and len(station.streamlet[0].entries) == 1:
-        return station.streamlet[0].entries[0]
-    return None
-
-
 def frontend_redex(config: Configuration) -> Redex | Blocked | Stuck | None:
     if is_value(config.frontend):
         return None
@@ -190,41 +170,33 @@ def tograph_redex(config: Configuration) -> Redex | None:
 
 
 def station_task_redexes(station: Station, i: int, last: bool) -> list[Redex]:
-    """Map, Fold, Complete, Last and Prop at station `i`; `last` says it is
-    the last station of the backend."""
+    """Map, Fold, Complete, Last and Prop at station `i`, in that order;
+    `last` says it is the last station of the backend.  A head unit of one
+    operation whose target holds the node's key visits a loaded node (Map or
+    Fold); one whose target is empty, or misses the key at the last
+    station, settles once it is a map or a fold with a value base (Complete,
+    Last).  Prop forwards a head no operation of which targets the key."""
     if not station.streamlet:
         return []
-    out: list[Redex] = []
-    key = _station_key(station)
-    head = station.streamlet[0]
-    single = _head_singleton(station)
-
-    if single is not None:
-        label, op = single
-        tgt = target(op)
-        if isinstance(op, MapOp) and tgt is not None and key is not None \
-                and key in tgt and station.loaded:
-            out.append(Redex("Map", f"station:{i}", station=i))
-        if isinstance(op, FoldOp) and tgt is not None and key is not None \
-                and key in tgt and station.loaded:
-            out.append(Redex("Fold", f"station:{i}", station=i))
-        if tgt is not None and len(tgt) == 0 and _finalizable(op):
-            out.append(Redex("Complete", f"station:{i}", station=i))
-        if last and tgt is not None and key is not None and key not in tgt \
-                and _finalizable(op):
-            out.append(Redex("Last", f"station:{i}", station=i))
-
-    if not last and key is not None:
-        union = _unit_targets(head)
-        if union is not None and key not in union:
-            out.append(Redex("Prop", f"station:{i}", station=i))
-    return out
-
-
-def _finalizable(op: Operation) -> bool:
-    if isinstance(op, FoldOp):
-        return is_value(op.base)
-    return isinstance(op, MapOp)
+    node, entries = station.node, station.streamlet[0].entries
+    key = (node.key.name if isinstance(node, Node) and isinstance(node.key, Key)
+           else None)
+    targets = [target(op) for _, op in entries]
+    rules = []
+    if len(entries) == 1 and targets[0] is not None:
+        (_, op), tgt = entries[0], targets[0]
+        if key in tgt:
+            if station.loaded:
+                rules.append("Map" if isinstance(op, MapOp) else "Fold")
+        elif (not tgt or last) and (isinstance(op, MapOp) or is_value(op.base)):
+            if not tgt:
+                rules.append("Complete")
+            if last and key is not None:
+                rules.append("Last")
+    if not last and key is not None \
+            and all(t is not None and key not in t for t in targets):
+        rules.append("Prop")
+    return [Redex(rule, f"station:{i}", station=i) for rule in rules]
 
 
 def _loads(step) -> bool:
@@ -288,39 +260,41 @@ def enumerate_redexes(config: Configuration, tlo_on: bool = False,
 
 
 ### rule application
+#
+# A step takes the configuration and its redex and returns the next
+# configuration and the labels of the operations it touched.
 
-def apply_frontend(config: Configuration, r: Redex) -> tuple[Configuration, str, list[int]]:
+Stepped = tuple[Configuration, list[int]]
+
+
+def _frontend(config: Configuration, r: Redex) -> Stepped:
     spine, e = _descend(config.frontend, r.path)
     if isinstance(e, Emit):
         label = config.next_label
         config = replace(config, frontend=_plug(spine, Label(label)),
                          next_label=label + 1)
-        return append_top(config, singleton(label, e.op)), "Emit", [label]
+        return append_top(config, singleton(label, e.op)), [label]
     result = _contract(e, config.store_get)
     assert not isinstance(result, Blocked), "frontend claim applied while blocked"
     labels = [e.arg.index] if isinstance(e, Claim) else []
-    return replace(config, frontend=_plug(spine, result)), r.rule, labels
+    return replace(config, frontend=_plug(spine, result)), labels
 
 
-def apply_tograph(config: Configuration) -> tuple[Configuration, str, list[int]]:
+def _route(config: Configuration, r: Redex) -> Stepped:
+    """Add, Empty or First: the head of the routing queue leaves it."""
     head = config.top[0]
-    rest = config.top[1:]
-    (label, op) = head.entries[0]
+    (label, op), = head.entries
+    config = replace(config, top=config.top[1:])
     if isinstance(op, AddOp):
         assert isinstance(op.arg, Int)
         kname = fresh_key_name(config.next_key)
         new_station = Station(Node(Key(kname), op.arg, KL(())))
-        config = replace(config, top=rest,
-                         backend=(new_station,) + config.backend,
+        config = replace(config, backend=(new_station,) + config.backend,
                          next_key=config.next_key + 1)
-        return (merge_results(config, {label: StoreEntry(Key(kname), ())}),
-                "Add", [label])
+        return merge_results(config, {label: StoreEntry(Key(kname), ())}), [label]
     if not config.backend:
-        config = replace(config, top=rest)
-        l, entry = finalize(label, op)
-        return merge_results(config, {l: entry}), "Empty", [label]
-    config = replace(config, top=rest)
-    return append_station_tail(config, head), "First", [label]
+        return merge_results(config, dict([finalize(label, op)])), [label]
+    return append_station_tail(config, head), [label]
 
 
 def _set_station(config: Configuration, i: int, station: Station) -> Configuration:
@@ -328,54 +302,44 @@ def _set_station(config: Configuration, i: int, station: Station) -> Configurati
     return replace(config, backend=backend)
 
 
-def apply_map(config: Configuration, i: int) -> tuple[Configuration, str, list[int]]:
-    station = config.backend[i]
-    (label, op) = station.streamlet[0].entries[0]
-    assert isinstance(op, MapOp)
-    n = station.node
-    key = n.key
-    applied = App(op.fn, n)
-    new_node = Node(key, Proj(2, applied), Proj(3, applied))
-    new_ks = KL(kl_subtract(op.ks.items, (key,)))
-    new_unit = singleton(label, MapOp(op.fn, new_ks))
-    station = Station(new_node, (new_unit,) + station.streamlet[1:])
-    return _set_station(config, i, station), "Map", [label]
+def _visit(config: Configuration, r: Redex) -> Stepped:
+    """Map or Fold: the head operation visits the node, and the node's key
+    leaves its target.  A map rewrites the node, a fold its base."""
+    station = config.backend[r.station]
+    (label, op), = station.streamlet[0].entries
+    node = station.node
+    ks = KL(kl_subtract(op.ks.items, (node.key,)))
+    if isinstance(op, MapOp):
+        applied = App(op.fn, node)
+        node = Node(node.key, Proj(2, applied), Proj(3, applied))
+        op = MapOp(op.fn, ks)
+    else:
+        op = FoldOp(op.fn, App(App(op.fn, node), op.base), ks)
+    station = Station(node, (singleton(label, op),) + station.streamlet[1:])
+    return _set_station(config, r.station, station), [label]
 
 
-def apply_fold(config: Configuration, i: int) -> tuple[Configuration, str, list[int]]:
-    station = config.backend[i]
-    (label, op) = station.streamlet[0].entries[0]
-    assert isinstance(op, FoldOp)
-    n = station.node
-    key = n.key
-    new_base = App(App(op.fn, n), op.base)
-    new_ks = KL(kl_subtract(op.ks.items, (key,)))
-    new_unit = singleton(label, FoldOp(op.fn, new_base, new_ks))
-    station = Station(n, (new_unit,) + station.streamlet[1:])
-    return _set_station(config, i, station), "Fold", [label]
+def _finish(config: Configuration, r: Redex) -> Stepped:
+    """Complete or Last: the head operation settles into the store."""
+    station = config.backend[r.station]
+    (label, op), = station.streamlet[0].entries
+    station = replace(station, streamlet=station.streamlet[1:])
+    config = _set_station(config, r.station, station)
+    return merge_results(config, dict([finalize(label, op)])), [label]
 
 
-def apply_prop(config: Configuration, i: int) -> tuple[Configuration, str, list[int]]:
-    station = config.backend[i]
+def _prop(config: Configuration, r: Redex) -> Stepped:
+    """The head unit moves to the tail of the next station's streamlet."""
+    i = r.station
+    station, nxt = config.backend[i:i + 2]
     unit = station.streamlet[0]
-    station = replace(station, streamlet=station.streamlet[1:])
-    config = _set_station(config, i, station)
-    nxt = config.backend[i + 1]
-    nxt = replace(nxt, streamlet=nxt.streamlet + (unit,))
-    return _set_station(config, i + 1, nxt), "Prop", list(unit.labels())
+    pair = (replace(station, streamlet=station.streamlet[1:]),
+            replace(nxt, streamlet=nxt.streamlet + (unit,)))
+    backend = config.backend[:i] + pair + config.backend[i + 2:]
+    return replace(config, backend=backend), list(unit.labels())
 
 
-def apply_complete_or_last(config: Configuration, i: int,
-                           rule: str) -> tuple[Configuration, str, list[int]]:
-    station = config.backend[i]
-    (label, op) = station.streamlet[0].entries[0]
-    station = replace(station, streamlet=station.streamlet[1:])
-    config = _set_station(config, i, station)
-    l, entry = finalize(label, op)
-    return merge_results(config, {l: entry}), rule, [label]
-
-
-def _load(config: Configuration, e: Expr, path: tuple[int, ...]) -> Expr:
+def _load_term(config: Configuration, e: Expr, path: tuple[int, ...]) -> Expr:
     spine, redex = _descend(e, path)
     if isinstance(redex, Emit):
         raise RuntimeError("operation emission attempted during a load")
@@ -385,45 +349,37 @@ def _load(config: Configuration, e: Expr, path: tuple[int, ...]) -> Expr:
     return _plug(spine, result)
 
 
-def apply_load(config: Configuration, r: Redex) -> tuple[Configuration, str, list[int]]:
+def _load(config: Configuration, r: Redex) -> Stepped:
     i, unit, station = r.station, r.unit, config.backend[r.station]
     if unit is None:
-        station = replace(station, node=_load(config, station.node, r.path))
-        return _set_station(config, i, station), "Load", []
-    (label, op) = station.streamlet[unit].entries[0]
+        station = replace(station, node=_load_term(config, station.node, r.path))
+        return _set_station(config, i, station), []
+    (label, op), = station.streamlet[unit].entries
     assert isinstance(op, FoldOp)
-    result = _load(config, op.base, r.path)
+    result = _load_term(config, op.base, r.path)
     new_unit = singleton(label, FoldOp(op.fn, result, op.ks))
     streamlet = station.streamlet[:unit] + (new_unit,) + station.streamlet[unit + 1:]
     station = replace(station, streamlet=streamlet)
-    return _set_station(config, i, station), "Load", [label]
+    return _set_station(config, i, station), [label]
+
+
+# the step of each rule at a station; the frontend and routing steps go by site
+_STEPS = {"Map": _visit, "Fold": _visit, "Complete": _finish, "Last": _finish,
+          "Prop": _prop, "Load": _load,
+          "Opt": lambda config, r: tlo.apply_rewrite(config, r.rewrite)}
 
 
 def apply_redex(config: Configuration, r: Redex) -> tuple[Configuration, str, list[int]]:
-    if r.site == "frontend":
-        return apply_frontend(config, r)
-    if r.site == "top":
-        return apply_tograph(config)
-    if r.rule == "Map":
-        return apply_map(config, r.station)
-    if r.rule == "Fold":
-        return apply_fold(config, r.station)
-    if r.rule == "Prop":
-        return apply_prop(config, r.station)
-    if r.rule in ("Complete", "Last"):
-        return apply_complete_or_last(config, r.station, r.rule)
-    if r.rule == "Load":
-        return apply_load(config, r)
-    if r.rule == "Opt":
-        cfg, labels = tlo.apply_rewrite(config, r.rewrite)
-        return cfg, "Opt", labels
-    raise ValueError(f"cannot apply {r}")
+    """The configuration after `r`, `r`'s rule and the labels it touched."""
+    step = (_frontend if r.site == "frontend" else _route if r.site == "top"
+            else _STEPS.get(r.rule))
+    if step is None:
+        raise ValueError(f"cannot apply {r}")
+    config, labels = step(config, r)
+    return config, r.rule, labels
 
 
 ### eager enumeration
-
-_EAGER_TASK_ORDER = ("Complete", "Map", "Fold", "Last", "Prop")
-
 
 def eager_enumerate(config: Configuration, wet=None) -> list[Redex]:
     """The at-most-one redex the sequential discipline allows: routing beats
@@ -453,12 +409,11 @@ def eager_enumerate(config: Configuration, wet=None) -> list[Redex]:
             if loads and len(station.streamlet) == 1 and loads[0].unit == 0:
                 return [loads[0]]
             return []
+        # eager takes the first of Complete, Map, Fold, Last and Prop that
+        # applies, which is the first offered: Map and Fold exclude the
+        # others, and Complete is offered before Last and Prop
         last = i == len(config.backend) - 1
-        tasks = {r.rule: r for r in station_task_redexes(station, i, last)}
-        for rule in _EAGER_TASK_ORDER:
-            if rule in tasks:
-                return [tasks[rule]]
-        return []
+        return station_task_redexes(station, i, last)[:1]
 
     fr = frontend_redex(config)
     if isinstance(fr, Redex):

@@ -166,9 +166,9 @@ def tokenize(src: str, file: str) -> list[Token]:
             continue
         if c == "$":
             raise SourceError(file, line, col, "syntax", "names starting with '$' are reserved")
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j].isdecimal():
                 j += 1
             toks.append(Token("INT", src[i:j], line, col))
             col += j - i

@@ -50,6 +50,14 @@ class TestTypecheck:
         assert r.exit_code == 2
         assert r.stderr.startswith(str(p) + ":1:")
 
+    def test_superscript_digit_exits_2(self, runner, tmp_path):
+        p = tmp_path / "sup.cg"
+        p.write_text("\u00b2 + 1", encoding="utf-8")
+        r = runner.invoke(cli, ["typecheck", str(p)])
+        assert r.exit_code == 2
+        assert r.stderr == (f"{p}:1:1: syntax: unexpected character "
+                            "'\u00b2'\n")
+
 
 class TestRun:
     def test_terminal_json(self, runner, prog_file):

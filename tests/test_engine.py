@@ -228,6 +228,130 @@ class TestClaims:
         assert r.status == "terminal"
 
 
+ID_NODE = Lam("x", NODE, Var("x"))
+KEEP_ACC = Lam("n", NODE, Lam("acc", INT, Var("acc")))
+LOADED = Node(A, Int(1), KL(()))
+UNLOADED = Node(A, Arith("+", Int(1), Int(1)), KL(()))
+ON_A, ON_B, ON_NONE = KL((A,)), KL((B,)), KL(())
+
+
+def with_head(node, *ops):
+    """A station at `node` whose head unit holds `ops`, with one more unit
+    behind it that no rule may read."""
+    return Station(node, (Unit(tuple(enumerate(ops))), Unit(((9, ops[0]),))))
+
+
+# station, then the rules it offers as an inner station and as the last one
+STATION_RULES = {
+    "map, loaded, key targeted": (
+        with_head(LOADED, MapOp(ID_NODE, ON_A)), ["Map"], ["Map"]),
+    "map, unloaded, key targeted": (
+        with_head(UNLOADED, MapOp(ID_NODE, ON_A)), [], []),
+    "map, loaded, key not targeted": (
+        with_head(LOADED, MapOp(ID_NODE, ON_B)), ["Prop"], ["Last"]),
+    "map, unloaded, key not targeted": (
+        with_head(UNLOADED, MapOp(ID_NODE, ON_B)), ["Prop"], ["Last"]),
+    "map, empty target": (
+        with_head(LOADED, MapOp(ID_NODE, ON_NONE)),
+        ["Complete", "Prop"], ["Complete", "Last"]),
+    "fold, loaded, key targeted": (
+        with_head(LOADED, FoldOp(KEEP_ACC, Int(0), ON_A)), ["Fold"], ["Fold"]),
+    "fold, unloaded, key targeted": (
+        with_head(UNLOADED, FoldOp(KEEP_ACC, Int(0), ON_A)), [], []),
+    "fold, loaded, key not targeted": (
+        with_head(LOADED, FoldOp(KEEP_ACC, Int(0), ON_B)), ["Prop"], ["Last"]),
+    "fold, unloaded, key not targeted": (
+        with_head(UNLOADED, FoldOp(KEEP_ACC, Int(0), ON_B)),
+        ["Prop"], ["Last"]),
+    "fold, empty target": (
+        with_head(LOADED, FoldOp(KEEP_ACC, Int(0), ON_NONE)),
+        ["Complete", "Prop"], ["Complete", "Last"]),
+    "fold, base not a value, key targeted": (
+        with_head(LOADED, FoldOp(KEEP_ACC, ARITH, ON_A)), ["Fold"], ["Fold"]),
+    "fold, base not a value, key not targeted": (
+        with_head(LOADED, FoldOp(KEEP_ACC, ARITH, ON_B)), ["Prop"], []),
+    "fold, base not a value, empty target": (
+        with_head(LOADED, FoldOp(KEEP_ACC, ARITH, ON_NONE)), ["Prop"], []),
+    "map, key list not loaded": (
+        with_head(LOADED, MapOp(ID_NODE, Concat(ON_A, ON_B))), [], []),
+    "batched, key not targeted": (
+        with_head(LOADED, MapOp(ID_NODE, ON_B),
+                  FoldOp(KEEP_ACC, Int(0), ON_NONE)), ["Prop"], []),
+    "batched, key targeted": (
+        with_head(LOADED, MapOp(ID_NODE, ON_B), MapOp(ID_NODE, ON_A)),
+        [], []),
+    "batched, empty targets": (
+        with_head(LOADED, MapOp(ID_NODE, ON_NONE),
+                  FoldOp(KEEP_ACC, Int(0), ON_NONE)), ["Prop"], []),
+    "empty streamlet": (Station(LOADED), [], []),
+}
+
+
+class TestStationRules:
+    """The task rules `station_task_redexes` offers on hand-built stations:
+    which apply, and in what order."""
+
+    @pytest.mark.parametrize("name", STATION_RULES)
+    def test_rules_offered(self, name):
+        station, inner, last = STATION_RULES[name]
+        for is_last, want in ((False, inner), (True, last)):
+            got = engine.station_task_redexes(station, 4, is_last)
+            assert [r.rule for r in got] == want, f"last={is_last}"
+            assert all((r.site, r.station, r.unit, r.path)
+                       == ("station:4", 4, None, ()) for r in got)
+
+    @pytest.mark.parametrize("name", STATION_RULES)
+    def test_eager_takes_complete_map_fold_last_prop(self, name):
+        station, inner, last = STATION_RULES[name]
+        if not state.station_is_load_free(station):
+            return
+        idle = Station(Node(B, Int(2), KL(())))
+        for backend, offered in (((station, idle), inner), ((station,), last)):
+            config = state.Configuration(backend, (), (), Int(0),
+                                         next_label=10)
+            want = sorted(offered, key=("Complete", "Map", "Fold", "Last",
+                                        "Prop").index)[:1]
+            assert [r.rule for r in eager_enumerate(config)] == want
+
+
+class TestApplyRedex:
+    """`apply_redex` reports the rule of the redex it applied."""
+
+    @staticmethod
+    def assert_rules_kept(config, redexes):
+        for r in redexes:
+            assert apply_redex(config, r)[1] == r.rule, r
+
+    def test_along_the_corpus_walks(self):
+        rules = set()
+        for k, name in enumerate(harness.RUNNABLE):
+            config = state.init(harness.corpus_program(name))
+            for config, _, redexes in harness._walk(
+                    config, random.Random(k), tlo_on=True):
+                self.assert_rules_kept(config, redexes or ())
+                rules.update(r.rule for r in redexes or ())
+        assert {"Map", "Fold", "Complete", "Last", "Prop", "Load", "Opt",
+                "Emit", "Add", "First", "Claim"} <= rules
+
+    @pytest.mark.parametrize("scheduler", engine.SCHEDULERS)
+    def test_along_the_runs(self, reached, scheduler):
+        def checked(ix):
+            self.assert_rules_kept(ix.config, eager_enumerate(ix.config))
+            self.assert_rules_kept(ix.config, enumerate_redexes(ix.config,
+                                                                tlo_on=True))
+
+        for name in harness.RUNNABLE:
+            seen = reached(checked)
+            config = state.init(harness.corpus_program(name))
+            r = run(config, scheduler=scheduler, seed=3)
+            assert r.status == "terminal" and len(seen) == r.steps + 1
+
+    def test_unknown_rule_is_named(self):
+        config = state.init(harness.corpus_program("core_social"))
+        with pytest.raises(ValueError, match="Bogus"):
+            apply_redex(config, engine.Redex("Bogus", "station:0", station=0))
+
+
 class TestEagerPolicy:
     @pytest.mark.parametrize("name", harness.RUNNABLE)
     def test_at_most_one_redex(self, name):

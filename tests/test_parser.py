@@ -50,6 +50,13 @@ class TestBasics:
         a, b, c = (KL((Key(k),)) for k in "abc")
         assert parse1("[#a] ++ [#b] \\\\ [#c]") == Subtract(Concat(a, b), c)
 
+    def test_non_ascii_digits(self):
+        # literals take every decimal digit `int` reads; names take any
+        # digit after their first character
+        assert parse1("٣١ + 1") == Arith("+", Int(31), Int(1))
+        assert alpha_equiv(parse1("let x² = 1 in x²"),
+                           parse1("let x = 1 in x"))
+
     def test_foreach_unrolls(self):
         e = parse1("foreach k in [#a, #b] { add 1 }")
         # two emissions sequenced; both must appear in the tree
@@ -154,6 +161,8 @@ class TestErrors:
     @pytest.mark.parametrize("text, msg", [
         ("let x' = 1 in x'", "t.cg:1:6: syntax: unexpected character \"'\""),
         ("-5", "t.cg:1:1: syntax: unexpected '-'"),
+        # a digit `int` cannot read is no integer literal
+        ("\u00b2 + 1", "t.cg:1:1: syntax: unexpected character '\u00b2'"),
     ])
     def test_lexical_rejections(self, text, msg):
         assert err_of(text) == msg
