@@ -1,8 +1,10 @@
 """Command line front door.
 
-Exit codes: 0 success, 1 a checked property failed, 2 usage or type errors,
-3 inconclusive (fuel ran out or the run wedged).  Machine-readable JSON goes
-to stdout, human summaries to stderr.
+Exit codes: 0 success, 1 a checked property failed, 2 usage, syntax or type
+errors (an integer literal longer than the interpreter reads is a syntax
+error), 3 inconclusive (fuel ran out, the run wedged, or a value `run` prints
+has more digits than the interpreter converts to text).  Machine-readable
+JSON goes to stdout, human summaries to stderr.
 """
 
 from __future__ import annotations
@@ -32,9 +34,10 @@ def _emit(payload: dict) -> None:
     click.echo(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _depth_bounded(command):
-    """`command`, ending with a one-line usage error where its input nests
-    deeper than the interpreter's recursion limit."""
+def _bounded(command):
+    """`command`, ending with one stderr line where its input nests deeper
+    than the interpreter's recursion limit (exit 2) or a value it prints has
+    more digits than the interpreter converts to text (exit 3)."""
     @functools.wraps(command)
     def bounded(**params):
         try:
@@ -42,6 +45,12 @@ def _depth_bounded(command):
         except RecursionError:
             _say(f"{params['path']}: input nests too deeply to process")
             sys.exit(EXIT_USAGE)
+        except ValueError as ex:
+            if "integer string conversion" not in str(ex):
+                raise
+            _say(f"{params['path']}: a value has more than "
+                 f"{sys.get_int_max_str_digits()} digits, too many to print")
+            sys.exit(EXIT_INCONCLUSIVE)
     return bounded
 
 
@@ -53,7 +62,7 @@ def cli() -> None:
 
 @cli.command()
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@_depth_bounded
+@_bounded
 def typecheck(path: str) -> None:
     """Parse and type a .cg program."""
     try:
@@ -92,7 +101,7 @@ def _parse_rules(text: str | None):
               help="Let the identity prover treat adjacency as a set.")
 @click.option("--strict-residuals", is_flag=True,
               help="Include residual targets in the reported digest.")
-@_depth_bounded
+@_bounded
 def run_cmd(path, scheduler, seed, fuel, trace_path, tlo_rules,
             assume_set_adjacency, strict_residuals) -> None:
     """Reduce a .cg program to its terminal configuration."""

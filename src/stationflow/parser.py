@@ -234,6 +234,14 @@ class _Parser:
     def err(self, tok: Token, msg: str) -> SourceError:
         return SourceError(self.file, tok.line, tok.col, "syntax", msg)
 
+    def integer(self, t: Token) -> int:
+        """The value of INT token `t`."""
+        try:
+            return int(t.text)
+        except ValueError:  # more digits than the interpreter converts
+            msg = f"integer literal of {len(t.text)} digits is too long"
+            raise self.err(t, msg) from None
+
     def expect(self, kind: str, what: str | None = None) -> Token:
         t = self.next()
         if t.kind != kind and not (t.kind == "KW" and t.text == kind):
@@ -290,7 +298,7 @@ class _Parser:
         p = self.expect("INT", "an integer payload")
         self.expect("[")
         adj = self.comma_list(lambda: self.expect("KEYLIT", "a key literal").text)
-        return StationDecl(k.text, int(p.text), tuple(adj), (k.line, k.col))
+        return StationDecl(k.text, self.integer(p), tuple(adj), (k.line, k.col))
 
     ### expressions, loosest binding first
 
@@ -401,7 +409,7 @@ class _Parser:
         t = self.next()
         loc = (t.line, t.col)
         if t.kind == "INT":
-            return Int(int(t.text), loc=loc)
+            return Int(self.integer(t), loc=loc)
         if t.kind == "IDENT":
             return Var(t.text, loc=loc)
         if t.kind == "KEYLIT":
@@ -497,21 +505,24 @@ def parse_file(path) -> Program:
 def _check_closed(e: Expr, file: str) -> None:
     unbound = _first_unbound(e, frozenset())
     if unbound is not None:
-        name, loc = unbound
-        line, col = loc if loc else (0, 0)
+        (line, col), name = unbound
         raise SourceError(file, line, col, "unbound-name", f"name {name!r} is not in scope")
 
 
 def _first_unbound(e: Expr, bound: frozenset[str]):
+    """The position and name of the unbound name in `e` that comes first in
+    the source; a `let` is `App(Lam(body), bound)`, so the children of a
+    term are not in source order."""
     if isinstance(e, Var):
-        return None if e.name in bound else (e.name, e.loc)
+        return None if e.name in bound else (e.loc or (0, 0), e.name)
     if isinstance(e, Lam):
         return _first_unbound(e.body, bound | {e.param})
+    first = None
     for c in children(e):
         bad = _first_unbound(c, bound)
-        if bad:
-            return bad
-    return None
+        if bad and (first is None or bad < first):
+            first = bad
+    return first
 
 
 ### pretty-printer

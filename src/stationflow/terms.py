@@ -14,27 +14,11 @@ from operator import is_
 ### types
 
 @dataclass(frozen=True)
-class TInt:
+class TBase:
+    name: str  # int, key, kl or node
+
     def __str__(self) -> str:
-        return "int"
-
-
-@dataclass(frozen=True)
-class TKey:
-    def __str__(self) -> str:
-        return "key"
-
-
-@dataclass(frozen=True)
-class TKl:
-    def __str__(self) -> str:
-        return "kl"
-
-
-@dataclass(frozen=True)
-class TNode:
-    def __str__(self) -> str:
-        return "node"
+        return self.name
 
 
 @dataclass(frozen=True)
@@ -56,12 +40,12 @@ class TFun:
         return f"({self.param} {arrow} {self.result})"
 
 
-Type = TInt | TKey | TKl | TNode | TFuture | TFun
+Type = TBase | TFuture | TFun
 
-INT = TInt()
-KEY = TKey()
-KL_T = TKl()
-NODE = TNode()
+INT = TBase("int")
+KEY = TBase("key")
+KL_T = TBase("kl")
+NODE = TBase("node")
 
 Loc = tuple[int, int]
 

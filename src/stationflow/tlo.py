@@ -214,7 +214,8 @@ def _simplify(e: Expr, assume_set_adjacency: bool) -> Expr:
 
 
 @lru_cache(maxsize=4096)
-def _prove_identity_cached(fn: Expr, assume_set_adjacency: bool) -> str:
+def prove_identity(fn: Expr, assume_set_adjacency: bool = False) -> str:
+    """proved / refuted / unknown for `fn` being the node identity."""
     norm, done = normalize(fn)
     cand = _simplify(norm if done else fn, assume_set_adjacency)
     verdict = term_equiv(cand, _IDENTITY)
@@ -227,13 +228,9 @@ def _prove_identity_cached(fn: Expr, assume_set_adjacency: bool) -> str:
     return "unknown"
 
 
-def prove_identity(fn: Expr, assume_set_adjacency: bool = False) -> str:
-    """proved / refuted / unknown for `fn` being the node identity."""
-    return _prove_identity_cached(fn, assume_set_adjacency)
-
-
 @lru_cache(maxsize=4096)
-def _prove_commutative_cached(fn: Expr) -> str:
+def prove_commutative(fn: Expr) -> str:
+    """The annotation carries the claim; probing can only take it away."""
     if not (isinstance(fn, Lam) and fn.commutative):
         return "unknown"
     # visit-order invariance is the interchange law f x (f y z) = f y (f x z);
@@ -247,8 +244,3 @@ def _prove_commutative_cached(fn: Expr) -> str:
                 if ok1 and ok2 and lhs != rhs:
                     return "refuted"
     return "proved"
-
-
-def prove_commutative(fn: Expr) -> str:
-    """The annotation carries the claim; probing can only take it away."""
-    return _prove_commutative_cached(fn)

@@ -8,7 +8,7 @@ under its own evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .parser import SourceError
 from .terms import (
@@ -21,34 +21,8 @@ from .terms import (
 F = False
 T = True
 
-
-@dataclass(frozen=True)
-class Env:
-    """Name bindings (right-most wins) plus the cached label typing."""
-
-    names: tuple[tuple[str, Type], ...] = ()
-    labels: tuple[tuple[int, Type], ...] = ()
-
-    def bind(self, name: str, t: Type) -> "Env":
-        return replace(self, names=self.names + ((name, t),))
-
-    def lookup(self, name: str) -> Type | None:
-        for n, t in reversed(self.names):
-            if n == name:
-                return t
-        return None
-
-    def lookup_label(self, label: int) -> Type | None:
-        for l, t in self.labels:
-            if l == label:
-                return t
-        return None
-
-
-def cached_env_insert(env: Env, label: int, value_type: Type) -> Env:
-    """Record a label at the future of its eventual value type."""
-    future = value_type if isinstance(value_type, TFuture) else TFuture(value_type)
-    return replace(env, labels=env.labels + ((label, future),))
+# An environment maps each name (a str) and label (an int) in scope to its
+# type; a binder extends it as `{**env, name: type}`, leaving `env` as it was.
 
 
 def _err(file: str, loc, rule: str, msg: str) -> SourceError:
@@ -70,143 +44,139 @@ def _emit_locs(e: Expr):
         yield from _emit_locs(c)
 
 
-def type_of_expr(e: Expr, env: Env | None = None, file: str = "<program>") -> tuple[Type, bool]:
-    """Type and effect of an expression, or a SourceError diagnostic."""
-    if env is None:
-        env = Env()
-    return _ty(e, env, file)
+def type_of_expr(e: Expr, file: str = "<program>") -> tuple[Type, bool]:
+    """Type and effect of a closed expression, or a SourceError diagnostic."""
+    return _ty(e, {}, file)
 
 
-def _ty(e: Expr, env: Env, file: str) -> tuple[Type, bool]:
-    match e:
-        case Int():
-            return INT, F
-        case Key():
-            return KEY, F
-        case Var(name):
-            t = env.lookup(name)
-            if t is None:
-                raise _err(file, e.loc, "T-Var", f"name {name!r} is not in scope")
-            return t, F
-        case Label(index):
-            t = env.lookup_label(index)
-            if t is None:
-                raise _err(file, e.loc, "RT-Future",
-                           f"label %{index} is not bound here (forward reference?)")
-            return t, F
-        case App(Lam(param, None, body), bound):
+# form -> (rule, the type each operand must have, result type, diagnostic).
+# Every operand is typed, left to right, before the first is checked; the
+# first one of the wrong type fails with the diagnostic formatted with the
+# term `e` and the operand types in order.  A tuple holds one diagnostic per
+# operand, placed at that operand; a string serves every operand and is
+# placed at the term.
+_FIXED = {
+    Node: ("T-Node", (KEY, INT, KL_T), NODE, (
+        "node key has type {0}, expected key",
+        "node payload has type {1}, expected int",
+        "node adjacency has type {2}, expected kl")),
+    Concat: ("T-KSA", (KL_T, KL_T), KL_T,
+             "key-list operator applied to {0} and {1}"),
+    Subtract: ("T-KSS", (KL_T, KL_T), KL_T,
+               "key-list operator applied to {0} and {1}"),
+    Arith: ("T-Arith", (INT, INT), INT, "'{e.op}' applied to {0} and {1}"),
+    Len: ("T-Len", (KL_T,), INT, "len argument has type {0}, expected kl"),
+}
+
+
+def _ty(e: Expr, env: dict, file: str) -> tuple[Type, bool]:
+    # one frame per term level: every form recurses from here
+    cls = type(e)
+    if cls is Var:
+        t = env.get(e.name)
+        if t is None:
+            raise _err(file, e.loc, "T-Var", f"name {e.name!r} is not in scope")
+        return t, F
+    if cls is Int:
+        return INT, F
+    if cls is Key:
+        return KEY, F
+    if cls is App:
+        fn, arg = e.fn, e.arg
+        if type(fn) is Lam and fn.ptype is None:
             # let-binding: the abstraction exists only to be applied right here
-            bt, be = _ty(bound, env, file)
-            rt, re_ = _ty(body, env.bind(param, bt), file)
+            bt, be = _ty(arg, env, file)
+            rt, re_ = _ty(fn.body, {**env, fn.param: bt}, file)
             return rt, be or re_
-        case Lam(param, ptype, body):
-            if ptype is None:
-                raise _err(file, e.loc, "T-Abs",
-                           f"parameter {param!r} needs a type annotation")
-            rt, re_ = _ty(body, env.bind(param, ptype), file)
-            return TFun(ptype, re_, rt), F
-        case App(fn, arg):
-            ft, fe = _ty(fn, env, file)
-            at, ae = _ty(arg, env, file)
-            if not isinstance(ft, TFun):
-                raise _err(file, e.loc, "T-App",
-                           f"cannot apply a value of type {ft}")
-            if ft.param != at:
-                raise _err(file, arg.loc or e.loc, "T-App",
-                           f"argument has type {at}, expected {ft.param}")
-            return ft.result, ft.eff or fe or ae
-        case Fix(fn):
-            ft, fe = _ty(fn, env, file)
-            if not (isinstance(ft, TFun) and ft.param == ft.result):
-                raise _err(file, e.loc, "T-Fix",
-                           f"fix needs a function from a type to itself, got {ft}")
-            return ft.param, ft.eff or fe
-        case KL(items):
-            eff = F
-            for item in items:
-                it, ie = _ty(item, env, file)
-                if it != KEY:
-                    raise _err(file, item.loc or e.loc, "T-KS",
-                               f"key list element has type {it}, expected key")
-                eff = eff or ie
-            return KL_T, eff
-        case Node(k, p, a):
-            kt, ke = _ty(k, env, file)
-            pt, pe = _ty(p, env, file)
-            at, ae = _ty(a, env, file)
-            if kt != KEY:
-                raise _err(file, k.loc or e.loc, "T-Node",
-                           f"node key has type {kt}, expected key")
-            if pt != INT:
-                raise _err(file, p.loc or e.loc, "T-Node",
-                           f"node payload has type {pt}, expected int")
-            if at != KL_T:
-                raise _err(file, a.loc or e.loc, "T-Node",
-                           f"node adjacency has type {at}, expected kl")
-            return NODE, ke or pe or ae
-        case Proj(index, arg):
-            at, ae = _ty(arg, env, file)
-            if at != NODE:
-                raise _err(file, e.loc, f"T-ENode{index}",
-                           f"projection argument has type {at}, expected node")
-            return (KEY, INT, KL_T)[index - 1], ae
-        case Concat(l, r) | Subtract(l, r):
-            rule = "T-KSA" if isinstance(e, Concat) else "T-KSS"
-            lt, le = _ty(l, env, file)
-            rt, re_ = _ty(r, env, file)
-            if lt != KL_T or rt != KL_T:
-                raise _err(file, e.loc, rule,
-                           f"key-list operator applied to {lt} and {rt}")
-            return KL_T, le or re_
-        case Arith(op, l, r):
-            lt, le = _ty(l, env, file)
-            rt, re_ = _ty(r, env, file)
-            if lt != INT or rt != INT:
-                raise _err(file, e.loc, "T-Arith",
-                           f"'{op}' applied to {lt} and {rt}")
-            return INT, le or re_
-        case If0(s, th, el):
-            st, se = _ty(s, env, file)
-            if st != INT:
-                raise _err(file, s.loc or e.loc, "T-If0",
-                           f"condition has type {st}, expected int")
-            tt, te = _ty(th, env, file)
-            et, ee = _ty(el, env, file)
-            if tt != et:
-                raise _err(file, e.loc, "T-If0",
-                           f"branches disagree: {tt} versus {et}")
-            return tt, se or te or ee
-        case Len(arg):
-            at, ae = _ty(arg, env, file)
-            if at != KL_T:
-                raise _err(file, e.loc, "T-Len",
-                           f"len argument has type {at}, expected kl")
-            return INT, ae
-        case Claim(arg):
-            at, ae = _ty(arg, env, file)
-            if not isinstance(at, TFuture):
-                raise _err(file, e.loc, "T-Claim",
-                           f"claim argument has type {at}, expected a future")
-            return at.inner, ae
-        case Emit():
-            return _ty_emit(e, env, file)
+        ft, fe = _ty(fn, env, file)
+        at, ae = _ty(arg, env, file)
+        if not isinstance(ft, TFun):
+            raise _err(file, e.loc, "T-App", f"cannot apply a value of type {ft}")
+        if ft.param != at:
+            raise _err(file, arg.loc or e.loc, "T-App",
+                       f"argument has type {at}, expected {ft.param}")
+        return ft.result, ft.eff or fe or ae
+    row = _FIXED.get(cls)
+    if row is not None:
+        rule, wants, result, diagnostic = row
+        operands = children(e)
+        types: list[Type] = []
+        eff = F
+        for c in operands:
+            t, ce = _ty(c, env, file)
+            types.append(t)
+            eff = eff or ce
+        for i, (c, t, want) in enumerate(zip(operands, types, wants)):
+            if t != want:
+                at_operand = isinstance(diagnostic, tuple)
+                raise _err(file, at_operand and c.loc or e.loc, rule,
+                           (diagnostic[i] if at_operand else diagnostic)
+                           .format(*types, e=e))
+        return result, eff
+    if cls is Lam:
+        if e.ptype is None:
+            raise _err(file, e.loc, "T-Abs",
+                       f"parameter {e.param!r} needs a type annotation")
+        rt, re_ = _ty(e.body, {**env, e.param: e.ptype}, file)
+        return TFun(e.ptype, re_, rt), F
+    if cls is Proj:
+        at, ae = _ty(e.arg, env, file)
+        if at != NODE:
+            raise _err(file, e.loc, f"T-ENode{e.index}",
+                       f"projection argument has type {at}, expected node")
+        return (KEY, INT, KL_T)[e.index - 1], ae
+    if cls is KL:
+        eff = F
+        for item in e.items:
+            it, ie = _ty(item, env, file)
+            if it != KEY:
+                raise _err(file, item.loc or e.loc, "T-KS",
+                           f"key list element has type {it}, expected key")
+            eff = eff or ie
+        return KL_T, eff
+    if cls is Label:
+        t = env.get(e.index)
+        if t is None:
+            raise _err(file, e.loc, "RT-Future",
+                       f"label %{e.index} is not bound here (forward reference?)")
+        return t, F
+    if cls is Claim:
+        at, ae = _ty(e.arg, env, file)
+        if not isinstance(at, TFuture):
+            raise _err(file, e.loc, "T-Claim",
+                       f"claim argument has type {at}, expected a future")
+        return at.inner, ae
+    if cls is If0:
+        st, se = _ty(e.scrut, env, file)
+        if st != INT:
+            raise _err(file, e.scrut.loc or e.loc, "T-If0",
+                       f"condition has type {st}, expected int")
+        tt, te = _ty(e.then, env, file)
+        et, ee = _ty(e.els, env, file)
+        if tt != et:
+            raise _err(file, e.loc, "T-If0", f"branches disagree: {tt} versus {et}")
+        return tt, se or te or ee
+    if cls is Fix:
+        ft, fe = _ty(e.fn, env, file)
+        if not (isinstance(ft, TFun) and ft.param == ft.result):
+            raise _err(file, e.loc, "T-Fix",
+                       f"fix needs a function from a type to itself, got {ft}")
+        return ft.param, ft.eff or fe
+    if cls is Emit:
+        kind = OPERATIONS[type(e.op)]
+        rule = f"T-{kind.keyword.capitalize()}"
+        for arg, (role, want) in zip(op_args(e.op), kind.args):
+            t, _ = _ty(arg, env, file)
+            if t == want:
+                continue
+            if _without_effects(t) == want:
+                raise _err(file, _find_emit_loc(arg) or arg.loc or e.loc, rule,
+                           f"{role} may emit; graph operations must be emission-free")
+            raise _err(file, arg.loc or e.loc, rule,
+                       f"add takes an int payload, got {t}" if isinstance(e.op, AddOp)
+                       else f"{role} has type {t}, expected {want}")
+        return kind.future, T
     raise TypeError(e)
-
-
-def _ty_emit(e: Emit, env: Env, file: str) -> tuple[Type, bool]:
-    kind = OPERATIONS[type(e.op)]
-    rule = f"T-{kind.keyword.capitalize()}"
-    for arg, (role, want) in zip(op_args(e.op), kind.args):
-        t, _ = _ty(arg, env, file)
-        if t == want:
-            continue
-        if _without_effects(t) == want:
-            raise _err(file, _find_emit_loc(arg) or arg.loc or e.loc, rule,
-                       f"{role} may emit; graph operations must be emission-free")
-        raise _err(file, arg.loc or e.loc, rule,
-                   f"add takes an int payload, got {t}" if isinstance(e.op, AddOp)
-                   else f"{role} has type {t}, expected {want}")
-    return kind.future, T
 
 
 def _without_effects(t: Type) -> Type:
@@ -222,10 +192,10 @@ def _without_effects(t: Type) -> Type:
 class ConfigType:
     frontend: Type
     effect: bool
-    env: Env = field(compare=False, default=Env())
 
 
-def _ty_stream(units, env: Env, file: str, where: str, allow_add: bool) -> Env:
+def _ty_stream(units, env: dict, file: str, where: str, allow_add: bool) -> None:
+    """Type each unit's operations under `env`, then bind its labels there."""
     for unit in units:
         for label, op in unit.entries:
             if isinstance(op, AddOp) and not allow_add:
@@ -241,17 +211,14 @@ def _ty_stream(units, env: Env, file: str, where: str, allow_add: bool) -> Env:
                     raise _err(file, arg.loc, "RT-StreamUnit",
                                f"{role} in {where} may emit")
         for label, op in unit.entries:
-            if env.lookup_label(label) is not None:
-                raise _err(file, None, "RT-Stream",
-                           f"label %{label} bound twice in {where}")
-            env = cached_env_insert(env, label, OPERATIONS[type(op)].future)
-    return env
+            env[label] = OPERATIONS[type(op)].future
 
 
 def type_of_config(config, file: str = "<config>") -> ConfigType:
     """Type a whole configuration, oldest zone first: store, back stations,
-    forward stations, top stream, frontend.  Raises on ill-typed input."""
-    env = Env()
+    forward stations, top stream, frontend.  Raises on ill-typed input.
+    Each label is bound at the future of its eventual value type."""
+    env: dict = {}
     seen_labels: set[int] = set()
 
     def claim_label(label: int, where: str) -> None:
@@ -262,11 +229,11 @@ def type_of_config(config, file: str = "<config>") -> ConfigType:
 
     for label, entry in config.store:
         claim_label(label, "the store")
-        vt, ve = _ty(entry.value, Env(), file)
+        vt, ve = _ty(entry.value, {}, file)
         if ve:
             raise _err(file, None, "RT-Configuration",
                        f"stored value at %{label} may emit")
-        env = cached_env_insert(env, label, vt)
+        env[label] = vt if isinstance(vt, TFuture) else TFuture(vt)
 
     keys_seen: set[str] = set()
     for station in config.backend:
@@ -289,13 +256,13 @@ def type_of_config(config, file: str = "<config>") -> ConfigType:
         for unit in station.streamlet:
             for label, _ in unit.entries:
                 claim_label(label, "a streamlet")
-        env = _ty_stream(station.streamlet, env, file, "a station streamlet",
-                         allow_add=False)
+        _ty_stream(station.streamlet, env, file, "a station streamlet",
+                   allow_add=False)
 
     for unit in config.top:
         for label, _ in unit.entries:
             claim_label(label, "the top stream")
-    env = _ty_stream(config.top, env, file, "the top stream", allow_add=True)
+    _ty_stream(config.top, env, file, "the top stream", allow_add=True)
 
     ft, fe = _ty(config.frontend, env, file)
-    return ConfigType(ft, fe, env)
+    return ConfigType(ft, fe)

@@ -4,6 +4,7 @@ stderr, trace files."""
 import dataclasses
 import itertools
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -57,6 +58,15 @@ class TestTypecheck:
         assert r.exit_code == 2
         assert r.stderr == (f"{p}:1:1: syntax: unexpected character "
                             "'\u00b2'\n")
+
+    def test_overlong_literal_exits_2(self, runner, tmp_path):
+        # past the interpreter's limit on the digits `int` reads
+        p = tmp_path / "big.cg"
+        p.write_text("1" * 5000)
+        r = runner.invoke(cli, ["typecheck", str(p)])
+        assert r.exit_code == 2
+        assert r.stderr == (f"{p}:1:1: syntax: integer literal of 5000"
+                            " digits is too long\n")
 
 
 class TestRun:
@@ -124,6 +134,19 @@ class TestRun:
                                 "--fuel", "5"])
         assert r.exit_code == 3
         assert json.loads(r.stdout)["status"] == "fuel"
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_overlong_value_exits_3(self, runner, tmp_path, trace):
+        # 10 squared 13 times has 8,193 digits, more than `str` prints
+        p = tmp_path / "big.cg"
+        p.write_text("let sq = fun x : int -> x * x in "
+                     + "sq (" * 13 + "10" + ")" * 13)
+        args = ["--trace", str(tmp_path / "t.jsonl")] if trace else []
+        r = runner.invoke(cli, ["run", str(p), *args])
+        assert r.exit_code == 3
+        assert r.stderr.splitlines() == [
+            f"{p}: a value has more than {sys.get_int_max_str_digits()}"
+            " digits, too many to print"]
 
 
 LET_CHAIN = "let x0 = 0 in\n" + "".join(

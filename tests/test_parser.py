@@ -149,6 +149,18 @@ class TestErrors:
         msg = err_of("x + 1")
         assert "unbound" in msg and "x" in msg
 
+    # a `let` is `App(Lam(body), bound)`: the name reported is the one
+    # first in the source, not the first the term's children reach
+    @pytest.mark.parametrize("text, col", [
+        ("let a = y in z", 9),
+        ("let a = 1 in let b = y in z", 22),
+        ("(fun x : int -> z) y", 17),
+    ])
+    def test_first_unbound_name_in_source(self, text, col):
+        name = text[col - 1]
+        assert err_of(text) == (f"t.cg:1:{col}: unbound-name: name {name!r}"
+                                " is not in scope")
+
     def test_reserved_dollar_names(self):
         msg = err_of("let $z = 1 in $z")
         assert "$" in msg

@@ -1,16 +1,23 @@
 """Static typing of programs and runtime typing of configurations,
 including the emission-effect discipline on operation functions."""
 
+import dataclasses
+import hashlib
+import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from stationflow import engine, state
+from stationflow import engine, harness, state
 from stationflow.engine import apply_redex, enumerate_redexes
-from stationflow.parser import SourceError, parse_source
+from stationflow.parser import (
+    INFIX, SourceError, Token, _check_closed, _Parser, parse_source, tokenize,
+)
 from stationflow.terms import (
-    INT, KEY, KL_T, NODE, AddOp, FoldOp, Int, Key, KL, MapOp, Node, TFun,
-    TFuture,
+    INT, KEY, KL_T, NODE, AddOp, Claim, FoldOp, Int, Key, KL, Label, Lam,
+    MapOp, Node, TFun, TFuture, Var,
 )
 from stationflow.types import type_of_config, type_of_expr
 
@@ -169,6 +176,24 @@ class TestConfigTyping:
         ct = type_of_config(r.config)
         assert ct.frontend == INT and not ct.effect
 
+    # a label may be bound once in the whole configuration
+    @pytest.mark.parametrize("store, streamlet, top, msg", [
+        ((), (), (state.Unit(((0, AddOp(Int(1))), (0, AddOp(Int(2))))),),
+         "label %0 appears in both the top stream"),
+        (((3, state.StoreEntry(Int(5), ())),),
+         (state.singleton(3, MapOp(Lam("x", NODE, Var("x")), KL(()))),), (),
+         "label %3 appears in both a streamlet"),
+        ((), (), tuple(state.singleton(i, AddOp(Int(i))) for i in (1, 2, 1)),
+         "label %1 appears in both the top stream"),
+    ], ids=["one-unit", "store-and-streamlet", "top-stream"])
+    def test_repeated_label(self, store, streamlet, top, msg):
+        station = state.Station(Node(Key("a"), Int(1), KL(())), streamlet)
+        config = state.Configuration((station,), top, store, Int(0))
+        with pytest.raises(SourceError) as ei:
+            type_of_config(config)
+        assert str(ei.value) == (f"<config>:0:0: RT-Configuration: {msg}"
+                                 " and an older zone")
+
 
 class TestOperationDiagnostics:
     """The full text of every operation diagnostic, one case per emit rule
@@ -271,3 +296,103 @@ class TestOperationDiagnostics:
                                 " found inside a station streamlet")
             else:
                 assert text == f"<config>:{pos}: RT-StreamUnit: {msg}"
+
+
+# sha256 over `type_of_expr`'s result or diagnostic for every corpus program,
+# small benchmark programs and token-level mutations of them, and over
+# `type_of_config`'s result or diagnostic at each configuration of seeded
+# walks with rewrites on, also with the frontend swapped for a claim of a
+# drawn label; a change to a type rule or to a diagnostic's wording or position
+# updates it on purpose and says so
+GOLDEN_TYPING = (
+    "adc272cb100059a44c609292c09560e3877e6f8496c07f6413f75d9769c0c23e")
+
+
+def _typing_sources():
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent
+                           / "perfbench"))
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        import programs
+    finally:
+        sys.path.pop(0)
+        sys.dont_write_bytecode = dont_write
+    sources = [harness.corpus_text(n)
+               for n in harness.RUNNABLE + harness.REJECTED]
+    sources += [programs.scale_program(4, 2, random.Random(0)).source,
+                programs.mix_program(4, 1, random.Random(1)).source]
+    return sources
+
+
+def _mutations(sources, rng, count):
+    """`count` programs that parse, each from one source's tokens with one
+    token deleted, doubled, swapped with the next or replaced by a token of
+    its class in any source: operands, infix operators, keywords."""
+    streams = [tokenize(s, "m.cg") for s in sources]
+
+    def kind(k):
+        return ("operand" if k in ("INT", "KEYLIT", "IDENT")
+                else "infix" if k in INFIX else k)
+
+    vocab: dict[str, list] = {}
+    for k, text in sorted({(t.kind, t.text) for toks in streams for t in toks}):
+        vocab.setdefault(kind(k), []).append((k, text))
+    made = 0
+    while made < count:
+        toks = list(rng.choice(streams))
+        i = rng.randrange(len(toks) - 1)  # never the end-of-input token
+        how = rng.randrange(4)
+        if how == 0:
+            del toks[i]
+        elif how == 1:
+            toks.insert(i, toks[i])
+        elif how == 2:
+            toks[i], toks[i + 1] = toks[i + 1], toks[i]
+        else:
+            t = toks[i]
+            toks[i] = Token(*rng.choice(vocab[kind(t.kind)]), t.line, t.col)
+        try:
+            # the parser behind `parse_source`, on the tokens directly
+            prog = _Parser(toks, "m.cg").program()
+            _check_closed(prog.expr, "m.cg")
+        except SourceError:
+            continue
+        made += 1
+        yield prog
+
+
+def test_typing_is_pinned():
+    h = hashlib.sha256()
+
+    def record(typed, *args):
+        try:
+            text = str(typed(*args))
+        except SourceError as ex:
+            text = str(ex)
+        h.update(text.encode() + b"\n")
+
+    def expr_type(prog):
+        t, eff = type_of_expr(prog.expr, file="m.cg")
+        return f"{t} {eff}"
+
+    def config_type(config):
+        ct = type_of_config(config)
+        return f"{ct.frontend} {ct.effect}"
+
+    sources = _typing_sources()
+    for src in sources:
+        record(expr_type, parse_source(src, "m.cg"))
+    for prog in _mutations(sources, random.Random(13), 3000):
+        record(expr_type, prog)
+    walked = [*map(harness.corpus_text, harness.RUNNABLE), *sources[-2:]]
+    claims = random.Random(14)
+    for src in walked:
+        for seed in range(2):
+            walk = harness._walk(state.init(parse_source(src, "m.cg")),
+                                 random.Random(seed), tlo_on=True)
+            for config, _, _ in itertools.islice(walk, 120):
+                record(config_type, config)
+                label = claims.randrange(config.next_label + 1)
+                record(config_type, dataclasses.replace(
+                    config, frontend=Claim(Label(label))))
+    assert h.hexdigest() == GOLDEN_TYPING
