@@ -13,26 +13,29 @@ an index of what its scheduler draws from: per station the plain redexes
 that step now and the rewrite candidates window by window, with counts; the
 stations that are not idle, which decide terminality; and the stations with
 a load site waiting on each label.  It rebuilds only the stations a step
-touched and, after a store write, those waiting on a written label.  The
-redex search records its hole as a path of child positions, along which the
-Load and frontend rules plug the contractum.  What the redex search finds
-in a term is kept on the term (see `state`), except by `eager_enumerate` for
-the wet station, which every eager step replaces.
+touched and, after a store write, those waiting on a written label; `det`
+builds a station's windows only when no plain redex is left, and the
+frontend and routing redexes are rebuilt only when the fields they read
+change.  The redex search records its hole as a path of child positions,
+along which the Load and frontend rules plug the contractum.  What the
+redex search finds in a term is kept on the term (see `state`), except by
+`eager_enumerate` for the wet station, which every eager step replaces.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
+from operator import is_not
 
 from . import tlo
 from .state import (
-    Configuration, Station, StoreEntry, append_station_tail, append_top,
-    config_digest, finalize, fresh_key_name, is_value, keep, merge_results,
-    singleton, station_is_load_free, target,
+    Configuration, Station, StoreEntry, append_station_tail,
+    config_digest, evolve, finalize, fresh_key_name, is_value, keep,
+    merge_results, singleton, station_is_load_free, target,
 )
 from .terms import (
     CONTRACTIONS, AddOp, App, Claim, Emit, Expr, FoldOp, Int, KL, Key, Label,
@@ -271,26 +274,26 @@ def _frontend(config: Configuration, r: Redex) -> Stepped:
     spine, e = _descend(config.frontend, r.path)
     if isinstance(e, Emit):
         label = config.next_label
-        config = replace(config, frontend=_plug(spine, Label(label)),
-                         next_label=label + 1)
-        return append_top(config, singleton(label, e.op)), [label]
+        return evolve(config, frontend=_plug(spine, Label(label)),
+                      top=config.top + (singleton(label, e.op),),
+                      next_label=label + 1), [label]
     result = _contract(e, config.store_get)
     assert not isinstance(result, Blocked), "frontend claim applied while blocked"
     labels = [e.arg.index] if isinstance(e, Claim) else []
-    return replace(config, frontend=_plug(spine, result)), labels
+    return evolve(config, frontend=_plug(spine, result)), labels
 
 
 def _route(config: Configuration, r: Redex) -> Stepped:
     """Add, Empty or First: the head of the routing queue leaves it."""
     head = config.top[0]
     (label, op), = head.entries
-    config = replace(config, top=config.top[1:])
+    config = evolve(config, top=config.top[1:])
     if isinstance(op, AddOp):
         assert isinstance(op.arg, Int)
         kname = fresh_key_name(config.next_key)
         new_station = Station(Node(Key(kname), op.arg, KL(())))
-        config = replace(config, backend=(new_station,) + config.backend,
-                         next_key=config.next_key + 1)
+        config = evolve(config, backend=(new_station,) + config.backend,
+                        next_key=config.next_key + 1)
         return merge_results(config, {label: StoreEntry(Key(kname), ())}), [label]
     if not config.backend:
         return merge_results(config, dict([finalize(label, op)])), [label]
@@ -299,7 +302,7 @@ def _route(config: Configuration, r: Redex) -> Stepped:
 
 def _set_station(config: Configuration, i: int, station: Station) -> Configuration:
     backend = config.backend[:i] + (station,) + config.backend[i + 1:]
-    return replace(config, backend=backend)
+    return evolve(config, backend=backend)
 
 
 def _visit(config: Configuration, r: Redex) -> Stepped:
@@ -323,7 +326,7 @@ def _finish(config: Configuration, r: Redex) -> Stepped:
     """Complete or Last: the head operation settles into the store."""
     station = config.backend[r.station]
     (label, op), = station.streamlet[0].entries
-    station = replace(station, streamlet=station.streamlet[1:])
+    station = Station(station.node, station.streamlet[1:])
     config = _set_station(config, r.station, station)
     return merge_results(config, dict([finalize(label, op)])), [label]
 
@@ -333,10 +336,10 @@ def _prop(config: Configuration, r: Redex) -> Stepped:
     i = r.station
     station, nxt = config.backend[i:i + 2]
     unit = station.streamlet[0]
-    pair = (replace(station, streamlet=station.streamlet[1:]),
-            replace(nxt, streamlet=nxt.streamlet + (unit,)))
+    pair = (Station(station.node, station.streamlet[1:]),
+            Station(nxt.node, nxt.streamlet + (unit,)))
     backend = config.backend[:i] + pair + config.backend[i + 2:]
-    return replace(config, backend=backend), list(unit.labels())
+    return evolve(config, backend=backend), list(unit.labels())
 
 
 def _load_term(config: Configuration, e: Expr, path: tuple[int, ...]) -> Expr:
@@ -352,14 +355,15 @@ def _load_term(config: Configuration, e: Expr, path: tuple[int, ...]) -> Expr:
 def _load(config: Configuration, r: Redex) -> Stepped:
     i, unit, station = r.station, r.unit, config.backend[r.station]
     if unit is None:
-        station = replace(station, node=_load_term(config, station.node, r.path))
+        station = Station(_load_term(config, station.node, r.path),
+                          station.streamlet)
         return _set_station(config, i, station), []
     (label, op), = station.streamlet[unit].entries
     assert isinstance(op, FoldOp)
     result = _load_term(config, op.base, r.path)
     new_unit = singleton(label, FoldOp(op.fn, result, op.ks))
     streamlet = station.streamlet[:unit] + (new_unit,) + station.streamlet[unit + 1:]
-    station = replace(station, streamlet=streamlet)
+    station = Station(station.node, streamlet)
     return _set_station(config, i, station), [label]
 
 
@@ -466,11 +470,14 @@ class _Index:
         self.last_opt = None
         self.busy = {i for i, s in enumerate(config.backend) if not s.idle}
         self.stale = set(range(n))
+        self.unwindowed = set()  # stations whose windows are stale
         self.plain = [()] * n  # the plain redexes that step now
         self.cands, self.ncand = [()] * n, [0] * n  # `tlo.station_windows`
         self.windows = [{} for _ in range(n)]
+        self.verdicts = {}  # `tlo.window_candidates`' table, for this run
         self.waiting: dict[int, set[int]] = {}  # label -> stations
         self.nplain = self.ncands = 0
+        self.front_of = (None,) * 4  # the fields `front` was built from
 
     def terminal(self) -> bool:
         c = self.config
@@ -491,24 +498,30 @@ class _Index:
                 self.stale |= self.waiting.pop(label, set())
 
     def refresh(self, cands: bool) -> int:
-        """Rebuild the stale stations, with their candidates if `cands`, and
-        count the plain redexes."""
-        config = self.config
+        """Rebuild the stale stations and, if `cands`, the windows of every
+        station rebuilt since they were last built; count the plain redexes."""
+        config, stale = self.config, self.stale
         last = len(config.backend) - 1
-        for i in self.stale:
+        for i in stale:
             self.nplain -= len(self.plain[i])
             self.plain[i] = _station_plain(config, i, i == last, self.waiting)
             self.nplain += len(self.plain[i])
-            if cands:
+        self.unwindowed |= stale
+        stale.clear()
+        if cands:
+            for i in self.unwindowed:
                 self.cands[i] = tlo.station_windows(
                     config.backend[i], self.rules, self.adjacency,
-                    self.windows[i])
+                    self.windows[i], self.verdicts)
                 n = sum(map(len, self.cands[i]))
                 self.ncands += n - self.ncand[i]
                 self.ncand[i] = n
-        self.stale.clear()
-        self.front = [r for r in (frontend_redex(config), tograph_redex(config))
-                      if isinstance(r, Redex)]
+            self.unwindowed.clear()
+        front_of = (config.frontend, config.top, config.store, not config.backend)
+        if any(map(is_not, front_of, self.front_of)):
+            self.front_of, self.front = front_of, [
+                r for r in (frontend_redex(config), tograph_redex(config))
+                if isinstance(r, Redex)]
         return len(self.front) + self.nplain
 
     def plain_at(self, k: int) -> Redex:
@@ -543,7 +556,8 @@ def _det(ix: _Index, rng) -> Redex | None:
     # are built only when no structural redex exists.
     if ix.refresh(cands=False):
         return ix.plain_at(0)
-    cands = tlo.candidates(ix.config)
+    ix.refresh(cands=True)
+    cands = [c for i, cs in enumerate(ix.cands) for c in tlo.placed(i, cs)]
     # unbatch only: strictly increases the unit count, so the fallback
     # cannot cycle the way batch or the reorders can
     unb = [c for c in cands if c.rule == "unbatch"]
@@ -587,6 +601,8 @@ def run(config: Configuration, scheduler: str = "eager", seed: int = 0,
     choose = SCHEDULERS.get(scheduler)
     if choose is None:
         raise ValueError(f"unknown scheduler {scheduler!r}")
+    if scheduler == "det":  # its fallback may unbatch whatever the rules
+        tlo_rules = None
     rng = random.Random(seed)
     records: list[StepRecord] = []
     ix = _Index(config, tlo_rules, assume_set_adjacency)

@@ -135,6 +135,8 @@ _PUNCT = [
     "->!", "->", "++", "\\\\", "(", ")", "[", "]", "{", "}",
     ",", ":", ";", "|", "+", "-", "*", "/", "=",
 ]
+# first character -> the punctuation starting with it, longest first
+_PUNCT_AT = {p[0]: [q for q in _PUNCT if q[0] == p[0]] for p in _PUNCT}
 
 
 @dataclass(frozen=True)
@@ -187,7 +189,7 @@ def tokenize(src: str, file: str) -> list[Token]:
             col += j - i
             i = j
             continue
-        for p in _PUNCT:
+        for p in _PUNCT_AT.get(c, ()):
             if src.startswith(p, i):
                 toks.append(Token(p, p, line, col))
                 col += len(p)

@@ -5,18 +5,21 @@ Structural conventions
  - generated keys live in the "@k<i>" namespace, labels are plain ints
  - a unit is an ordered sequence of label/operation pairs; the head of a
    stream is index 0
- - station-local facts (`Station.loaded`, `Station.idle`) are memoized on the
-   immutable `Station`, which a step that does not touch it carries over
-   unchanged, and are all a station keeps besides its digest text (below);
-   configuration-wide facts (`is_dry`, `is_terminal`) are not cached, but
-   `engine.run` keeps its own index across steps (see `engine`)
- - what the redex search finds in a non-value term is kept on the term with
-   `keep`, as the term alone decides it: the rule, the label a Claim waits
-   on and the hole path, or the Stuck reason.  The redex node is not kept:
-   it can be the term itself, a cycle only the collector frees
+ - a fact decided by one immutable object alone is kept on it with `keep`
+   and read again wherever a step carries the object over: a station's
+   `loaded`; an operation's target (`_target`, False standing for None);
+   and what the redex search finds in a non-value term (`_step`: the rule,
+   the label a Claim waits on and the hole path, or the Stuck reason, but
+   not the redex node, which can be the term itself, a cycle only the
+   collector frees).  Configuration-wide facts (`is_dry`, `is_terminal`)
+   are not cached, but `engine.run` keeps an index across steps
  - `engine.run`'s window table for a station's rewrite candidates is keyed
-   by the identities of a window's two units and lives in the run, not on
-   `Unit`, so a replaced neighbour is freed once its station is rebuilt
+   by the identities of a window's two units, and its verdict table
+   (`tlo._verdict`) by the identities of the functions and key list that
+   alone decide a pair rule's `dcomp` or verdict; an entry holds what its
+   key names, so no other object takes those identities, and both tables
+   live in the run (an Add starts afresh), so a replaced neighbour is freed
+   with its station and nothing outlives the run
  - the `to_sexpr` text of every closed compound term is kept on the
    immutable term, and the JSON text `config_digest` writes for a station
    (node text and streamlet), a unit (its `[label, operation]` pairs) and a
@@ -24,16 +27,15 @@ Structural conventions
    traced step encodes only the objects it built; nothing kept is built by
    iterating a set or dict in hash order
  - kept values live in the instance `__dict__`, which `__eq__` and
-   `__hash__` do not read, and `dataclasses.replace` builds a new object
-   that keeps nothing
+   `__hash__` do not read; a new object starts with nothing kept, whether
+   a step builds it directly, with `evolve` or with `dataclasses.replace`
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 
 from .parser import Program
 from .terms import (
@@ -69,14 +71,14 @@ class Station:
     node: Expr  # a node constructor, fully evaluated once loaded
     streamlet: tuple[Unit, ...] = ()
 
-    # Lazy, so `init` and short runs pay only for the stations they test.
-    # `cached_property` writes the instance `__dict__`, so no `slots=True`.
-    @cached_property
+    # Lazy, so `init` and short runs pay only for the stations they test;
+    # kept with `keep`, as `cached_property` takes a lock on Python 3.10/11.
+    @property
     def loaded(self) -> bool:
         """The node is a value."""
-        return is_value(self.node)
+        return keep(self, "loaded", is_value, self.node)
 
-    @cached_property
+    @property
     def idle(self) -> bool:
         """Loaded, with nothing left in the streamlet."""
         return self.loaded and not self.streamlet
@@ -108,6 +110,16 @@ def keep(obj, name: str, make, *args):
     return hit
 
 
+def evolve(c: Configuration, **changes) -> Configuration:
+    """`c` with the fields in `changes` replaced, built directly: cheaper
+    than `dataclasses.replace`, and like it keeping nothing of `c`'s."""
+    get = changes.get
+    return Configuration(get("backend", c.backend), get("top", c.top),
+                         get("store", c.store), get("frontend", c.frontend),
+                         get("next_label", c.next_label),
+                         get("next_key", c.next_key))
+
+
 def fresh_key_name(index: int) -> str:
     return f"@k{index}"
 
@@ -127,34 +139,30 @@ def init(program: Program) -> Configuration:
 
 def target(op: Operation) -> tuple[str, ...] | None:
     """Keys an operation still wants, or None where that is undefined
-    (add operations, and operations whose key list is still loading)."""
+    (add operations, and operations whose key list is still loading);
+    kept on the operation, False standing for None."""
+    kept = keep(op, "_target", _target, op)
+    return None if kept is False else kept
+
+
+def _target(op: Operation) -> tuple[str, ...] | bool:
     match op:
         case MapOp(_, KL(items)) | FoldOp(_, _, KL(items)):
             if all(isinstance(i, Key) for i in items):
                 return tuple(i.name for i in items)
-            return None
-        case _:
-            return None
+    return False
 
 
 def finalize(label: int, op: Operation) -> tuple[int, StoreEntry]:
     """Store form of a finished operation: maps resolve to 0, folds to
     their base value; the unconsumed target keys ride along."""
-    match op:
-        case MapOp(_, ks):
-            residual = target(op)
-            assert residual is not None
-            return label, StoreEntry(Int(0), residual)
-        case FoldOp(_, base, ks):
-            assert is_value(base), "fold base must be loaded before finalizing"
-            residual = target(op)
-            assert residual is not None
-            return label, StoreEntry(base, residual)
-    raise ValueError(f"cannot finalize {op!r}")
-
-
-def append_top(config: Configuration, unit: Unit) -> Configuration:
-    return replace(config, top=config.top + (unit,))
+    residual = target(op)
+    if residual is None:
+        raise ValueError(f"cannot finalize {op!r}")
+    if isinstance(op, MapOp):
+        return label, StoreEntry(Int(0), residual)
+    assert is_value(op.base), "fold base must be loaded before finalizing"
+    return label, StoreEntry(op.base, residual)
 
 
 def append_station_tail(config: Configuration, unit: Unit) -> Configuration:
@@ -163,8 +171,8 @@ def append_station_tail(config: Configuration, unit: Unit) -> Configuration:
     if not config.backend:
         raise ValueError("cannot route a unit into an empty backend")
     first = config.backend[0]
-    first = replace(first, streamlet=first.streamlet + (unit,))
-    return replace(config, backend=(first,) + config.backend[1:])
+    first = Station(first.node, first.streamlet + (unit,))
+    return evolve(config, backend=(first,) + config.backend[1:])
 
 
 def merge_results(config: Configuration,
@@ -175,7 +183,7 @@ def merge_results(config: Configuration,
     for label in results:
         assert label not in existing, f"store label {label} already bound"
     existing.update(results)
-    return replace(config, store=tuple(sorted(existing.items())))
+    return evolve(config, store=tuple(sorted(existing.items())))
 
 
 def is_dry(config: Configuration) -> bool:

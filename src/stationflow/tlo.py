@@ -5,16 +5,18 @@ some labels directly into the store.  Candidates are discovered in a fixed
 order so seeded schedulers replay exactly.  `candidates` builds them afresh
 on every call.  The provers are pure and a window's candidates read only its
 two units, so `engine.run` keeps them window by window and rebuilds only the
-windows a step changed.
+windows a step changed, and keeps what a pair rule derives from operation
+functions and key lists alone in a table (`_verdict`) for the whole run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .state import (
-    Configuration, Station, StoreEntry, Unit, merge_results, singleton, target,
+    Configuration, Station, StoreEntry, Unit, evolve, merge_results, singleton,
+    target,
 )
 from .terms import (
     NODE, App, Claim, Concat, Expr, FoldOp, If0, Int, KL, Key, Label, Lam,
@@ -52,12 +54,13 @@ def candidates(config: Configuration, rules: tuple[str, ...] | None = None,
     out: list[Candidate] = []
     for si, station in enumerate(config.backend):
         out.extend(placed(si, station_windows(
-            station, enabled, assume_set_adjacency, {})))
+            station, enabled, assume_set_adjacency, {}, {})))
     return out
 
 
 def station_windows(station: Station, enabled: tuple[str, ...],
-                    assume_set_adjacency: bool, windows: dict) -> list[tuple]:
+                    assume_set_adjacency: bool, windows: dict,
+                    verdicts: dict) -> list[tuple]:
     """`window_candidates` of the window at each unit of the streamlet.
     `windows` maps a window's two unit identities to the units, so no other
     unit takes those, and what they gave under the same rules and adjacency
@@ -72,7 +75,7 @@ def station_windows(station: Station, enabled: tuple[str, ...],
         hit = old.get(key)
         if hit is None:
             hit = unit, nxt, window_candidates(unit, nxt, enabled,
-                                               assume_set_adjacency)
+                                               assume_set_adjacency, verdicts)
         windows[key] = hit
         out.append(hit[2])
     return out
@@ -84,11 +87,28 @@ def placed(si: int, found: list[tuple]) -> tuple[Candidate, ...]:
                  for j, window in enumerate(found) for rule, *rest in window)
 
 
+def _verdict(verdicts: dict, make, *args):
+    """`make(*args)`, kept in `verdicts` under `make` and the identities of
+    `args`, which the entry holds, so no other object takes those."""
+    key = (make, *map(id, args))
+    hit = verdicts.get(key)
+    if hit is None:
+        hit = verdicts[key] = args, make(*args)
+    return hit[1]
+
+
+def _reusable(f1: Expr, f2: Expr) -> bool:
+    """The fold-function half of `reuse`'s condition."""
+    return alpha_equiv(f1, f2) and prove_commutative(f1) == "proved"
+
+
 def window_candidates(unit: Unit, nxt: Unit | None, enabled: tuple[str, ...],
-                      assume_set_adjacency: bool) -> tuple[tuple, ...]:
+                      assume_set_adjacency: bool,
+                      verdicts: dict) -> tuple[tuple, ...]:
     """The rewrites of the window at `unit`, `nxt` the unit after it (None
     at the tail): `unit`'s unbatch splits, then the pair rules, each as the
-    `Candidate` fields after station and start, which it does not read."""
+    `Candidate` fields after station and start, which it does not read;
+    `verdicts` is the table `_verdict` keeps."""
     out: list[tuple] = []
     if "unbatch" in enabled and len(unit.entries) >= 2:
         for split in range(1, len(unit.entries)):
@@ -112,15 +132,15 @@ def window_candidates(unit: Unit, nxt: Unit | None, enabled: tuple[str, ...],
         out.append(("reorderrr", 2, (nxt, unit), (), (l1, l2)))
     if "reorderrw" in enabled and isinstance(o1, MapOp) and isinstance(o2, FoldOp):
         if t1 is not None:
-            comp = dcomp(o2.fn, o1.ks.items, o1.fn)
+            comp = _verdict(verdicts, dcomp, o2.fn, o1.ks.items, o1.fn)
             new_fold = singleton(l2, FoldOp(comp, o2.base, o2.ks))
             out.append(("reorderrw", 2, (new_fold, unit), (), (l1, l2)))
     if ({"fusem", "fusemid"} & set(enabled)) and isinstance(o1, MapOp) \
             and isinstance(o2, MapOp) and o1.ks == o2.ks:
-        verdict = prove_identity(compose(o2.fn, o1.fn),
-                                 assume_set_adjacency=assume_set_adjacency)
+        fn = compose(o2.fn, o1.fn)
+        verdict = prove_identity(fn, assume_set_adjacency=assume_set_adjacency)
         if "fusem" in enabled and verdict == "refuted":
-            fused = singleton(l1, MapOp(compose(o2.fn, o1.fn), o1.ks))
+            fused = singleton(l1, MapOp(fn, o1.ks))
             out.append(("fusem", 2, (fused,),
                         ((l2, StoreEntry(Int(0), ())),), (l1, l2)))
         if "fusemid" in enabled and verdict == "proved":
@@ -128,11 +148,9 @@ def window_candidates(unit: Unit, nxt: Unit | None, enabled: tuple[str, ...],
                         ((l1, StoreEntry(Int(0), ())),
                          (l2, StoreEntry(Int(0), ()))), (l1, l2)))
     if "reuse" in enabled and isinstance(o1, FoldOp) and isinstance(o2, FoldOp):
-        if (t1 is not None and t2 is not None
-                and alpha_equiv(o1.fn, o2.fn)
-                and alpha_equiv(o1.base, o2.base)
-                and set(t1) <= set(t2)
-                and prove_commutative(o1.fn) == "proved"):
+        if (t1 is not None and t2 is not None and set(t1) <= set(t2)
+                and _verdict(verdicts, _reusable, o1.fn, o2.fn)
+                and alpha_equiv(o1.base, o2.base)):
             shrunk = KL(kl_subtract(o2.ks.items, o1.ks.items))
             second = singleton(l2, FoldOp(o2.fn, Claim(Label(l1)), shrunk))
             out.append(("reuse", 2, (unit, second), (), (l1, l2)))
@@ -147,7 +165,7 @@ def apply_rewrite(config: Configuration,
     station = Station(station.node, new_sl)
     backend = (config.backend[:cand.station] + (station,)
                + config.backend[cand.station + 1:])
-    config = replace(config, backend=backend)
+    config = evolve(config, backend=backend)
     return merge_results(config, dict(cand.results)), list(cand.labels)
 
 

@@ -542,25 +542,34 @@ class TestKeptRedexes:
         assert {r.station for r in after if r.rule in ("Opt", "Prop")} == {1}
 
     def test_eager_keeps_nothing_on_stations(self, reached):
-        # every eager step replaces the wet station: nothing kept there
-        # would be read again
-        def checked(ix):
-            for s in ix.config.backend:
-                assert not set(KEPT) & set(s.__dict__)
-                terms = [s.node] + [op.base for u in s.streamlet
-                                    for _, op in u.entries
-                                    if isinstance(op, FoldOp)]
-                assert not any("_step" in e.__dict__ for e in terms)
+        # every eager step replaces the wet station: nothing the redex
+        # search finds would be read again, on the station, its units or
+        # its load terms; an operation keeps only its target, which a Prop
+        # carries on to the next station.  Each configuration is checked
+        # once the run is over, after eager has looked into it, and the
+        # untraced run writes no digest text
+        def fields(x):
+            return {f.name for f in dataclasses.fields(x)}
 
-        seen = reached(checked)
+        seen = reached(lambda ix: None)
         for name in harness.RUNNABLE:
             seen.clear()
             r = run(state.init(harness.corpus_program(name)))
             assert r.status == "terminal"
             assert len(seen) == r.steps + 1
+            for s in {id(s): s for c in seen for s in c.backend}.values():
+                assert not set(KEPT) & set(s.__dict__)
+                for u in s.streamlet:
+                    assert set(u.__dict__) == fields(u)
+                    for _, op in u.entries:
+                        assert set(op.__dict__) - fields(op) <= {"_target"}
+                terms = [s.node] + [op.base for u in s.streamlet
+                                    for _, op in u.entries
+                                    if isinstance(op, FoldOp)]
+                assert not any("_step" in e.__dict__ for e in terms)
 
     def test_kept_values_leave_equality_alone(self):
-        # stations keep `loaded`/`idle` and, like units and store entries,
+        # stations keep `loaded` and, like units and store entries,
         # their digest text; the terms they hold keep what the redex search
         # found and their printed form
         config = state.init(harness.corpus_program("chronological_order"))
@@ -587,7 +596,7 @@ class TestKeptRedexes:
             ignored(e, KEPT)
         fields = {f.name for f in dataclasses.fields(Station)}
         for s in config.backend:
-            assert set(s.__dict__) - fields <= {"loaded", "idle", "_json"}
+            assert set(s.__dict__) - fields <= {"loaded", "_json"}
         holders = [*config.backend, *(u for s in config.backend
                                       for u in s.streamlet),
                    *(e for _, e in config.store)]
@@ -597,31 +606,58 @@ class TestKeptRedexes:
             ignored(x, ("_json",))
 
 
+def plus(k):
+    return Lam("x", NODE, Node(Proj(1, Var("x")),
+                               Arith("+", Proj(2, Var("x")), Int(k)),
+                               Proj(3, Var("x"))))
+
+
+def batched_start():
+    """A station whose head unit batches two maps: it admits no task rule,
+    so det must unbatch it."""
+    batched = Unit(((0, MapOp(plus(1), KL((A,)))),
+                    (1, MapOp(plus(1), KL((A,))))))
+    return state.Configuration(
+        (Station(Node(A, Int(3), KL(())), (batched,)),), (), (), Int(0),
+        next_label=2)
+
+
 class TestDetScheduler:
     def test_rewrites_built_only_without_a_plain_redex(self, monkeypatch):
-        # a batched head unit admits no task rule: det must unbatch it
-        inc = Lam("x", NODE, Node(Proj(1, Var("x")),
-                                  Arith("+", Proj(2, Var("x")), Int(1)),
-                                  Proj(3, Var("x"))))
-        batched = Unit(((0, MapOp(inc, KL((A,)))), (1, MapOp(inc, KL((A,))))))
         starts = [state.init(harness.corpus_program(n))
-                  for n in harness.RUNNABLE]
-        starts.append(state.Configuration(
-            (Station(Node(A, Int(3), KL(())), (batched,)),), (), (), Int(0),
-            next_label=2))
+                  for n in harness.RUNNABLE] + [batched_start()]
         plain_then = []
-        candidates = tlo.candidates
+        refresh = engine._Index.refresh
 
-        def recorded(config, *args, **kwargs):
-            plain_then.append(bool(enumerate_redexes(config, tlo_on=False)))
-            return candidates(config, *args, **kwargs)
+        def recorded(ix, cands):
+            if cands:
+                plain_then.append(bool(enumerate_redexes(ix.config)))
+            return refresh(ix, cands)
 
-        monkeypatch.setattr(tlo, "candidates", recorded)
+        monkeypatch.setattr(engine._Index, "refresh", recorded)
         for config in starts:
             r = run(config, scheduler="det", trace=True)
             assert r.status == "terminal"
         assert r.trace[0].site == "station:0:unbatch"
         assert plain_then and not any(plain_then)
+
+    def test_fallback_reads_the_index(self, monkeypatch):
+        # det draws its rewrites from the run's window table, never from
+        # `tlo.candidates`, and steps as the reference loop does
+        configs = [state.init(harness.corpus_program(n))
+                   for n in harness.RUNNABLE] + [mix_config(1), batched_start()]
+        want = [reference_run(c, scheduler="det", trace=True) for c in configs]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("det called tlo.candidates")
+
+        monkeypatch.setattr(tlo, "candidates", refused)
+        for config, ref in zip(configs, want):
+            got = run(config, scheduler="det", trace=True)
+            assert got.status == "terminal"
+            assert ([r.to_json() for r in got.trace]
+                    == [r.to_json() for r in ref.trace])
+        assert any(r.rule == "Opt" for r in got.trace)
 
 
 def reference_run(config, scheduler="eager", seed=0, fuel=1_000_000,
@@ -817,3 +853,85 @@ class TestIndex:
         assert outcomes == {("blocked", "frontend waits on label 5"),
                             ("stuck", "application of a non-function"),
                             ("stuck", "no applicable rule")}
+
+
+SUM = Lam("n", NODE, Lam("acc", NODE,
+          Node(Proj(1, Var("acc")),
+               Arith("+", Proj(2, Var("n")), Proj(2, Var("acc"))),
+               Proj(3, Var("acc")))), commutative=True)
+PROD = Lam("n", NODE, Lam("acc", NODE,
+           Node(Proj(1, Var("acc")),
+                Arith("*", Proj(2, Var("n")), Proj(2, Var("acc"))),
+                Proj(3, Var("acc")))), commutative=True)
+
+
+class TestVerdicts:
+    """What the pair rules derive from operation functions and key lists
+    alone (`tlo._verdict`) is kept in the run's index under the identities
+    of those objects, and derived again exactly when one of them changes."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The arguments of each `alpha_equiv` and `dcomp` call made
+        through `tlo`'s globals."""
+        seen = {"alpha_equiv": [], "dcomp": []}
+        for name, args in seen.items():
+            def counted(*a, _fn=getattr(tlo, name), _args=args):
+                _args.append(a)
+                return _fn(*a)
+            monkeypatch.setattr(tlo, name, counted)
+        return seen
+
+    def start(self):
+        # two maps over one key (fusem), a map before a fold (reorderrw),
+        # a fold whose base loads in one step and a fold with another
+        # function (reuse's check), each fold over a superset of the keys
+        loading = App(Lam("v", NODE, Var("v")), Node(B, Int(0), KL(())))
+        units = (Unit(((0, MapOp(plus(1), KL((A,)))),)),
+                 Unit(((1, MapOp(plus(2), KL((A,)))),)),
+                 Unit(((2, FoldOp(SUM, loading, KL((A, B)))),)),
+                 Unit(((3, FoldOp(PROD, Node(B, Int(1), KL(())),
+                                  KL((A, B)))),)))
+        config = state.Configuration((Station(Node(A, Int(3), KL(())), units),),
+                                     (), (), Int(0), next_label=4)
+        return engine._Index(config, None, False)
+
+    def offered(self, ix):
+        n = ix.refresh(cands=True)
+        got = ([ix.plain_at(k) for k in range(n)]
+               + [engine._opt(ix.cand_at(k)) for k in range(ix.ncands)])
+        assert got == enumerate_redexes(bare(ix.config), tlo_on=True)
+        return got
+
+    def step(self, ix, redex):
+        config, _, labels = apply_redex(ix.config, redex)
+        ix.advance(redex, config, labels)
+
+    def test_a_load_on_a_fold_unit_derives_nothing_again(self, calls):
+        ix = self.start()
+        offered = self.offered(ix)
+        assert calls["dcomp"] and calls["alpha_equiv"]
+        (load,) = [r for r in offered if r.rule == "Load"]
+        assert load.unit == 2
+        for args in calls.values():
+            args.clear()
+        self.step(ix, load)
+        ix.refresh(cands=True)
+        assert calls == {"alpha_equiv": [], "dcomp": []}
+        self.offered(ix)
+
+    @pytest.mark.parametrize("rule", ("reorderrw", "fusem"))
+    def test_a_new_function_is_derived_afresh(self, calls, rule):
+        ix = self.start()
+        (cand,) = [r for r in self.offered(ix)
+                   if r.rule == "Opt" and r.rewrite.rule == rule]
+        for args in calls.values():
+            args.clear()
+        self.step(ix, cand)
+        ix.refresh(cands=True)
+        # the new fold function is the outer one of the map before it; the
+        # fused map function the inner one of the fold after it
+        ((_, op),) = cand.rewrite.replacement[0].entries
+        assert any(args[0 if rule == "reorderrw" else 2] is op.fn
+                   for args in calls["dcomp"])
+        self.offered(ix)

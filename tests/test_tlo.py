@@ -221,6 +221,49 @@ class TestReuse:
         assert not rules_at(config, "reuse")
 
 
+class TestVerdictTable:
+    """`window_candidates` keeps what it derives from operation functions
+    and key lists in the table it is given, under their identities."""
+
+    def reuse(self, f1, f2, verdicts):
+        u1 = singleton(0, FoldOp(f1, BASE, kl("a")))
+        u2 = singleton(1, FoldOp(f2, BASE, kl("a", "b")))
+        got = tlo.window_candidates(u1, u2, tlo.RULE_NAMES, False, verdicts)
+        assert got == tlo.window_candidates(u1, u2, tlo.RULE_NAMES, False, {})
+        return "reuse" in [c[0] for c in got]
+
+    def test_no_verdict_for_another_second_function(self):
+        verdicts = {}
+        assert self.reuse(SUM, SUM, verdicts)
+        assert not self.reuse(SUM, SUM_UNMARKED, verdicts)
+
+    def test_no_verdict_for_another_key_list(self):
+        verdicts = {}
+        fold = singleton(1, FoldOp(SUM, BASE, kl("a", "b")))
+        for ks in (kl("a"), kl("b"), kl("a", "b")):
+            unit = singleton(0, MapOp(INC, ks))
+            got = tlo.window_candidates(unit, fold, ("reorderrw",), False,
+                                        verdicts)
+            assert got == tlo.window_candidates(unit, fold, ("reorderrw",),
+                                                False, {})
+
+    def test_no_verdict_for_a_function_built_after_one_was_freed(
+            self, monkeypatch):
+        # the prover's cache would hold the functions; without it only the
+        # table does, and a function freed there could hand its identity on
+        monkeypatch.setattr(tlo, "prove_commutative",
+                            tlo.prove_commutative.__wrapped__)
+        verdicts = {}
+        for k in range(40):
+            marked = k % 3 == 0
+            fn = Lam("n", NODE, Lam("acc", NODE, Node(
+                Proj(1, Var("acc")),
+                Arith("+", Proj(2, Var("n")), Proj(2, Var("acc"))),
+                Proj(3, Var("acc")))), commutative=marked)
+            assert self.reuse(fn, fn, verdicts) == marked
+            del fn
+
+
 class TestRuleSelection:
     def test_rules_filter_restricts(self):
         u1 = singleton(0, MapOp(INC, kl("a")))
