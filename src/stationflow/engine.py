@@ -450,13 +450,13 @@ class RunResult:
     detail: str = ""
 
 
-def _is_inverse_opt(prev, cand) -> bool:
-    # forbid undoing the rewrite just applied at the same spot
-    if prev is None or cand is None:
-        return False
-    pair = {prev.rule, cand.rule}
-    return (pair == {"batch", "unbatch"} and prev.station == cand.station
-            and prev.labels == cand.labels)
+def _undo_of(prev) -> tuple | None:
+    """The station, rule and labels of the candidates that would undo the
+    rewrite `prev` at the same spot; only batch and unbatch undo each other."""
+    if prev is None or prev.rule not in ("batch", "unbatch"):
+        return None
+    undo = "unbatch" if prev.rule == "batch" else "batch"
+    return prev.station, undo, prev.labels
 
 
 class _Index:
@@ -531,18 +531,20 @@ class _Index:
                 return rs[k]
             k -= len(rs)
 
-    def cand_at(self, k: int, prev=None):
+    def cand_at(self, k: int, undo=None):
         """The `k`-th candidate in `tlo.candidates` order, leaving out those
-        that undo `prev`; only its station's candidates are built."""
+        that `undo` (see `_undo_of`) names; only that candidate is built."""
         for i, n in enumerate(self.ncand):
-            cs = None
-            if prev is not None and i == prev.station:
-                cs = [c for c in tlo.placed(i, self.cands[i])
-                      if not _is_inverse_opt(prev, c)]
-                n = len(cs)
-            if k < n:
-                return (cs or tlo.placed(i, self.cands[i]))[k]
-            k -= n
+            if k >= n and (undo is None or undo[0] != i):
+                k -= n
+                continue
+            for j, window in enumerate(self.cands[i]):
+                if undo is not None and undo[0] == i:
+                    window = [c for c in window if (c[0], c[4]) != undo[1:]]
+                if k < len(window):
+                    rule, *rest = window[k]
+                    return tlo.Candidate(rule, i, j, *rest)
+                k -= len(window)
 
 
 def _eager(ix: _Index, rng) -> Redex | None:
@@ -567,12 +569,11 @@ def _det(ix: _Index, rng) -> Redex | None:
 def _draw(ix: _Index, rng, rewrite: bool) -> Redex | None:
     # rewriting off, this is a uniform draw among the plain redexes
     n = ix.refresh(cands=rewrite)
-    total, prev, undo = ix.ncands if rewrite else 0, ix.last_opt, 0
-    if prev is not None:
-        undo = sum(_is_inverse_opt(prev, c)
-                   for c in tlo.placed(prev.station, ix.cands[prev.station]))
-    if total > undo and (not n or rng.random() < 0.2):
-        return _opt(ix.cand_at(rng.randrange(total - undo), prev))
+    total, undo = ix.ncands if rewrite else 0, _undo_of(ix.last_opt)
+    nundo = 0 if undo is None else sum((c[0], c[4]) == undo[1:]
+                                       for w in ix.cands[undo[0]] for c in w)
+    if total > nundo and (not n or rng.random() < 0.2):
+        return _opt(ix.cand_at(rng.randrange(total - nundo), undo))
     if n:
         return ix.plain_at(rng.randrange(n))
     if total:

@@ -1,6 +1,9 @@
 """Validation harnesses over the bundled program corpus: schedule
 determinism, checked against each program's `-- expect` terminal, and
-preservation, progress, soundness and reuse checks on one random `_walk`."""
+preservation, progress, soundness and reuse checks on one random `_walk`.
+A walk draws from `engine.run`'s index, which rebuilds only what a step
+changed, and re-typing its configuration reads the types kept on the terms
+the step carried over (see `state`)."""
 
 from __future__ import annotations
 
@@ -11,7 +14,9 @@ from dataclasses import asdict, dataclass, field
 from importlib import resources
 
 from . import engine, state, tlo
-from .engine import Blocked, apply_redex, enumerate_redexes, frontend_redex
+# `enumerate_redexes` is unused here, but perfbench/layers.py wraps this binding
+from .engine import (  # noqa: F401
+    Blocked, apply_redex, enumerate_redexes, frontend_redex)
 from .parser import Program, SourceError, parse_source
 from .state import Configuration, terminal_digest
 from .terms import OPERATIONS
@@ -124,19 +129,26 @@ def check_determinism(programs=DETERMINISM_SET, schedules: int = 50,
 ### uniformly random walks
 
 def _walk(config: Configuration, rng: random.Random, tlo_on: bool):
-    """Steps drawn uniformly by `rng` from `config`.  Yields each
+    """Steps drawn uniformly by `rng` from `config`, with rewrites if
+    `tlo_on`.  Like `engine.run`, it draws from one `engine._Index`,
+    advanced after each step and rebuilt after an Add.  Yields each
     configuration reached, the rule that led there (None at the start) and
-    its redexes, None once it is terminal; ends there or where no redex
-    is left."""
-    rule = None
-    while True:
-        redexes = None if state.is_terminal(config) \
-            else enumerate_redexes(config, tlo_on=tlo_on)
-        yield config, rule, redexes
-        if not redexes:
+    the refreshed index, None once it is terminal; ends there or where the
+    index offers nothing."""
+    ix, rule = engine._Index(config, None, False), None
+    while not ix.terminal():
+        n = ix.refresh(cands=tlo_on)
+        yield ix.config, rule, ix
+        if not n + ix.ncands:
             return
-        config, rule, _ = apply_redex(
-            config, redexes[rng.randrange(len(redexes))])
+        k = rng.randrange(n + ix.ncands)
+        r = ix.plain_at(k) if k < n else engine._opt(ix.cand_at(k - n))
+        config, rule, labels = apply_redex(ix.config, r)
+        if rule == "Add":  # it shifts every station's index
+            ix = engine._Index(config, None, False)
+        else:
+            ix.advance(r, config, labels)
+    yield ix.config, rule, None
 
 
 class _JSONReport:
@@ -173,7 +185,7 @@ def check_preservation_progress(total_steps: int = 10_000) -> MetatheoryReport:
         walk += 1
         config = state.init(corpus_program(name))
         ct = type_of_config(config)
-        for config, rule, redexes in _walk(config, rng, tlo_on=False):
+        for config, rule, ix in _walk(config, rng, tlo_on=False):
             if rule is not None:
                 steps += 1
                 try:
@@ -193,7 +205,7 @@ def check_preservation_progress(total_steps: int = 10_000) -> MetatheoryReport:
                 ct = ct2
             if steps >= total_steps:
                 break
-            if redexes == []:
+            if ix is not None and not ix.refresh(cands=False):
                 stuck_states += 1
                 fr = frontend_redex(config)
                 notes.append(f"{name}: no redex, frontend waits on label "
@@ -230,15 +242,14 @@ def check_rewrite_soundness(min_pairs: int = 200) -> SoundnessReport:
         name = SOUNDNESS_SET[walk % len(SOUNDNESS_SET)]
         rng = random.Random(5000 + walk)
         walk += 1
-        for config, _, redexes in _walk(state.init(corpus_program(name)),
-                                        rng, tlo_on=True):
-            if redexes is None or pairs >= min_pairs:
+        for config, _, ix in _walk(state.init(corpus_program(name)),
+                                   rng, tlo_on=True):
+            if ix is None or pairs >= min_pairs:
                 break
-            cands = [r.rewrite for r in redexes if r.rule == "Opt"]
-            if not cands:
+            if not ix.ncands:
                 continue
             # drawn before the walk draws its next step, from the same rng
-            cand = cands[rng.randrange(len(cands))]
+            cand = ix.cand_at(rng.randrange(ix.ncands))
             rewritten, _ = tlo.apply_rewrite(config, cand)
             left = _complete(config)
             right = _complete(rewritten)
@@ -278,9 +289,9 @@ def reuse_never_offered(seeds: int = 20) -> bool:
     candidate lists: the non-commutative fold pair must never offer reuse."""
     prog = corpus_program("reuse_guard")
     for seed in range(seeds):
-        for _, _, redexes in _walk(state.init(prog), random.Random(seed),
-                                   tlo_on=True):
-            if any(r.rule == "Opt" and r.rewrite.rule == "reuse"
-                   for r in redexes or ()):
+        for _, _, ix in _walk(state.init(prog), random.Random(seed),
+                              tlo_on=True):
+            if ix is not None and any(c[0] == "reuse" for windows in ix.cands
+                                      for window in windows for c in window):
                 return False
     return True

@@ -11,8 +11,11 @@ Structural conventions
    and what the redex search finds in a non-value term (`_step`: the rule,
    the label a Claim waits on and the hole path, or the Stuck reason, but
    not the redex node, which can be the term itself, a cycle only the
-   collector frees).  Configuration-wide facts (`is_dry`, `is_terminal`)
-   are not cached, but `engine.run` keeps an index across steps
+   collector frees); and the type and effect `types.type_of_config` found
+   for a term it types (`_ty`), with the labels the term mentions and their
+   types, read again only where those labels have the same types.
+   Configuration-wide facts (`is_dry`, `is_terminal`) are not cached, but
+   `engine.run` and the harness walks keep an index across steps
  - `engine.run`'s window table for a station's rewrite candidates is keyed
    by the identities of a window's two units, and its verdict table
    (`tlo._verdict`) by the identities of the functions and key list that

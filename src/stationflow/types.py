@@ -23,6 +23,9 @@ T = True
 
 # An environment maps each name (a str) and label (an int) in scope to its
 # type; a binder extends it as `{**env, name: type}`, leaving `env` as it was.
+# While `_ty_kept` types a term, `_READ` maps to the labels read so far, each
+# with its type; typing a term that succeeds reads every label in it.
+_READ = None
 
 
 def _err(file: str, loc, rule: str, msg: str) -> SourceError:
@@ -139,6 +142,9 @@ def _ty(e: Expr, env: dict, file: str) -> tuple[Type, bool]:
         if t is None:
             raise _err(file, e.loc, "RT-Future",
                        f"label %{e.index} is not bound here (forward reference?)")
+        read = env.get(_READ)
+        if read is not None:
+            read[e.index] = t
         return t, F
     if cls is Claim:
         at, ae = _ty(e.arg, env, file)
@@ -179,6 +185,22 @@ def _ty(e: Expr, env: dict, file: str) -> tuple[Type, bool]:
     raise TypeError(e)
 
 
+def _ty_kept(e: Expr, env: dict, file: str) -> tuple[Type, bool]:
+    """`_ty(e, env, file)` for a closed term of a configuration, kept on the
+    immutable term (see `state`) with the labels `e` mentions and the types
+    `env` gave them, and read again only where `env` gives those labels the
+    same types: nothing else in `env` reaches a closed term.  A failure is
+    not kept."""
+    hit = e.__dict__.get("_ty")
+    if hit is not None and tuple(map(env.get, hit[0])) == hit[1]:
+        return hit[2]
+    env[_READ] = read = {}
+    out = _ty(e, env, file)
+    del env[_READ]
+    e.__dict__["_ty"] = tuple(read), tuple(read.values()), out
+    return out
+
+
 def _without_effects(t: Type) -> Type:
     """`t` with every arrow marked emission-free."""
     if isinstance(t, TFun):
@@ -203,7 +225,7 @@ def _ty_stream(units, env: dict, file: str, where: str, allow_add: bool) -> None
                            f"add operation found inside {where}")
             # operation arguments sit in the graph; they must be phase-F
             for arg, (role, want) in zip(op_args(op), OPERATIONS[type(op)].args):
-                t, eff = _ty(arg, env, file)
+                t, eff = _ty_kept(arg, env, file)
                 if t != want:
                     raise _err(file, arg.loc, "RT-StreamUnit",
                                f"{role} in {where} has type {t}, expected {want}")
@@ -229,7 +251,7 @@ def type_of_config(config, file: str = "<config>") -> ConfigType:
 
     for label, entry in config.store:
         claim_label(label, "the store")
-        vt, ve = _ty(entry.value, {}, file)
+        vt, ve = _ty_kept(entry.value, {}, file)
         if ve:
             raise _err(file, None, "RT-Configuration",
                        f"stored value at %{label} may emit")
@@ -246,9 +268,9 @@ def type_of_config(config, file: str = "<config>") -> ConfigType:
 
     for station in reversed(config.backend):
         n = station.node
-        kt, ke = _ty(n.key, env, file)
-        pt, pe = _ty(n.payload, env, file)
-        at, ae = _ty(n.adj, env, file)
+        kt, ke = _ty_kept(n.key, env, file)
+        pt, pe = _ty_kept(n.payload, env, file)
+        at, ae = _ty_kept(n.adj, env, file)
         if kt != KEY or pt != INT or at != KL_T or ke or pe or ae:
             raise _err(file, None, "RT-Station",
                        f"station node components must be key/int/kl without emits, "
@@ -264,5 +286,5 @@ def type_of_config(config, file: str = "<config>") -> ConfigType:
             claim_label(label, "the top stream")
     _ty_stream(config.top, env, file, "the top stream", allow_add=True)
 
-    ft, fe = _ty(config.frontend, env, file)
+    ft, fe = _ty_kept(config.frontend, env, file)
     return ConfigType(ft, fe)

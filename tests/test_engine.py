@@ -19,8 +19,8 @@ from stationflow.parser import parse_source
 from stationflow.state import Station, Unit
 from stationflow.terms import (
     INT, NODE, AddOp, App, Arith, Claim, Concat, Emit, Fix, FoldOp, If0, Int,
-    KL, Key, Label, Lam, Len, MapOp, Node, Proj, Subtract, TFun, Var, op_args,
-    transform,
+    KL, Key, Label, Lam, Len, MapOp, Node, Proj, Subtract, TFun, Var,
+    children, op_args, with_children,
 )
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -326,10 +326,11 @@ class TestApplyRedex:
         rules = set()
         for k, name in enumerate(harness.RUNNABLE):
             config = state.init(harness.corpus_program(name))
-            for config, _, redexes in harness._walk(
+            for config, _, _ in harness._walk(
                     config, random.Random(k), tlo_on=True):
-                self.assert_rules_kept(config, redexes or ())
-                rules.update(r.rule for r in redexes or ())
+                redexes = enumerate_redexes(config, tlo_on=True)
+                self.assert_rules_kept(config, redexes)
+                rules.update(r.rule for r in redexes)
         assert {"Map", "Fold", "Complete", "Last", "Prop", "Load", "Opt",
                 "Emit", "Add", "First", "Claim"} <= rules
 
@@ -448,10 +449,13 @@ class TestNoOvertaking:
 
 
 def bare(config):
-    """`config` rebuilt term by term, station by station: equal, and
-    carrying none of the values kept on stations and terms."""
+    """`config` rebuilt term by term, station by station, with its store
+    and top stream: equal, and carrying none of the values kept on
+    stations, units, store entries and terms."""
     def term(e):
-        return transform(e, dataclasses.replace)
+        cs = children(e)
+        return (with_children(e, tuple(map(term, cs))) if cs
+                else dataclasses.replace(e))
 
     def unit(u):
         return Unit(tuple((label, type(op)(*map(term, op_args(op))))
@@ -459,7 +463,10 @@ def bare(config):
 
     backend = tuple(Station(term(s.node), tuple(map(unit, s.streamlet)))
                     for s in config.backend)
+    store = tuple((label, state.StoreEntry(term(e.value), e.residual))
+                  for label, e in config.store)
     out = dataclasses.replace(config, backend=backend,
+                              top=tuple(map(unit, config.top)), store=store,
                               frontend=term(config.frontend))
     assert out == config
     return out
@@ -660,6 +667,13 @@ class TestDetScheduler:
         assert any(r.rule == "Opt" for r in got.trace)
 
 
+def undoes(prev, cand) -> bool:
+    """`cand` undoes the rewrite `prev` just applied: batch and unbatch
+    of the same labels at the same station."""
+    return (prev is not None and {prev.rule, cand.rule} == {"batch", "unbatch"}
+            and prev.station == cand.station and prev.labels == cand.labels)
+
+
 def reference_run(config, scheduler="eager", seed=0, fuel=1_000_000,
                   trace=False, tlo_rules=None, assume_set_adjacency=False,
                   seen=None):
@@ -697,8 +711,7 @@ def reference_run(config, scheduler="eager", seed=0, fuel=1_000_000,
                                     "no applicable rule")
         if scheduler == "tlo-random":
             opts_all = [r for r in redexes if r.rule == "Opt"]
-            opts = [r for r in opts_all
-                    if not engine._is_inverse_opt(last_opt, r.rewrite)]
+            opts = [r for r in opts_all if not undoes(last_opt, r.rewrite)]
             plain = [r for r in redexes if r.rule != "Opt"]
             if opts and (not plain or rng.random() < 0.2):
                 choice = opts[rng.randrange(len(opts))]
@@ -853,6 +866,31 @@ class TestIndex:
         assert outcomes == {("blocked", "frontend waits on label 5"),
                             ("stuck", "application of a non-function"),
                             ("stuck", "no applicable rule")}
+
+
+class TestWalkIndex:
+    """`harness._walk` draws from an `engine._Index` as `run` does; at
+    every configuration it reaches, the index must offer what a
+    fresh enumeration of an unkept copy offers, in order."""
+
+    @pytest.mark.parametrize("tlo_on", (False, True))
+    def test_walk_index_offers_what_bare_enumeration_does(self, tlo_on):
+        reached = 0
+        for k, name in enumerate(harness.RUNNABLE):
+            config = state.init(harness.corpus_program(name))
+            for config, _, ix in harness._walk(config, random.Random(k),
+                                               tlo_on=tlo_on):
+                want = enumerate_redexes(bare(config), tlo_on=tlo_on)
+                reached += 1
+                if ix is None:  # terminal
+                    assert state.is_terminal(config) and want == []
+                    continue
+                assert ix.config is config
+                n = ix.refresh(cands=tlo_on)
+                got = [ix.plain_at(j) for j in range(n)]
+                got += [engine._opt(ix.cand_at(j)) for j in range(ix.ncands)]
+                assert got == want
+        assert reached > 600
 
 
 SUM = Lam("n", NODE, Lam("acc", NODE,

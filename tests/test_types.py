@@ -10,16 +10,17 @@ from pathlib import Path
 
 import pytest
 
-from stationflow import engine, harness, state
+from stationflow import engine, harness, state, types
 from stationflow.engine import apply_redex, enumerate_redexes
 from stationflow.parser import (
     INFIX, SourceError, Token, _check_closed, _Parser, parse_source, tokenize,
 )
 from stationflow.terms import (
-    INT, KEY, KL_T, NODE, AddOp, Claim, FoldOp, Int, Key, KL, Label, Lam,
-    MapOp, Node, TFun, TFuture, Var,
+    INT, KEY, KL_T, NODE, AddOp, Arith, Claim, FoldOp, Int, Key, KL, Label,
+    Lam, MapOp, Node, Proj, TFun, TFuture, Var, children,
 )
 from stationflow.types import type_of_config, type_of_expr
+from test_engine import bare
 
 
 def ty(text):
@@ -296,6 +297,85 @@ class TestOperationDiagnostics:
                                 " found inside a station streamlet")
             else:
                 assert text == f"<config>:{pos}: RT-StreamUnit: {msg}"
+
+
+def _all_terms(e):
+    yield e
+    for c in children(e):
+        yield from _all_terms(c)
+
+
+def _typed(config):
+    try:
+        ct = type_of_config(config)
+    except SourceError as ex:
+        return str(ex)
+    return f"{ct.frontend} {ct.effect}"
+
+
+class TestKeptTypes:
+    """`type_of_config` keeps each term's type with the labels the term
+    mentions and their types; a kept type may never hide an error."""
+
+    def test_walks_type_as_unkept_copies_do(self):
+        # the walks `test_typing_is_pinned` records
+        walked = [*map(harness.corpus_text, harness.RUNNABLE),
+                  *_typing_sources()[-2:]]
+        claims = random.Random(14)
+        for src in walked:
+            for seed in range(2):
+                walk = harness._walk(state.init(parse_source(src, "m.cg")),
+                                     random.Random(seed), tlo_on=True)
+                for config, _, _ in itertools.islice(walk, 120):
+                    label = claims.randrange(config.next_label + 1)
+                    for c in (config, dataclasses.replace(
+                            config, frontend=Claim(Label(label)))):
+                        assert _typed(c) == _typed(bare(c))
+
+    def configs(self, frontend):
+        # label 0 a future[int] in the store, then a future[node] in the
+        # top stream
+        fold = FoldOp(Lam("x", NODE, Lam("y", NODE, Var("x"))),
+                      Node(Key("a"), Int(1), KL(())), KL(()))
+        stored = ((0, state.StoreEntry(Int(5), ())),)
+        return (state.Configuration((), (), stored, frontend, next_label=1),
+                state.Configuration((), (state.singleton(0, fold),), (),
+                                    frontend, next_label=1))
+
+    def test_a_kept_type_is_not_read_under_another_label_type(self):
+        term = Arith("+", Claim(Label(0)), Int(1))
+        as_int, as_node = self.configs(term)
+        assert _typed(as_int) == "int False"
+        assert "_ty" in term.__dict__
+        assert _typed(as_node) == _typed(bare(as_node)) == (
+            "<config>:0:0: T-Arith: '+' applied to node and int")
+        # and the other way round, a term first typed under another binding
+        term = Proj(2, Claim(Label(0)))
+        as_int, as_node = self.configs(term)
+        assert _typed(as_node) == "int False"
+        assert _typed(as_int) == _typed(bare(as_int)) == (
+            "<config>:0:0: T-ENode2: projection argument has type int,"
+            " expected node")
+
+    def test_a_failure_is_not_kept_and_a_type_is_read_again(self, monkeypatch):
+        term = Arith("+", Claim(Label(0)), Int(1))
+        as_int, as_node = self.configs(term)
+        assert _typed(as_node).endswith("'+' applied to node and int")
+        assert "_ty" not in term.__dict__
+        assert _typed(as_int) == "int False"
+        calls = []
+        ty = types._ty
+        monkeypatch.setattr(types, "_ty", lambda *a: calls.append(a) or ty(*a))
+        assert _typed(as_int) == "int False" and not calls
+
+    def test_type_of_expr_keeps_nothing(self):
+        for src in _typing_sources():
+            prog = parse_source(src, "m.cg")
+            try:
+                type_of_expr(prog.expr, file="m.cg")
+            except SourceError:  # the rejected corpus program
+                pass
+            assert not any("_ty" in e.__dict__ for e in _all_terms(prog.expr))
 
 
 # sha256 over `type_of_expr`'s result or diagnostic for every corpus program,
