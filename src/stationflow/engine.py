@@ -38,8 +38,9 @@ from .state import (
     merge_results, singleton, station_is_load_free, target,
 )
 from .terms import (
-    CONTRACTIONS, AddOp, App, Claim, Emit, Expr, FoldOp, Int, KL, Key, Label,
-    MapOp, Node, Proj, Var, children, kl_subtract, with_children,
+    ATOMS, CONTRACTIONS, AddOp, App, Claim, Emit, Expr, FoldOp, Int, KL, Key,
+    Label, MapOp, Node, Proj, Var, children, kl_subtract, record,
+    with_children,
 )
 # unused here, but perfbench/layers.py wraps these bindings: it counts
 # substitutions and times terminal tests at them
@@ -49,12 +50,12 @@ from .terms import substitute  # noqa: F401
 
 ### one-step search inside an expression
 
-@dataclass(frozen=True)
+@record
 class Blocked:
     label: int
 
 
-@dataclass(frozen=True)
+@record
 class Stuck:
     reason: str
 
@@ -70,12 +71,12 @@ def _find(e: Expr):
     Callers rule out values first, and the search enters only non-values."""
     path = ()
     while True:
-        if isinstance(e, Var):
+        if type(e) is Var:
             return Stuck(f"free name {e.name!r}")
         cs = children(e)
         rule = CONTRACTIONS.get(type(e))
         for j, c in enumerate(cs[:rule.strict] if rule else cs):
-            if not is_value(c):
+            if type(c) not in ATOMS and not is_value(c):
                 break
         else:
             break  # every child searched is a value: the redex is `e`
@@ -131,7 +132,7 @@ def _contract(e: Expr, store_get) -> Expr | Blocked:
 
 ### redex descriptions over configurations
 
-@dataclass(frozen=True)
+@record
 class Redex:
     rule: str
     site: str
@@ -427,7 +428,7 @@ def eager_enumerate(config: Configuration, wet=None) -> list[Redex]:
 
 ### the driver
 
-@dataclass(frozen=True)
+@record
 class StepRecord:
     step: int
     rule: str

@@ -11,6 +11,7 @@ import json
 import random
 import re
 from dataclasses import asdict, dataclass, field
+from functools import cache
 from importlib import resources
 
 from . import engine, state, tlo
@@ -35,6 +36,7 @@ def corpus_text(name: str) -> str:
     return (resources.files("stationflow.corpus") / f"{name}.cg").read_text()
 
 
+@cache  # a Program is immutable; what runs keep on it holds in any run
 def corpus_program(name: str) -> Program:
     return parse_source(corpus_text(name), f"{name}.cg")
 

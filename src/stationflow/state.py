@@ -1,7 +1,9 @@
 """Runtime state: stations, streams, the result store, whole configurations.
 
 Structural conventions
- - every container is an immutable dataclass; steps build new configurations
+ - every container is an immutable dataclass made by `terms.record`, whose
+   `__init__` stores fields more cheaply than the generated one: a Load
+   step does little but build such records; steps build new configurations
  - generated keys live in the "@k<i>" namespace, labels are plain ints
  - a unit is an ordered sequence of label/operation pairs; the head of a
    stream is index 0
@@ -38,23 +40,22 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 
 from .parser import Program
 from .terms import (
     OPERATIONS, App, Claim, Concat, Emit, Expr, Fix, FoldOp, If0, Int, KL,
     Key, Label, Lam, Len, MapOp, Node, Operation, Proj, Subtract, Var,
-    children, is_value, kl_value, op_args,
+    children, is_value, kl_value, op_args, record,
 )
 
 
-@dataclass(frozen=True)
+@record
 class StoreEntry:
     value: Expr
     residual: tuple[str, ...]  # target keys not yet consumed when completed
 
 
-@dataclass(frozen=True)
+@record
 class Unit:
     entries: tuple[tuple[int, Operation], ...]
 
@@ -69,7 +70,7 @@ def singleton(label: int, op: Operation) -> Unit:
     return Unit(((label, op),))
 
 
-@dataclass(frozen=True)
+@record
 class Station:
     node: Expr  # a node constructor, fully evaluated once loaded
     streamlet: tuple[Unit, ...] = ()
@@ -87,7 +88,7 @@ class Station:
         return self.loaded and not self.streamlet
 
 
-@dataclass(frozen=True)
+@record
 class Configuration:
     backend: tuple[Station, ...]
     top: tuple[Unit, ...]

@@ -7,13 +7,31 @@ argument and the future it yields; no other module spells these out.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from operator import is_
+
+
+def record(cls):
+    """`dataclass(frozen=True)` with a cheaper `__init__`, storing each field
+    through `object.__setattr__` bound to one name.  Storing through
+    `self.__dict__` instead would build a dict for every instance.  Fields
+    take plain defaults only; a `__post_init__` still runs."""
+    cls = dataclass(frozen=True, init=False)(cls)
+    ns, params, body = {"_set": object.__setattr__}, "", ""
+    for i, f in enumerate(fields(cls)):
+        ns[f"_d{i}"] = f.default
+        params += f", {f.name}" if f.default is MISSING else f", {f.name}=_d{i}"
+        body += f"\n _set(self, {f.name!r}, {f.name})"
+    if hasattr(cls, "__post_init__"):
+        body += "\n self.__post_init__()"
+    exec(f"def __init__(self{params}):{body}", ns)
+    cls.__init__ = ns["__init__"]
+    return cls
 
 
 ### types
 
-@dataclass(frozen=True)
+@record
 class TBase:
     name: str  # int, key, kl or node
 
@@ -21,7 +39,7 @@ class TBase:
         return self.name
 
 
-@dataclass(frozen=True)
+@record
 class TFuture:
     inner: "Type"
 
@@ -29,7 +47,7 @@ class TFuture:
         return f"future[{self.inner}]"
 
 
-@dataclass(frozen=True)
+@record
 class TFun:
     param: "Type"
     eff: bool  # latent emittability of the body
@@ -56,33 +74,33 @@ def _loc_field():
 
 ### expressions
 
-@dataclass(frozen=True)
+@record
 class Var:
     name: str
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@record
 class Int:
     value: int
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@record
 class Key:
     # either a programmer literal or a generated "@k<i>" name
     name: str
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@record
 class Label:
     # future handle; allocated by a monotone counter at emission
     index: int
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@record
 class Lam:
     param: str
     # None only on lambdas produced by let/sequence desugaring
@@ -93,26 +111,26 @@ class Lam:
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@record
 class App:
     fn: "Expr"
     arg: "Expr"
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@record
 class Fix:
     fn: "Expr"
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@record
 class KL:
     items: tuple["Expr", ...]
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@record
 class Node:
     key: "Expr"
     payload: "Expr"
@@ -120,7 +138,7 @@ class Node:
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@record
 class Proj:
     index: int  # 1, 2, or 3
     arg: "Expr"
@@ -131,21 +149,21 @@ class Proj:
             raise ValueError(f"projection index {self.index}")
 
 
-@dataclass(frozen=True)
+@record
 class Concat:
     left: "Expr"
     right: "Expr"
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@record
 class Subtract:
     left: "Expr"
     right: "Expr"
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@record
 class Arith:
     op: str  # one of + - * /
     left: "Expr"
@@ -153,7 +171,7 @@ class Arith:
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@record
 class If0:
     # zero-test conditional on an int scrutinee
     scrut: "Expr"
@@ -162,24 +180,24 @@ class If0:
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@record
 class Len:
     arg: "Expr"
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@record
 class AddOp:
     arg: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class MapOp:
     fn: "Expr"
     ks: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class FoldOp:
     fn: "Expr"
     base: "Expr"
@@ -189,7 +207,7 @@ class FoldOp:
 Operation = AddOp | MapOp | FoldOp
 
 
-@dataclass(frozen=True)
+@record
 class OpKind:
     keyword: str
     args: tuple[tuple[str, Type], ...]  # (role, type) of each field, in order
@@ -207,13 +225,13 @@ OPERATIONS = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class Emit:
     op: Operation
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@record
 class Claim:
     arg: "Expr"
     loc: Loc | None = _loc_field()
@@ -230,16 +248,20 @@ HOLE_KEY = Key("_")
 
 ### value predicates
 
+# the forms all of whose instances are values; tested by exact class, as no
+# term class has subclasses
+ATOMS = frozenset((Int, Key, Label, Lam))
+_KEY = frozenset((Key,))
+
+
 def is_value(e: Expr) -> bool:
-    match e:
-        case Int() | Key() | Label() | Lam():
-            return True
-        case KL(items):
-            return all(isinstance(i, Key) for i in items)
-        case Node(k, p, a):
-            return isinstance(k, Key) and isinstance(p, Int) and isinstance(a, KL) and is_value(a)
-        case _:
-            return False
+    t = type(e)
+    if t in ATOMS:
+        return True
+    if t is Node and type(e.key) is Key and type(e.payload) is Int:
+        e = e.adj  # such a node is a value when its adjacency is
+        t = type(e)
+    return t is KL and _KEY.issuperset(map(type, e.items))
 
 
 # operation class -> its arguments, in field order
@@ -408,7 +430,7 @@ def _alpha(a: Expr, b: Expr, la: dict[str, int], lb: dict[str, int],
 
 ### the pure reduction rules
 
-@dataclass(frozen=True)
+@record
 class Contraction:
     """One pure rule of the calculus.  The small-step engine and `normalize`
     both read it, so the two evaluators cannot disagree on a contraction."""

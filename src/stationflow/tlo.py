@@ -11,7 +11,6 @@ functions and key lists alone in a table (`_verdict`) for the whole run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .state import (
@@ -21,15 +20,15 @@ from .state import (
 from .terms import (
     NODE, App, Claim, Concat, Expr, FoldOp, If0, Int, KL, Key, Label, Lam,
     Len, MapOp, Node, Proj, Subtract, Var, alpha_equiv, compose,
-    eta_contract, kl_subtract, normalize, term_equiv, transform, _fresh_name,
-    free_vars,
+    eta_contract, kl_subtract, normalize, record, term_equiv, transform,
+    _fresh_name, free_vars,
 )
 
 RULE_NAMES = ("batch", "unbatch", "reorderd", "reorderrr", "reorderrw",
               "fusem", "fusemid", "reuse")
 
 
-@dataclass(frozen=True)
+@record
 class Candidate:
     rule: str
     station: int

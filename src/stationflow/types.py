@@ -8,14 +8,12 @@ under its own evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .parser import SourceError
 from .terms import (
     INT, KEY, KL_T, NODE, OPERATIONS,
     AddOp, App, Arith, Claim, Concat, Emit, Expr, Fix, If0, Int, KL, Key,
     Label, Lam, Len, Node, Proj, Subtract, TFun, TFuture, Type, Var,
-    children, op_args,
+    children, op_args, record,
 )
 
 F = False
@@ -210,7 +208,7 @@ def _without_effects(t: Type) -> Type:
 
 ### whole-configuration typing
 
-@dataclass(frozen=True)
+@record
 class ConfigType:
     frontend: Type
     effect: bool

@@ -561,7 +561,10 @@ class TestKeptRedexes:
         seen = reached(lambda ix: None)
         for name in harness.RUNNABLE:
             seen.clear()
-            r = run(state.init(harness.corpus_program(name)))
+            # a copy of its own: the cached corpus program carries what
+            # other runs kept on its terms
+            prog = parse_source(harness.corpus_text(name), f"{name}.cg")
+            r = run(state.init(prog))
             assert r.status == "terminal"
             assert len(seen) == r.steps + 1
             for s in {id(s): s for c in seen for s in c.backend}.values():

@@ -1,17 +1,26 @@
 """Term-level operations: substitution, alpha equivalence, key list
 arithmetic, normalization and the equivalence oracle."""
 
+import dataclasses
+import inspect
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 from hypothesis import given
 from hypothesis import strategies as st
 
 import pytest
 
+from stationflow import engine, harness, state, terms, tlo, types
 from stationflow.state import to_sexpr
 from stationflow.terms import (
-    INT, NODE, App, Arith, Claim, Concat, Emit, Fix, FoldOp, If0, Int, Key,
-    KL, Lam, Len, Node, Proj, Subtract, TFun, Var, alpha_equiv, arith_eval,
-    compose, eta_contract, free_vars, is_value, kl_subtract, kl_value,
-    normalize, substitute, term_equiv,
+    INT, NODE, AddOp, App, Arith, Claim, Concat, Emit, Fix, FoldOp, If0, Int,
+    Key, KL, Label, Lam, Len, MapOp, Node, Proj, Subtract, TFun, Var,
+    alpha_equiv, arith_eval, children, compose, eta_contract, free_vars,
+    is_value, kl_subtract, kl_value, normalize, substitute, term_equiv,
 )
 
 IDENT = Lam("x", NODE, Var("x"))
@@ -247,3 +256,187 @@ class TestValues:
         assert not is_value(Arith("+", Int(1), Int(1)))
         assert not is_value(Node(Key("k"), Arith("+", Int(1), Int(1)), KL(())))
         assert not is_value(Claim(Var("x")))
+
+
+def is_value_oracle(e) -> bool:
+    """`is_value` as a match over class patterns, the definition its class
+    dispatch replaced."""
+    match e:
+        case Int() | Key() | Label() | Lam():
+            return True
+        case KL(items):
+            return all(isinstance(i, Key) for i in items)
+        case Node(k, p, a):
+            return (isinstance(k, Key) and isinstance(p, Int)
+                    and isinstance(a, KL) and is_value_oracle(a))
+        case _:
+            return False
+
+
+def config_terms(config):
+    """Every term of a configuration and every subterm of it, operations
+    included."""
+    ops = [op for units in ([s.streamlet for s in config.backend]
+                            + [config.top]) for u in units for _, op in u.entries]
+    todo = [s.node for s in config.backend] + [e.value for _, e in config.store]
+    todo += [config.frontend, *ops]
+    todo += [a for op in ops for a in terms.op_args(op)]
+    while todo:
+        e = todo.pop()
+        yield e
+        if not isinstance(e, (AddOp, MapOp, FoldOp)):
+            todo.extend(children(e))
+
+
+class TestIsValueOracle:
+    """`is_value` by class dispatch gives what the class-pattern match gave,
+    on everything the harness walks reach and on malformed forms no
+    well-typed run builds."""
+
+    def test_agrees_along_the_corpus_walks(self):
+        seen = 0
+        for k, name in enumerate(harness.RUNNABLE):
+            for tlo_on in (False, True):
+                for config, _, _ in harness._walk(
+                        state.init(harness.corpus_program(name)),
+                        random.Random(k), tlo_on):
+                    for e in config_terms(config):
+                        assert is_value(e) == is_value_oracle(e), e
+                        seen += 1
+        assert seen > 10_000
+
+    @pytest.mark.parametrize("e", [
+        KL((Key("a"), Int(1))),
+        KL((Var("k"),)),
+        KL((Key("a"), KL(()))),
+        Node(Key("k"), Proj(1, Var("n")), KL(())),
+        Node(Key("k"), Int(0), Concat(KL(()), KL(()))),
+        Node(Key("k"), Int(0), KL((Key("a"), Int(2)))),
+        Node(Key("k"), Int(0), Var("a")),
+        Node(Int(0), Int(0), KL(())),
+        Node(Key("k"), Label(0), KL(())),
+        Node(Key("k"), Int(0), Node(Key("k"), Int(0), KL(()))),
+        Claim(Label(0)),
+        Var("x"),
+        AddOp(Int(1)),
+        None,
+    ], ids=repr)
+    def test_malformed_forms_are_no_values(self, e):
+        assert not is_value(e) and not is_value_oracle(e)
+
+    @pytest.mark.parametrize("e", [
+        KL(()), KL((Key("a"), Key("a"))), Node(Key("_"), Int(-1), KL(())),
+        Node(Key("k"), Int(0), kl_value("abc")), Lam("x", None, Var("y")),
+        Label(3),
+    ], ids=repr)
+    def test_values(self, e):
+        assert is_value(e) and is_value_oracle(e)
+
+
+RECORD_MODULES = (terms, state, engine, tlo, types)
+
+RECORDS = sorted(
+    (c for m in RECORD_MODULES for c in vars(m).values()
+     if isinstance(c, type) and c.__module__ == m.__name__
+     and dataclasses.is_dataclass(c) and c.__dataclass_params__.frozen),
+    key=lambda c: (c.__module__, c.__name__))
+
+
+def plain_twin(cls):
+    """A plain `dataclass(frozen=True)` with `cls`'s fields."""
+    return dataclasses.make_dataclass(cls.__name__, [
+        (f.name, f.type, dataclasses.field(default=f.default, repr=f.repr,
+                                           compare=f.compare))
+        for f in dataclasses.fields(cls)], frozen=True)
+
+
+def sample(cls, k=0):
+    """An instance of `cls` with a distinct term in every field."""
+    return cls(*(1 if (cls, f.name) == (Proj, "index") else Int(k + j)
+                 for j, f in enumerate(dataclasses.fields(cls))))
+
+
+class TestRecord:
+    """`terms.record` keeps the `dataclass(frozen=True)` contract and its
+    memory per instance, on every frozen dataclass of the modules whose
+    records a step builds."""
+
+    def test_every_frozen_dataclass_is_a_record(self):
+        assert {c.__name__ for c in RECORDS} == {
+            "Var", "Int", "Key", "Label", "Lam", "App", "Fix", "KL", "Node",
+            "Proj", "Concat", "Subtract", "Arith", "If0", "Len", "Emit",
+            "Claim", "AddOp", "MapOp", "FoldOp", "TBase", "TFuture", "TFun",
+            "OpKind", "Contraction", "StoreEntry", "Unit", "Station",
+            "Configuration", "Blocked", "Stuck", "Redex", "StepRecord",
+            "Candidate", "ConfigType"}
+        for c in RECORDS:
+            # stored through the bound setter, not the generated __init__
+            assert c.__init__.__globals__.get("_set") is object.__setattr__, c
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+    def test_fields_and_signature(self, cls):
+        twin = plain_twin(cls)
+        sig = [(p.name, p.kind, p.default)
+               for p in inspect.signature(cls.__init__).parameters.values()]
+        assert sig == [(p.name, p.kind, p.default)
+                       for p in inspect.signature(twin.__init__).parameters.values()]
+        fs = dataclasses.fields(cls)
+        x = sample(cls)
+        assert x.__dict__ == {f.name: getattr(x, f.name) for f in fs}
+        assert cls(**{f.name: getattr(x, f.name) for f in fs}) == x
+        defaults = {f.name: f.default for f in fs
+                    if f.default is not dataclasses.MISSING}
+        short = cls(*(getattr(x, f.name) for f in fs if f.name not in defaults))
+        assert {n: getattr(short, n) for n in defaults} == defaults
+        assert repr(x) == repr(twin(*(getattr(x, f.name) for f in fs)))
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+    def test_frozen_compared_and_replaced(self, cls):
+        x, y = sample(cls), sample(cls, 100)
+        first = next(f.name for f in dataclasses.fields(cls)
+                     if getattr(x, f.name) != getattr(y, f.name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, first, getattr(y, first))
+        assert x == sample(cls) and hash(x) == hash(sample(cls)) and x != y
+        state.keep(x, "_probe", lambda: "kept")
+        again = dataclasses.replace(x)
+        assert again == x and "_probe" not in again.__dict__
+        assert dataclasses.replace(x, **{first: getattr(y, first)}) != x
+        if "loc" in (f.name for f in dataclasses.fields(cls)):
+            moved = dataclasses.replace(x, loc=(3, 4))
+            assert moved.loc == (3, 4) and moved == x and hash(moved) == hash(x)
+
+    def test_post_init_still_checks(self):
+        with pytest.raises(ValueError, match="projection index 4"):
+            Proj(4, Var("n"))
+        with pytest.raises(ValueError, match="projection index 0"):
+            dataclasses.replace(Proj(1, Var("n")), index=0)
+
+    def test_no_more_memory_than_a_plain_dataclass(self):
+        # in a fresh interpreter: what a process did with `App`s before can
+        # change the size of later instances, whatever builds them
+        code = """if True:
+            import dataclasses, tracemalloc
+            from stationflow.terms import App, Int, Var
+            twin = dataclasses.make_dataclass("App", [
+                (f.name, f.type, dataclasses.field(
+                    default=f.default, repr=f.repr, compare=f.compare))
+                for f in dataclasses.fields(App)], frozen=True)
+
+            def traced(cls):
+                fn, arg = Var("f"), Int(0)
+                tracemalloc.start()
+                xs = [cls(fn, arg) for _ in range(10_000)]
+                size = tracemalloc.get_traced_memory()[0]
+                tracemalloc.stop()
+                return size
+
+            traced(App), traced(twin)  # both classes warmed up
+            print(traced(App), traced(twin))
+        """
+        src = str(Path(terms.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}).stdout
+        ours, twins = map(int, out.split())
+        assert ours <= twins
