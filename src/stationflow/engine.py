@@ -10,16 +10,18 @@ through one `_STEPS` table, the frontend and routing steps by site.
 
 A step changes at most two stations and carries the rest over.  `run` keeps
 an index of what its scheduler draws from: per station the plain redexes
-that step now and the rewrite candidates window by window, with counts; the
-stations that are not idle, which decide terminality; and the stations with
-a load site waiting on each label.  It rebuilds only the stations a step
-touched and, after a store write, those waiting on a written label; `det`
-builds a station's windows only when no plain redex is left, and the
-frontend and routing redexes are rebuilt only when the fields they read
-change.  The redex search records its hole as a path of child positions,
-along which the Load and frontend rules plug the contractum.  What the
-redex search finds in a term is kept on the term (see `state`), except by
-`eager_enumerate` for the wet station, which every eager step replaces.
+that step now and the rewrite candidates window by window, keyed by the
+identities of a window's two units (`tlo` keeps the prover verdicts), with
+counts; the stations that are not idle, which decide terminality; and the
+stations with a load site waiting on each label.  It rebuilds only the
+stations a step touched and, after a store write, those waiting on a
+written label; `det` builds a station's windows only when no plain redex is
+left, and the frontend and routing redexes are rebuilt only when the fields
+they read change.  The redex search records its hole as a path of child
+positions, along which the Load and frontend rules plug the contractum.
+What the redex search finds in a term is kept on the term (see `state`),
+except by `eager_enumerate` for the wet station, which every eager step
+replaces.
 """
 
 from __future__ import annotations
@@ -475,7 +477,6 @@ class _Index:
         self.plain = [()] * n  # the plain redexes that step now
         self.cands, self.ncand = [()] * n, [0] * n  # `tlo.station_windows`
         self.windows = [{} for _ in range(n)]
-        self.verdicts = {}  # `tlo.window_candidates`' table, for this run
         self.waiting: dict[int, set[int]] = {}  # label -> stations
         self.nplain = self.ncands = 0
         self.front_of = (None,) * 4  # the fields `front` was built from
@@ -513,7 +514,7 @@ class _Index:
             for i in self.unwindowed:
                 self.cands[i] = tlo.station_windows(
                     config.backend[i], self.rules, self.adjacency,
-                    self.windows[i], self.verdicts)
+                    self.windows[i])
                 n = sum(map(len, self.cands[i]))
                 self.ncands += n - self.ncand[i]
                 self.ncand[i] = n

@@ -7,12 +7,14 @@ describing the initial backend, followed by one frontend expression.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 from .terms import (
     INT, KEY, KL_T, NODE, OPERATIONS,
     App, Arith, Claim, Concat, Emit, Expr, Fix, FoldOp, If0, Int, KL, Key,
     Label, Lam, Len, MapOp, Node, Operation, Proj, Subtract, TFun, TFuture,
-    Type, Var, _fresh_name, children, free_vars, op_args, with_children,
+    Type, Var, _fresh_name, children, free_vars, op_args, substitute,
+    with_children,
 )
 
 
@@ -359,7 +361,7 @@ class _Parser:
         self.expect("}")
         out: Expr | None = None
         for item in items:
-            inst = _subst_syntactic(body, item, name)
+            inst = substitute(body, item, name)
             out = inst if out is None else App(Lam("_", None, inst), out)
         return Int(0, loc=(kw.line, kw.col)) if out is None else out
 
@@ -443,7 +445,7 @@ class _Parser:
             self.expect("[")
             items = self.comma_list(self.expr)
             self.expect("]")
-            return KL(tuple(_subst_syntactic(first, i, name) for i in items), loc=loc)
+            return KL(tuple(substitute(first, i, name) for i in items), loc=loc)
         return KL(tuple(self.comma_list(self.expr, first)), loc=loc)
 
     ### types
@@ -473,12 +475,6 @@ class _Parser:
         return left
 
 
-def _subst_syntactic(e: Expr, item: Expr, name: str) -> Expr:
-    # foreach/comprehension instantiation; item is surface syntax, not a value
-    from .terms import substitute
-    return substitute(e, item, name)
-
-
 ### entry points
 
 def parse_source(text: str, file: str = "<string>") -> Program:
@@ -499,7 +495,6 @@ def parse_source(text: str, file: str = "<string>") -> Program:
 
 
 def parse_file(path) -> Program:
-    from pathlib import Path
     path = Path(path)
     return parse_source(path.read_text(encoding="utf-8"), str(path))
 

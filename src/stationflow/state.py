@@ -13,24 +13,25 @@ Structural conventions
    and what the redex search finds in a non-value term (`_step`: the rule,
    the label a Claim waits on and the hole path, or the Stuck reason, but
    not the redex node, which can be the term itself, a cycle only the
-   collector frees); and the type and effect `types.type_of_config` found
+   collector frees); the type and effect `types.type_of_config` found
    for a term it types (`_ty`), with the labels the term mentions and their
-   types, read again only where those labels have the same types.
-   Configuration-wide facts (`is_dry`, `is_terminal`) are not cached, but
-   `engine.run` and the harness walks keep an index across steps
+   types, read again only where those labels have the same types; and a
+   map operation's `dcomp` (`_dcomp`), with the fold function it was built
+   for.  Configuration-wide facts (`is_dry`, `is_terminal`) are not cached,
+   but `engine.run` and the harness walks keep an index across steps
  - `engine.run`'s window table for a station's rewrite candidates is keyed
-   by the identities of a window's two units, and its verdict table
-   (`tlo._verdict`) by the identities of the functions and key list that
-   alone decide a pair rule's `dcomp` or verdict; an entry holds what its
-   key names, so no other object takes those identities, and both tables
-   live in the run (an Add starts afresh), so a replaced neighbour is freed
-   with its station and nothing outlives the run
- - the `to_sexpr` text of every closed compound term is kept on the
-   immutable term, and the JSON text `config_digest` writes for a station
-   (node text and streamlet), a unit (its `[label, operation]` pairs) and a
-   store entry (`[value, residual]`) is kept on that object as `_json`, so a
-   traced step encodes only the objects it built; nothing kept is built by
-   iterating a set or dict in hash order
+   by the identities of a window's two units; an entry holds the units, so
+   no other unit takes those identities, and the table lives in the run
+   (an Add starts afresh).  The prover verdicts of the pair rules are kept
+   for the process in `tlo._verdict`, keyed by the canonical text of the
+   functions they read, so they hold no term
+ - the `to_sexpr` text (the printer lives in `terms`) of every closed
+   compound term is kept on the immutable term, and the JSON text
+   `config_digest` writes for a station (node text and streamlet), a unit
+   (its `[label, operation]` pairs) and a store entry (`[value, residual]`)
+   is kept on that object as `_json`, so a traced step encodes only the
+   objects it built; nothing kept is built by iterating a set or dict in
+   hash order
  - kept values live in the instance `__dict__`, which `__eq__` and
    `__hash__` do not read; a new object starts with nothing kept, whether
    a step builds it directly, with `evolve` or with `dataclasses.replace`
@@ -43,9 +44,8 @@ import json
 
 from .parser import Program
 from .terms import (
-    OPERATIONS, App, Claim, Concat, Emit, Expr, Fix, FoldOp, If0, Int, KL,
-    Key, Label, Lam, Len, MapOp, Node, Operation, Proj, Subtract, Var,
-    children, is_value, kl_value, op_args, record,
+    Expr, FoldOp, Int, KL, Key, Label, MapOp, Node, Operation, _op_sexpr,
+    is_value, kl_value, record, to_sexpr, transform,
 )
 
 
@@ -206,91 +206,7 @@ def is_terminal(config: Configuration) -> bool:
     return is_dry(config) and not config.top and is_value(config.frontend)
 
 
-### canonical serialization
-
-# the forms printed as their tag followed by their children
-_TAGS = {App: "app", Fix: "fix", KL: "kl", Node: "node", Concat: "cat",
-         Subtract: "sub", If0: "if0", Len: "len", Claim: "claim"}
-
-
-# the lowest binder level reached by a term without variables
-_NO_VARS = 1 << 62
-
-
-def to_sexpr(e: Expr) -> str:
-    """Deterministic s-expression; bound variables become de Bruijn indices
-    so alpha-equivalent terms print identically.
-
-    A form prints as `(tag child ...)`, where the tag of a projection is
-    `proj1`..`proj3` and of arithmetic `arith` and its operator, except a
-    variable, a literal, a lambda and an emission, `(emit (keyword arg ...))`.
-
-    The text of every closed compound term, one without free variables, is
-    kept in the immutable term's instance `__dict__` (which `__eq__` and
-    `__hash__` do not read).  That is sound because every variable in a
-    closed term is bound inside it and prints as the distance to its
-    binder, so the term prints the same at top level and under any
-    binders.  An open term keeps nothing: its text depends on its context.
-    A term carried over by a step, or left unchanged by a substitution
-    (see `terms.substitute`), is printed once."""
-    return _sexpr(e, {}, 0)[0]
-
-
-def _sexpr(e: Expr, depth: dict[str, int], level: int) -> tuple[str, int]:
-    """The text of `e` under `level` binders, `depth` giving the level of
-    the binder of each name in scope, and the lowest binder level its
-    variables reach (0 for a free one).  `e` is closed when that is above
-    `level`."""
-    t = type(e)
-    if t is Var:
-        idx = depth.get(e.name)
-        if idx is None:
-            return f"(free {e.name})", 0
-        return f"(bound {level - idx})", idx
-    if t is Int:
-        return f"(int {e.value})", _NO_VARS
-    if t is Key:
-        return f"(key {e.name})", _NO_VARS
-    if t is Label:
-        return f"(label {e.index})", _NO_VARS
-    memo = e.__dict__
-    text = memo.get("_sexpr")
-    if text is not None:
-        return text, _NO_VARS
-    if t is Lam:
-        inner, low = _sexpr(e.body, {**depth, e.param: level + 1}, level + 1)
-        ptype = str(e.ptype) if e.ptype is not None else "_"
-        text = f"({'lam!' if e.commutative else 'lam'} {ptype} {inner})"
-    elif t is Emit:
-        inner, low = _op_sexpr(e.op, depth, level)
-        text = f"(emit {inner})"
-    else:
-        tag = _TAGS.get(t)
-        if tag is None:
-            tag = f"proj{e.index}" if t is Proj else f"arith {e.op}"
-        text, low = _form(tag, children(e), depth, level)
-    if low > level:
-        memo["_sexpr"] = text
-    return text, low
-
-
-def _op_sexpr(op: Operation, depth: dict[str, int],
-              level: int) -> tuple[str, int]:
-    return _form(OPERATIONS[type(op)].keyword, op_args(op), depth, level)
-
-
-def _form(tag: str, subterms, depth: dict[str, int],
-          level: int) -> tuple[str, int]:
-    """`(tag sub ...)` and the lowest binder level the subterms reach."""
-    low = _NO_VARS
-    parts = [tag]
-    for c in subterms:
-        part, clow = _sexpr(c, depth, level)
-        parts.append(part)
-        if clow < low:
-            low = clow
-    return f"({' '.join(parts)})", low
-
+### canonical serialization (terms print by `terms.to_sexpr`)
 
 def _rename_key(name: str, keymap: dict[str, str]) -> str:
     if name.startswith("@k"):
@@ -301,8 +217,6 @@ def _rename_key(name: str, keymap: dict[str, str]) -> str:
 
 
 def _canon_expr(e: Expr, keymap: dict[str, str], labelmap: dict[int, int]) -> Expr:
-    from .terms import transform
-
     def fix(x: Expr) -> Expr:
         if isinstance(x, Key):
             return Key(_rename_key(x.name, keymap))

@@ -1,7 +1,10 @@
 """Term language: expressions, values, operations, substitution, normalization.
 
 `OPERATIONS` gives each operation kind its keyword, the role and type of each
-argument and the future it yields; no other module spells these out.
+argument and the future it yields; no other module spells these out.  The
+canonical printer `to_sexpr` writes bound variables as de Bruijn indices, and
+its text is the one notion of term sameness: `alpha_equiv` compares it, and
+`tlo` keys its prover verdicts by it.
 """
 
 from __future__ import annotations
@@ -395,37 +398,97 @@ def kl_value(names) -> KL:
     return KL(tuple(Key(n) for n in names))
 
 
-### alpha equivalence
+### canonical serialization, which decides alpha equivalence
+
+# the forms printed as their tag followed by their children
+_TAGS = {App: "app", Fix: "fix", KL: "kl", Node: "node", Concat: "cat",
+         Subtract: "sub", If0: "if0", Len: "len", Claim: "claim"}
+
+
+# the lowest binder level reached by a term without variables
+_NO_VARS = 1 << 62
+
+
+def to_sexpr(e: Expr) -> str:
+    """Deterministic s-expression; bound variables become de Bruijn indices
+    so alpha-equivalent terms print identically.
+
+    A form prints as `(tag child ...)`, where the tag of a projection is
+    `proj1`..`proj3` and of arithmetic `arith` and its operator, except a
+    variable, a literal, a lambda and an emission, `(emit (keyword arg ...))`.
+
+    The text of every closed compound term, one without free variables, is
+    kept in the immutable term's instance `__dict__` (which `__eq__` and
+    `__hash__` do not read).  That is sound because every variable in a
+    closed term is bound inside it and prints as the distance to its
+    binder, so the term prints the same at top level and under any
+    binders.  An open term keeps nothing: its text depends on its context.
+    A term carried over by a step, or left unchanged by a substitution
+    (see `substitute`), is printed once."""
+    return _sexpr(e, {}, 0)[0]
+
+
+def _sexpr(e: Expr, depth: dict[str, int], level: int) -> tuple[str, int]:
+    """The text of `e` under `level` binders, `depth` giving the level of
+    the binder of each name in scope, and the lowest binder level its
+    variables reach (0 for a free one).  `e` is closed when that is above
+    `level`."""
+    t = type(e)
+    if t is Var:
+        idx = depth.get(e.name)
+        if idx is None:
+            return f"(free {e.name})", 0
+        return f"(bound {level - idx})", idx
+    if t is Int:
+        return f"(int {e.value})", _NO_VARS
+    if t is Key:
+        return f"(key {e.name})", _NO_VARS
+    if t is Label:
+        return f"(label {e.index})", _NO_VARS
+    memo = e.__dict__
+    text = memo.get("_sexpr")
+    if text is not None:
+        return text, _NO_VARS
+    if t is Lam:
+        inner, low = _sexpr(e.body, {**depth, e.param: level + 1}, level + 1)
+        ptype = str(e.ptype) if e.ptype is not None else "_"
+        text = f"({'lam!' if e.commutative else 'lam'} {ptype} {inner})"
+    elif t is Emit:
+        inner, low = _op_sexpr(e.op, depth, level)
+        text = f"(emit {inner})"
+    else:
+        tag = _TAGS.get(t)
+        if tag is None:
+            tag = f"proj{e.index}" if t is Proj else f"arith {e.op}"
+        text, low = _form(tag, children(e), depth, level)
+    if low > level:
+        memo["_sexpr"] = text
+    return text, low
+
+
+def _op_sexpr(op: Operation, depth: dict[str, int],
+              level: int) -> tuple[str, int]:
+    return _form(OPERATIONS[type(op)].keyword, op_args(op), depth, level)
+
+
+def _form(tag: str, subterms, depth: dict[str, int],
+          level: int) -> tuple[str, int]:
+    """`(tag sub ...)` and the lowest binder level the subterms reach."""
+    low = _NO_VARS
+    parts = [tag]
+    for c in subterms:
+        part, clow = _sexpr(c, depth, level)
+        parts.append(part)
+        if clow < low:
+            low = clow
+    return f"({' '.join(parts)})", low
+
 
 def alpha_equiv(a: Expr, b: Expr) -> bool:
-    return _alpha(a, b, {}, {}, 0)
-
-
-def _alpha(a: Expr, b: Expr, la: dict[str, int], lb: dict[str, int],
-           depth: int) -> bool:
-    """`la`/`lb` map each name in scope to the nesting level of its binder;
-    `depth` binders enclose `a` and `b`.  A level, unlike the count of
-    names in scope, grows when a binder shadows a name."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Var):
-        if (a.name in la) != (b.name in lb):
-            return False
-        return la[a.name] == lb[b.name] if a.name in la else a.name == b.name
-    if isinstance(a, Lam):
-        if a.ptype != b.ptype or a.commutative != b.commutative:
-            return False
-        return _alpha(a.body, b.body, {**la, a.param: depth},
-                      {**lb, b.param: depth}, depth + 1)
-    if (isinstance(a, Proj) and a.index != b.index
-            or isinstance(a, Arith) and a.op != b.op
-            or isinstance(a, Emit) and type(a.op) is not type(b.op)):
-        return False
-    ca, cb = children(a), children(b)
-    if not ca:
-        return a == b  # Int, Key and Label compare their value
-    return len(ca) == len(cb) and all(_alpha(x, y, la, lb, depth)
-                                      for x, y in zip(ca, cb))
+    """Equal up to the names of bound variables and source positions: the
+    text prints every field but `loc`, a bound variable as the distance to
+    its binder."""
+    return to_sexpr(a) == to_sexpr(b)
 
 
 ### the pure reduction rules

@@ -5,13 +5,13 @@ some labels directly into the store.  Candidates are discovered in a fixed
 order so seeded schedulers replay exactly.  `candidates` builds them afresh
 on every call.  The provers are pure and a window's candidates read only its
 two units, so `engine.run` keeps them window by window and rebuilds only the
-windows a step changed, and keeps what a pair rule derives from operation
-functions and key lists alone in a table (`_verdict`) for the whole run.
+windows a step changed.  A pair rule's verdict depends on operation functions
+only up to the names of bound variables, so it is kept for the process in one
+bounded table keyed by their `to_sexpr` text (`_verdict`); the compensation
+function reorderrw builds is kept on the map operation (`_dcomp_kept`).
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .state import (
     Configuration, Station, StoreEntry, Unit, evolve, merge_results, singleton,
@@ -20,8 +20,8 @@ from .state import (
 from .terms import (
     NODE, App, Claim, Concat, Expr, FoldOp, If0, Int, KL, Key, Label, Lam,
     Len, MapOp, Node, Proj, Subtract, Var, alpha_equiv, compose,
-    eta_contract, kl_subtract, normalize, record, term_equiv, transform,
-    _fresh_name, free_vars,
+    eta_contract, kl_subtract, normalize, record, term_equiv, to_sexpr,
+    transform, _fresh_name, free_vars,
 )
 
 RULE_NAMES = ("batch", "unbatch", "reorderd", "reorderrr", "reorderrw",
@@ -41,9 +41,7 @@ class Candidate:
 
 
 def _single(unit: Unit):
-    if len(unit.entries) == 1:
-        return unit.entries[0]
-    return None
+    return unit.entries[0] if len(unit.entries) == 1 else None
 
 
 def candidates(config: Configuration, rules: tuple[str, ...] | None = None,
@@ -53,13 +51,12 @@ def candidates(config: Configuration, rules: tuple[str, ...] | None = None,
     out: list[Candidate] = []
     for si, station in enumerate(config.backend):
         out.extend(placed(si, station_windows(
-            station, enabled, assume_set_adjacency, {}, {})))
+            station, enabled, assume_set_adjacency, {})))
     return out
 
 
 def station_windows(station: Station, enabled: tuple[str, ...],
-                    assume_set_adjacency: bool, windows: dict,
-                    verdicts: dict) -> list[tuple]:
+                    assume_set_adjacency: bool, windows: dict) -> list[tuple]:
     """`window_candidates` of the window at each unit of the streamlet.
     `windows` maps a window's two unit identities to the units, so no other
     unit takes those, and what they gave under the same rules and adjacency
@@ -74,7 +71,7 @@ def station_windows(station: Station, enabled: tuple[str, ...],
         hit = old.get(key)
         if hit is None:
             hit = unit, nxt, window_candidates(unit, nxt, enabled,
-                                               assume_set_adjacency, verdicts)
+                                               assume_set_adjacency)
         windows[key] = hit
         out.append(hit[2])
     return out
@@ -86,14 +83,21 @@ def placed(si: int, found: list[tuple]) -> tuple[Candidate, ...]:
                  for j, window in enumerate(found) for rule, *rest in window)
 
 
-def _verdict(verdicts: dict, make, *args):
-    """`make(*args)`, kept in `verdicts` under `make` and the identities of
-    `args`, which the entry holds, so no other object takes those."""
-    key = (make, *map(id, args))
-    hit = verdicts.get(key)
+# (prover, argument texts) -> verdict, for the process; emptied when full
+_VERDICTS: dict[tuple, object] = {}
+_VERDICT_BOUND = 4096
+
+
+def _verdict(prove, *args):
+    """`prove(*args)`, kept under `prove` and the `to_sexpr` text of each
+    term argument; a bool argument enters the key as it is."""
+    key = (prove, *[a if type(a) is bool else to_sexpr(a) for a in args])
+    hit = _VERDICTS.get(key)
     if hit is None:
-        hit = verdicts[key] = args, make(*args)
-    return hit[1]
+        if len(_VERDICTS) >= _VERDICT_BOUND:
+            _VERDICTS.clear()
+        hit = _VERDICTS[key] = prove(*args)
+    return hit
 
 
 def _reusable(f1: Expr, f2: Expr) -> bool:
@@ -101,13 +105,27 @@ def _reusable(f1: Expr, f2: Expr) -> bool:
     return alpha_equiv(f1, f2) and prove_commutative(f1) == "proved"
 
 
+def _fused(f2: Expr, f1: Expr, assume_set_adjacency: bool) -> str:
+    """`prove_identity` of the map `f1` then `f2`, keyed by the two texts
+    rather than the longer one of their composition."""
+    return prove_identity(compose(f2, f1), assume_set_adjacency)
+
+
+def _dcomp_kept(m: MapOp, outer: Expr) -> Expr:
+    """`dcomp` of `outer` around map `m`, kept on `m` (see `state`) with
+    the `outer` it was built for, which a later fold function replaces."""
+    memo = m.__dict__
+    hit = memo.get("_dcomp")
+    if hit is None or hit[0] is not outer:
+        hit = memo["_dcomp"] = outer, dcomp(outer, m.ks.items, m.fn)
+    return hit[1]
+
+
 def window_candidates(unit: Unit, nxt: Unit | None, enabled: tuple[str, ...],
-                      assume_set_adjacency: bool,
-                      verdicts: dict) -> tuple[tuple, ...]:
+                      assume_set_adjacency: bool) -> tuple[tuple, ...]:
     """The rewrites of the window at `unit`, `nxt` the unit after it (None
     at the tail): `unit`'s unbatch splits, then the pair rules, each as the
-    `Candidate` fields after station and start, which it does not read;
-    `verdicts` is the table `_verdict` keeps."""
+    `Candidate` fields after station and start, which it does not read."""
     out: list[tuple] = []
     if "unbatch" in enabled and len(unit.entries) >= 2:
         for split in range(1, len(unit.entries)):
@@ -131,15 +149,14 @@ def window_candidates(unit: Unit, nxt: Unit | None, enabled: tuple[str, ...],
         out.append(("reorderrr", 2, (nxt, unit), (), (l1, l2)))
     if "reorderrw" in enabled and isinstance(o1, MapOp) and isinstance(o2, FoldOp):
         if t1 is not None:
-            comp = _verdict(verdicts, dcomp, o2.fn, o1.ks.items, o1.fn)
+            comp = _dcomp_kept(o1, o2.fn)
             new_fold = singleton(l2, FoldOp(comp, o2.base, o2.ks))
             out.append(("reorderrw", 2, (new_fold, unit), (), (l1, l2)))
     if ({"fusem", "fusemid"} & set(enabled)) and isinstance(o1, MapOp) \
             and isinstance(o2, MapOp) and o1.ks == o2.ks:
-        fn = compose(o2.fn, o1.fn)
-        verdict = prove_identity(fn, assume_set_adjacency=assume_set_adjacency)
+        verdict = _verdict(_fused, o2.fn, o1.fn, assume_set_adjacency)
         if "fusem" in enabled and verdict == "refuted":
-            fused = singleton(l1, MapOp(fn, o1.ks))
+            fused = singleton(l1, MapOp(compose(o2.fn, o1.fn), o1.ks))
             out.append(("fusem", 2, (fused,),
                         ((l2, StoreEntry(Int(0), ())),), (l1, l2)))
         if "fusemid" in enabled and verdict == "proved":
@@ -148,7 +165,7 @@ def window_candidates(unit: Unit, nxt: Unit | None, enabled: tuple[str, ...],
                          (l2, StoreEntry(Int(0), ()))), (l1, l2)))
     if "reuse" in enabled and isinstance(o1, FoldOp) and isinstance(o2, FoldOp):
         if (t1 is not None and t2 is not None and set(t1) <= set(t2)
-                and _verdict(verdicts, _reusable, o1.fn, o2.fn)
+                and _verdict(_reusable, o1.fn, o2.fn)
                 and alpha_equiv(o1.base, o2.base)):
             shrunk = KL(kl_subtract(o2.ks.items, o1.ks.items))
             second = singleton(l2, FoldOp(o2.fn, Claim(Label(l1)), shrunk))
@@ -230,7 +247,6 @@ def _simplify(e: Expr, assume_set_adjacency: bool) -> Expr:
     return e
 
 
-@lru_cache(maxsize=4096)
 def prove_identity(fn: Expr, assume_set_adjacency: bool = False) -> str:
     """proved / refuted / unknown for `fn` being the node identity."""
     norm, done = normalize(fn)
@@ -245,7 +261,6 @@ def prove_identity(fn: Expr, assume_set_adjacency: bool = False) -> str:
     return "unknown"
 
 
-@lru_cache(maxsize=4096)
 def prove_commutative(fn: Expr) -> str:
     """The annotation carries the claim; probing can only take it away."""
     if not (isinstance(fn, Lam) and fn.commutative):

@@ -1,6 +1,6 @@
 import pytest
 
-from stationflow import engine, state
+from stationflow import engine, state, tlo
 from stationflow.parser import parse_source
 
 _ACCEPTANCE_LINES = []
@@ -57,3 +57,12 @@ def reached(monkeypatch):
         monkeypatch.setattr(engine._Index, "terminal", checked)
         return seen
     return install
+
+
+@pytest.fixture
+def empty_verdicts(monkeypatch):
+    """`tlo`'s verdict table, empty for this test; the process's table is
+    put back after it.  Tests that count derivations start from it."""
+    table = {}
+    monkeypatch.setattr(tlo, "_VERDICTS", table)
+    return table

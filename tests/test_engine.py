@@ -908,13 +908,14 @@ PROD = Lam("n", NODE, Lam("acc", NODE,
 
 class TestVerdicts:
     """What the pair rules derive from operation functions and key lists
-    alone (`tlo._verdict`) is kept in the run's index under the identities
-    of those objects, and derived again exactly when one of them changes."""
+    alone is kept: a verdict in `tlo`'s table under the functions' canonical
+    text, a compensation function on the map operation.  A step derives
+    again only what a new function or fold function asks for."""
 
     @pytest.fixture
-    def calls(self, monkeypatch):
+    def calls(self, monkeypatch, empty_verdicts):
         """The arguments of each `alpha_equiv` and `dcomp` call made
-        through `tlo`'s globals."""
+        through `tlo`'s globals, from an empty verdict table."""
         seen = {"alpha_equiv": [], "dcomp": []}
         for name, args in seen.items():
             def counted(*a, _fn=getattr(tlo, name), _args=args):

@@ -3,8 +3,12 @@ every checker, and the bundled corpus registry."""
 
 import hashlib
 import json
+import random
+
+import pytest
 
 from stationflow import engine, harness, state, tlo
+from stationflow.parser import parse_source
 
 
 class TestCorpusRegistry:
@@ -61,6 +65,27 @@ class TestSingleRunHelpers:
 
     def test_reuse_guard_never_offers(self):
         assert harness.reuse_never_offered(seeds=4)
+
+
+TWO_FOLDS = """graph [ #a: 5 [], #b: 3 [#a] ]
+let r0 = foldVal commutative (fun n: node -> fun acc: int -> payload(n) + acc) 0 [#a, #b] in
+let r1 = foldVal commutative (fun n: node -> fun acc: int -> payload(n) + acc) 0 [#b] in
+payload(claim r0) * 100 + payload(claim r1)
+"""
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "after reuse bases fold 0 on fold 1's label, a reorder of their empty "
+    "targets puts fold 0 at the head waiting on the unit behind it, and "
+    "det's fallback batches and unbatches until fuel runs out"))
+def test_det_completes_every_walk_configuration():
+    # the first of the walk's 76 configurations that det cannot complete
+    # is its 12th; the loop stops there
+    init = state.init(parse_source(TWO_FOLDS, "two_folds.cg"))
+    for config, _, _ in harness._walk(init, random.Random(23), tlo_on=True):
+        r = engine.run(config, scheduler="det", fuel=3000)
+        assert (r.status, state.to_sexpr(r.config.frontend)) == (
+            "terminal", "(int 803)")
 
 
 # sha256 over every step, rewrite and completion the checks below take,

@@ -107,8 +107,9 @@ REFERENCE_TAGS = {App: "app", Fix: "fix", KL: "kl", Node: "node",
 
 
 def reference_sexpr(e, depth=None, level=0):
-    """`state.to_sexpr` by its definition, every subterm printed afresh
-    under its binders, nothing read from or kept on a term."""
+    """`to_sexpr` (defined in `terms`, which decides alpha equivalence by
+    its text; `state` imports it) by its definition, every subterm printed
+    afresh under its binders, nothing read from or kept on a term."""
     depth = {} if depth is None else depth
     match e:
         case Var(name):

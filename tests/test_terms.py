@@ -86,6 +86,113 @@ class TestAlphaEquiv:
         assert alpha_equiv(lams(Var("x")), Lam("a", INT, Lam("b", INT, Lam(
             "c", INT, Lam("d", INT, Var("c"))))))
 
+    @pytest.mark.parametrize("a, b, equal", [
+        (Lam("x", INT, Lam("x", INT, Var("x"))),
+         Lam("x", INT, Lam("y", INT, Var("y"))), True),
+        (Lam("x", INT, Lam("x", INT, Var("x"))),
+         Lam("x", INT, Lam("y", INT, Var("x"))), False),
+        (Lam("x", INT, Lam("y", INT, Var("x"))),
+         Lam("y", INT, Lam("x", INT, Var("y"))), True),
+        (Lam("x", INT, Var("y")), Lam("y", INT, Var("y")), False),
+        (Lam("x", INT, Var("x")), Var("x"), False),
+        (App(Lam("x", INT, Var("x")), Var("x")),
+         App(Lam("y", INT, Var("y")), Var("x")), True),
+        (Lam("x", None, Var("x")), Lam("x", INT, Var("x")), False),
+        (Lam("x", TFun(NODE, False, NODE), Var("x")),
+         Lam("x", TFun(NODE, True, NODE), Var("x")), False),
+        (Lam("x", NODE, Var("x"), commutative=True), IDENT, False),
+        (Proj(1, Var("n")), Proj(2, Var("n")), False),
+        (Arith("+", Int(1), Int(2)), Arith("*", Int(1), Int(2)), False),
+        (Emit(MapOp(IDENT, KL(()))), Emit(AddOp(Int(0))), False),
+        (Emit(FoldOp(IDENT, Var("b"), KL(()))),
+         Emit(FoldOp(Lam("z", NODE, Var("z")), Var("b"), KL(()))), True),
+        (Label(1), Label(1, loc=(3, 3)), True),
+        (Key("a"), Var("a"), False),
+    ], ids=repr)
+    def test_binders_marks_and_fields(self, a, b, equal):
+        assert alpha_equiv(a, b) == alpha_oracle(a, b) == equal
+        assert alpha_equiv(b, a) == equal
+
+
+def alpha_oracle(a, b, la=None, lb=None, depth=0) -> bool:
+    """Alpha equivalence by a walk over binder levels, the definition the
+    comparison of printed text replaced.  `la`/`lb` map each name in scope
+    to the nesting level of its binder; `depth` binders enclose `a` and
+    `b`.  A level, unlike the count of names in scope, grows when a binder
+    shadows a name."""
+    la, lb = la or {}, lb or {}
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Var):
+        if (a.name in la) != (b.name in lb):
+            return False
+        return la[a.name] == lb[b.name] if a.name in la else a.name == b.name
+    if isinstance(a, Lam):
+        if a.ptype != b.ptype or a.commutative != b.commutative:
+            return False
+        return alpha_oracle(a.body, b.body, {**la, a.param: depth},
+                            {**lb, b.param: depth}, depth + 1)
+    if (isinstance(a, Proj) and a.index != b.index
+            or isinstance(a, Arith) and a.op != b.op
+            or isinstance(a, Emit) and type(a.op) is not type(b.op)):
+        return False
+    ca, cb = children(a), children(b)
+    if not ca:
+        return a == b  # Int, Key and Label compare their value
+    return len(ca) == len(cb) and all(alpha_oracle(x, y, la, lb, depth)
+                                      for x, y in zip(ca, cb))
+
+
+def renamed_apart(e):
+    """`e` with every binder renamed, a capture-avoiding substitution
+    putting the new name in for the old."""
+    def fix(x):
+        if isinstance(x, Lam):
+            new = x.param + "'"
+            return Lam(new, x.ptype, substitute(x.body, Var(new), x.param),
+                       x.commutative, x.loc)
+        return x
+    return terms.transform(e, fix)
+
+
+def swapped(e):
+    """A curried function `e` with its two binders trading names, `e`
+    itself for any other term."""
+    if not (isinstance(e, Lam) and isinstance(e.body, Lam)):
+        return e
+    inner = e.body
+    return Lam(inner.param, e.ptype, Lam(e.param, inner.ptype, inner.body,
+                                         inner.commutative, inner.loc),
+               e.commutative, e.loc)
+
+
+class TestAlphaOracle:
+    """Comparing printed text agrees with the binder-level walk on the
+    subterms the harness walks of the runnable corpus reach, paired with
+    each other and with copies whose binders are renamed or swapped."""
+
+    def test_agrees_along_the_corpus_walks(self):
+        by_class = {}
+        for k, name in enumerate(harness.RUNNABLE):
+            for config, _, _ in harness._walk(
+                    state.init(harness.corpus_program(name)),
+                    random.Random(k), True):
+                for e in config_terms(config):
+                    if not isinstance(e, (AddOp, MapOp, FoldOp)):
+                        by_class.setdefault(type(e), {})[id(e)] = e
+        rng = random.Random(0)
+        pairs = equal = 0
+        for found in by_class.values():
+            found = list(found.values())
+            for a in rng.sample(found, min(len(found), 150)):
+                for b in (renamed_apart(a), swapped(a),
+                          *rng.sample(found, 8)):
+                    got = alpha_equiv(a, b)
+                    assert got == alpha_oracle(a, b), (a, b)
+                    pairs += 1
+                    equal += got
+        assert pairs > 10_000 and 0.1 < equal / pairs < 0.9
+
 
 class TestKlSubtract:
     def test_removes_all_occurrences(self):

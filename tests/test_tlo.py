@@ -1,9 +1,14 @@
 """Stream rewriting: candidate enumeration per rule, soundness of each
 rewrite against deterministic completion, and the equivalence provers."""
 
+import random
+import sys
+import typing
+from pathlib import Path
+
 import pytest
 
-from stationflow import engine, state, tlo
+from stationflow import engine, harness, state, terms, tlo
 from stationflow.parser import parse_source
 from stationflow.state import Station, Unit, singleton
 from stationflow.terms import (
@@ -49,6 +54,7 @@ SUM_UNMARKED = Lam("n", NODE, Lam("acc", NODE,
                         Arith("+", Proj(2, Var("n")), Proj(2, Var("acc"))),
                         Proj(3, Var("acc")))))
 BASE = Node(Key("_"), Int(0), KL(()))
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def rules_at(config, *rules, **kw):
@@ -221,47 +227,107 @@ class TestReuse:
         assert not rules_at(config, "reuse")
 
 
-class TestVerdictTable:
-    """`window_candidates` keeps what it derives from operation functions
-    and key lists in the table it is given, under their identities."""
+def sum_fn(n="n", acc="acc", marked=True, payload=None, loc=None):
+    """`SUM` with other binder names and source positions, or another
+    payload expression."""
+    if payload is None:
+        payload = Arith("+", Proj(2, Var(n, loc)), Proj(2, Var(acc, loc)), loc)
+    return Lam(n, NODE, Lam(acc, NODE, Node(Proj(1, Var(acc, loc)), payload,
+                                            Proj(3, Var(acc, loc)), loc)),
+               commutative=marked, loc=loc)
 
-    def reuse(self, f1, f2, verdicts):
+
+class TestVerdictTable:
+    """`window_candidates` keeps the pair rules' prover verdicts in `tlo`'s
+    table for the process, keyed by the canonical text of the functions
+    they read, and reorderrw's `dcomp` on the map operation."""
+
+    def reuse(self, f1, f2):
         u1 = singleton(0, FoldOp(f1, BASE, kl("a")))
         u2 = singleton(1, FoldOp(f2, BASE, kl("a", "b")))
-        got = tlo.window_candidates(u1, u2, tlo.RULE_NAMES, False, verdicts)
-        assert got == tlo.window_candidates(u1, u2, tlo.RULE_NAMES, False, {})
+        got = tlo.window_candidates(u1, u2, tlo.RULE_NAMES, False)
         return "reuse" in [c[0] for c in got]
 
-    def test_no_verdict_for_another_second_function(self):
-        verdicts = {}
-        assert self.reuse(SUM, SUM, verdicts)
-        assert not self.reuse(SUM, SUM_UNMARKED, verdicts)
+    def counted(self, monkeypatch, name):
+        calls = []
+        prove = getattr(tlo, name)
+        monkeypatch.setattr(tlo, name, lambda *a: calls.append(a) or prove(*a))
+        return calls
 
-    def test_no_verdict_for_another_key_list(self):
-        verdicts = {}
-        fold = singleton(1, FoldOp(SUM, BASE, kl("a", "b")))
+    def test_no_verdict_for_another_second_function(self, empty_verdicts):
+        assert self.reuse(SUM, SUM)
+        assert not self.reuse(SUM, SUM_UNMARKED)
+
+    def test_no_verdict_for_another_key_list(self, empty_verdicts):
+        # the compensation is kept on the map with the fold function it was
+        # built for, so another fold function or key list builds it again
         for ks in (kl("a"), kl("b"), kl("a", "b")):
             unit = singleton(0, MapOp(INC, ks))
-            got = tlo.window_candidates(unit, fold, ("reorderrw",), False,
-                                        verdicts)
-            assert got == tlo.window_candidates(unit, fold, ("reorderrw",),
-                                                False, {})
+            for fn in (SUM, SUM_UNMARKED, SUM):
+                fold = singleton(1, FoldOp(fn, BASE, kl("a", "b")))
+                ((_, _, (moved, _), *_),) = tlo.window_candidates(
+                    unit, fold, ("reorderrw",), False)
+                ((_, op),) = moved.entries
+                assert op.fn == tlo.dcomp(fn, ks.items, INC)
 
     def test_no_verdict_for_a_function_built_after_one_was_freed(
-            self, monkeypatch):
-        # the prover's cache would hold the functions; without it only the
-        # table does, and a function freed there could hand its identity on
-        monkeypatch.setattr(tlo, "prove_commutative",
-                            tlo.prove_commutative.__wrapped__)
-        verdicts = {}
+            self, empty_verdicts):
         for k in range(40):
             marked = k % 3 == 0
-            fn = Lam("n", NODE, Lam("acc", NODE, Node(
-                Proj(1, Var("acc")),
-                Arith("+", Proj(2, Var("n")), Proj(2, Var("acc"))),
-                Proj(3, Var("acc")))), commutative=marked)
-            assert self.reuse(fn, fn, verdicts) == marked
+            fn = sum_fn(marked=marked)
+            assert self.reuse(fn, fn) == marked
             del fn
+
+    def test_alpha_equivalent_twins_cost_one_proof(self, monkeypatch,
+                                                   empty_verdicts):
+        commutative = self.counted(monkeypatch, "prove_commutative")
+        identity = self.counted(monkeypatch, "prove_identity")
+        twin = sum_fn("m", "b", loc=(4, 2))
+        assert self.reuse(SUM, SUM) and self.reuse(twin, twin)
+        assert self.reuse(SUM, twin) and self.reuse(twin, SUM)
+        assert len(commutative) == 1
+        inc = Lam("y", NODE, Node(Proj(1, Var("y")),
+                                  Arith("+", Proj(2, Var("y")), Int(1)),
+                                  Proj(3, Var("y"))), loc=(7, 1))
+        for f1, f2 in ((INC, DOUBLE), (inc, DOUBLE), (INC, DOUBLE)):
+            units = (singleton(0, MapOp(f1, kl("a"))),
+                     singleton(1, MapOp(f2, kl("a"))))
+            got = tlo.window_candidates(*units, ("fusem",), False)
+            assert [c[0] for c in got] == ["fusem"]
+        assert len(identity) == 1
+
+    def test_a_full_table_is_emptied(self, empty_verdicts):
+        # an unmarked function is refused before any probe
+        for k in range(tlo._VERDICT_BOUND):
+            fn = sum_fn(marked=False, payload=Int(k))
+            assert not self.reuse(fn, fn)
+        assert len(empty_verdicts) == tlo._VERDICT_BOUND
+        assert self.reuse(SUM, SUM)
+        assert len(empty_verdicts) == 1
+        assert not self.reuse(SUM, SUM_UNMARKED)
+        assert not self.reuse(SUM_UNMARKED, SUM_UNMARKED)
+        assert self.reuse(sum_fn("p", "q"), SUM)
+        assert len(empty_verdicts) == 3
+
+    def test_no_term_is_hashed(self, monkeypatch, empty_verdicts):
+        # a tlo-random run of an op mix that applies every rule, and the
+        # soundness check, decide term sameness by text alone
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        import programs
+        hashed = []
+        for cls in (*typing.get_args(terms.Expr), *terms.OPERATIONS):
+            def counted(self, _hash=cls.__hash__):
+                hashed.append(type(self))
+                return _hash(self)
+            monkeypatch.setattr(cls, "__hash__", counted)
+        gen = programs.mix_program(8, 1, random.Random(1), random.Random(1))
+        r = engine.run(state.init(parse_source(gen.source, "mix.cg")),
+                       scheduler="tlo-random", seed=8,
+                       assume_set_adjacency=True)
+        assert r.config.frontend == Int(gen.expected)
+        assert harness.check_rewrite_soundness(20).ok
+        assert hashed == []
 
 
 class TestRuleSelection:
