@@ -26,7 +26,6 @@ replaces.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from functools import partial
@@ -35,9 +34,9 @@ from operator import is_not
 
 from . import tlo
 from .state import (
-    Configuration, Station, StoreEntry, append_station_tail,
-    config_digest, evolve, finalize, fresh_key_name, is_value, keep,
-    merge_results, singleton, station_is_load_free, target,
+    Configuration, DigestParts, Station, StoreEntry, _encode,
+    append_station_tail, config_digest, evolve, finalize, fresh_key_name,
+    is_value, keep, merge_results, singleton, station_is_load_free, target,
 )
 from .terms import (
     ATOMS, CONTRACTIONS, AddOp, App, Claim, Emit, Expr, FoldOp, Int, KL, Key,
@@ -439,9 +438,11 @@ class StepRecord:
     digest: str
 
     def to_json(self) -> str:
-        return json.dumps({"step": self.step, "rule": self.rule,
-                           "site": self.site, "labels": list(self.labels),
-                           "digest": self.digest}, sort_keys=True)
+        """`json.dumps` of the record's fields with sorted keys."""
+        return (f'{{"digest": {_encode(self.digest)}, '
+                f'"labels": [{", ".join(map(str, self.labels))}], '
+                f'"rule": {_encode(self.rule)}, "site": {_encode(self.site)}, '
+                f'"step": {self.step}}}')
 
 
 @dataclass
@@ -608,6 +609,7 @@ def run(config: Configuration, scheduler: str = "eager", seed: int = 0,
         tlo_rules = None
     rng = random.Random(seed)
     records: list[StepRecord] = []
+    parts = DigestParts() if trace else None
     ix = _Index(config, tlo_rules, assume_set_adjacency)
     for step in range(fuel):
         if ix.terminal():
@@ -628,7 +630,7 @@ def run(config: Configuration, scheduler: str = "eager", seed: int = 0,
             ix.advance(choice, config, labels)
         if trace:
             records.append(StepRecord(step, rule, choice.site, tuple(labels),
-                                      config_digest(config)))
+                                      config_digest(config, parts)))
     return RunResult(config, "fuel", fuel, records, "fuel exhausted")
 
 

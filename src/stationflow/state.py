@@ -29,9 +29,10 @@ Structural conventions
    compound term is kept on the immutable term, and the JSON text
    `config_digest` writes for a station (node text and streamlet), a unit
    (its `[label, operation]` pairs) and a store entry (`[value, residual]`)
-   is kept on that object as `_json`, so a traced step encodes only the
-   objects it built; nothing kept is built by iterating a set or dict in
-   hash order
+   is kept on that object as `_json`; a traced run's `DigestParts` holds
+   the text of each station, the top, the store and the frontend it last
+   digested, so a traced step encodes only the parts it made anew; nothing
+   kept is built by iterating a set or dict in hash order
  - kept values live in the instance `__dict__`, which `__eq__` and
    `__hash__` do not read; a new object starts with nothing kept, whether
    a step builds it directly, with `evolve` or with `dataclasses.replace`
@@ -41,6 +42,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import compress, count
+from json.encoder import encode_basestring_ascii as _encode  # json.dumps(str)
+from operator import is_not
 
 from .parser import Program
 from .terms import (
@@ -265,14 +269,10 @@ def terminal_digest(config: Configuration, strict_residuals: bool = False) -> st
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-# compact JSON, as `json.dumps` with these separators writes it; a
-# fragment holds no object, so key order does not arise
-_encode = json.JSONEncoder(separators=(",", ":")).encode
-
-
 def _unit_json(unit: Unit) -> str:
-    return _encode([[label, _op_sexpr(op, {}, 0)[0]]
+    ops = ",".join([f"[{label},{_encode(_op_sexpr(op, {}, 0)[0])}]"
                     for label, op in unit.entries])
+    return f"[{ops}]"
 
 
 def _station_json(station: Station) -> str:
@@ -282,10 +282,24 @@ def _station_json(station: Station) -> str:
 
 
 def _entry_json(entry: StoreEntry) -> str:
-    return _encode([to_sexpr(entry.value), list(entry.residual)])
+    residual = ",".join(map(_encode, entry.residual))
+    return f"[{_encode(to_sexpr(entry.value))},[{residual}]]"
 
 
-def config_digest(config: Configuration) -> str:
+class DigestParts:
+    """The parts of the configuration `config_digest` last encoded with
+    it, each with its text: the backend and the text of each station, the
+    top, the store and the frontend.  A traced run passes one to every
+    step's digest, so a part is encoded again only when the step made a new
+    object of it."""
+
+    # an empty tuple's text is empty, so these fit any first configuration
+    backend = top = store = stations = ()
+    backend_text = top_text = store_text = frontend_text = ""
+    frontend = None
+
+
+def config_digest(config: Configuration, parts: DigestParts | None = None) -> str:
     """Digest of the entire configuration, streams included, without any
     renaming; used to fingerprint intermediate states in traces.
 
@@ -295,15 +309,28 @@ def config_digest(config: Configuration) -> str:
     "frontend": text}, each unit a list of [label, operation] and each
     term its `to_sexpr` text.  That blob is assembled here from the JSON
     text of each station, unit and store entry, kept on the immutable
-    object, so a step encodes only the objects it built."""
-    backend = ",".join([keep(s, "_json", _station_json, s)
-                        for s in config.backend])
-    top = ",".join([keep(u, "_json", _unit_json, u) for u in config.top])
-    # sort_keys orders the store by label text, not by label
-    store = ",".join([f'"{label}":{keep(e, "_json", _entry_json, e)}'
-                      for label, e in sorted(config.store,
-                                             key=lambda le: str(le[0]))])
-    blob = (f'{{"backend":[{backend}],'
-            f'"frontend":{_encode(to_sexpr(config.frontend))},'
-            f'"store":{{{store}}},"top":[{top}]}}')
+    object, and of each part `parts` holds from the last configuration
+    digested with it; without `parts`, every part is new."""
+    p = parts or DigestParts()
+    backend = config.backend
+    if backend is not p.backend:
+        if len(backend) == len(p.backend):
+            new = compress(count(), map(is_not, backend, p.backend))
+        else:  # the first digest, or an Add, which shifts every index
+            new, p.stations = range(len(backend)), [""] * len(backend)
+        for i in new:
+            p.stations[i] = keep(backend[i], "_json", _station_json, backend[i])
+        p.backend, p.backend_text = backend, ",".join(p.stations)
+    if config.top is not p.top:
+        p.top, p.top_text = config.top, ",".join(
+            [keep(u, "_json", _unit_json, u) for u in config.top])
+    if config.store is not p.store:  # sort_keys orders it by label text
+        p.store, p.store_text = config.store, ",".join(
+            [f'"{label}":{keep(e, "_json", _entry_json, e)}'
+             for label, e in sorted(config.store, key=lambda le: str(le[0]))])
+    if config.frontend is not p.frontend:
+        p.frontend = config.frontend
+        p.frontend_text = _encode(to_sexpr(config.frontend))
+    blob = (f'{{"backend":[{p.backend_text}],"frontend":{p.frontend_text},'
+            f'"store":{{{p.store_text}}},"top":[{p.top_text}]}}')
     return hashlib.sha256(blob.encode()).hexdigest()

@@ -3,6 +3,7 @@ claim blocking, the eager policy and schedule-independence."""
 
 import dataclasses
 import hashlib
+import json
 import random
 import sys
 from pathlib import Path
@@ -428,6 +429,48 @@ class TestScheduleIndependence:
         a = run(state.init(prog), scheduler="tlo-random", seed=5, trace=True)
         b = run(state.init(prog), scheduler="tlo-random", seed=5, trace=True)
         assert [r.to_json() for r in a.trace] == [r.to_json() for r in b.trace]
+
+
+class TestStepRecordJson:
+    """`StepRecord.to_json` formats a record itself; it must write what
+    `json.dumps` of the record's fields with sorted keys writes."""
+
+    @staticmethod
+    def dumps(rec):
+        return json.dumps({"step": rec.step, "rule": rec.rule,
+                           "site": rec.site, "labels": list(rec.labels),
+                           "digest": rec.digest}, sort_keys=True)
+
+    @staticmethod
+    def corpus_records():
+        records = []
+        for name in harness.RUNNABLE:
+            prog = harness.corpus_program(name)
+            for scheduler, seed in (("eager", 0), ("det", 0), ("random", 3),
+                                    ("tlo-random", 3)):
+                records += run(state.init(prog), scheduler=scheduler,
+                               seed=seed, trace=True).trace
+        return records
+
+    def test_corpus_records(self):
+        records = self.corpus_records()
+        assert [r.to_json() for r in records] == list(map(self.dumps, records))
+        # rewrite sites (`station:i:rule`), no labels and several labels
+        assert any(r.rule == "Opt" and r.site.count(":") == 2 for r in records)
+        assert any(not r.labels for r in records)
+        assert any(len(r.labels) > 2 for r in records)
+
+    def test_text_is_escaped_as_json_dumps_escapes_it(self):
+        rec = engine.StepRecord(0, 'a"b\\c', "station:0:\u00e9\u4e2d\n", (7,),
+                                "0f")
+        assert rec.to_json() == self.dumps(rec)
+
+    def test_trace_file_is_one_dumps_line_per_record(self, tmp_path):
+        records = self.corpus_records()
+        path = tmp_path / "trace.jsonl"
+        engine.write_trace(path, records)
+        assert path.read_bytes() == "".join(
+            self.dumps(r) + "\n" for r in records).encode()
 
 
 class TestNoOvertaking:

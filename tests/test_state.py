@@ -264,6 +264,54 @@ X = Var("x")
 NODE_A = Node(Key("a"), Int(1), KL((Key("b"),)))
 
 
+class TestDigestParts:
+    """One `DigestParts` carried through a hand-built sequence of
+    configurations, as `engine.run` carries one through a traced run."""
+
+    INC = Lam("n", NODE, Node(Proj(1, Var("n")),
+                              Arith("+", Proj(2, Var("n")), Int(1)),
+                              Proj(3, Var("n"))))
+
+    def configs(self):
+        """Each configuration, with what changed since the one before."""
+        a = Station(Node(Key("a"), Int(1), kl("b")),
+                    (singleton(0, MapOp(self.INC, kl("a"))),))
+        b = Station(Node(Key("b"), Int(2), kl()))
+        c = state.Configuration(
+            (a, b), (singleton(1, FoldOp(IDENT2, Int(0), kl("a", "b"))),),
+            ((2, StoreEntry(Int(5), ("a",))),),
+            App(Lam("x", INT, Var("x")), Int(3)), next_label=3)
+        yield "start", c
+        c = state.evolve(c, next_label=4)
+        yield "no part changed", c
+        c = state.evolve(c, backend=(Station(a.node, a.streamlet), b))
+        yield "a station replaced by an equal new one", c
+        c = state.append_station_tail(c, c.top[0])
+        c = state.evolve(c, top=c.top[1:])
+        yield "a unit popped from top and appended at station 0", c
+        c = state.evolve(c, backend=(b,) + c.backend[1:])
+        yield "station 0 replaced by another", c
+        c = state.evolve(c, backend=(Station(Node(Key("@k0"), Int(7), kl())),)
+                         + c.backend)
+        yield "a station prepended, as an Add does", c
+        # label 10 comes before label 2 in text order
+        c = state.merge_results(c, {10: StoreEntry(Key("@k0"), ())})
+        yield "a store write", c
+        c = state.evolve(c, top=c.top + (singleton(3, AddOp(Int(4))),))
+        yield "a unit pushed to top", c
+        c = state.evolve(c, top=c.top[1:])
+        yield "a unit popped from top", c
+        c = state.evolve(c, frontend=Int(3))
+        yield "a frontend step", c
+
+    def test_digest_with_parts_matches_its_definition(self):
+        parts = state.DigestParts()
+        for what, config in self.configs():
+            digest = state.config_digest(config, parts)
+            assert digest == state.config_digest(config), what
+            assert digest == reference_digest(config), what
+
+
 class TestSexprText:
     """The printed form of one term of each of the 17 expression forms."""
 
