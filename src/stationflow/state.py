@@ -2,8 +2,8 @@
 
 Structural conventions
  - every container is an immutable dataclass made by `terms.record`, whose
-   `__init__` stores fields more cheaply than the generated one: a Load
-   step does little but build such records; steps build new configurations
+   fields live in slots, stored more cheaply than by the generated
+   `__init__`: a Load step does little but build such records
  - generated keys live in the "@k<i>" namespace, labels are plain ints
  - a unit is an ordered sequence of label/operation pairs; the head of a
    stream is index 0
@@ -16,9 +16,9 @@ Structural conventions
    collector frees); the type and effect `types.type_of_config` found
    for a term it types (`_ty`), with the labels the term mentions and their
    types, read again only where those labels have the same types; and a
-   map operation's `dcomp` (`_dcomp`), with the fold function it was built
-   for.  Configuration-wide facts (`is_dry`, `is_terminal`) are not cached,
-   but `engine.run` and the harness walks keep an index across steps
+   map operation's `dcomp` (`_dcomp`) per fold function it meets, with the
+   function.  Configuration-wide facts (`is_dry`, `is_terminal`) are not
+   cached, but `engine.run` and the harness walks keep an index across steps
  - `engine.run`'s window table for a station's rewrite candidates is keyed
    by the identities of a window's two units; an entry holds the units, so
    no other unit takes those identities, and the table lives in the run
@@ -33,9 +33,9 @@ Structural conventions
    the text of each station, the top, the store and the frontend it last
    digested, so a traced step encodes only the parts it made anew; nothing
    kept is built by iterating a set or dict in hash order
- - kept values live in the instance `__dict__`, which `__eq__` and
-   `__hash__` do not read; a new object starts with nothing kept, whether
-   a step builds it directly, with `evolve` or with `dataclasses.replace`
+ - kept values live in the instance `__dict__`, made on first use, which
+   `__eq__` and `__hash__` do not read; a new object starts with nothing
+   kept, whether built directly, with `evolve` or with `dataclasses.replace`
 """
 
 from __future__ import annotations

@@ -15,16 +15,25 @@ from operator import is_
 
 
 def record(cls):
-    """`dataclass(frozen=True)` with a cheaper `__init__`, storing each field
-    through `object.__setattr__` bound to one name.  Storing through
-    `self.__dict__` instead would build a dict for every instance.  Fields
-    take plain defaults only; a `__post_init__` still runs."""
+    """`dataclass(frozen=True)`, built again with each field in a slot and
+    a `__dict__` slot, made on first use, for what is kept (see `state`);
+    its `__init__` stores through each slot's `__set__`, bound once here.
+    Fields take plain defaults only; a `__post_init__` still runs."""
     cls = dataclass(frozen=True, init=False)(cls)
-    ns, params, body = {"_set": object.__setattr__}, "", ""
+    names = [f.name for f in fields(cls)]
+    attrs = {k: v for k, v in vars(cls).items()
+             if k not in (*names, "__dict__", "__weakref__")}
+    cls = type(cls)(cls.__name__, cls.__bases__, {
+        **attrs, "__qualname__": cls.__qualname__,
+        "__slots__": (*names, "__dict__")})
+    for fn in (cls.__setattr__, cls.__delattr__):  # they test the class
+        cells = dict(zip(fn.__code__.co_freevars, fn.__closure__))
+        cells["cls"].cell_contents = cls
+    ns, params, body = {}, "", ""
     for i, f in enumerate(fields(cls)):
-        ns[f"_d{i}"] = f.default
+        ns[f"_d{i}"], ns[f"_s{i}"] = f.default, vars(cls)[f.name].__set__
         params += f", {f.name}" if f.default is MISSING else f", {f.name}=_d{i}"
-        body += f"\n _set(self, {f.name!r}, {f.name})"
+        body += f"\n _s{i}(self, {f.name})"
     if hasattr(cls, "__post_init__"):
         body += "\n self.__post_init__()"
     exec(f"def __init__(self{params}):{body}", ns)

@@ -112,12 +112,13 @@ def _fused(f2: Expr, f1: Expr, assume_set_adjacency: bool) -> str:
 
 
 def _dcomp_kept(m: MapOp, outer: Expr) -> Expr:
-    """`dcomp` of `outer` around map `m`, kept on `m` (see `state`) with
-    the `outer` it was built for, which a later fold function replaces."""
-    memo = m.__dict__
-    hit = memo.get("_dcomp")
-    if hit is None or hit[0] is not outer:
-        hit = memo["_dcomp"] = outer, dcomp(outer, m.ks.items, m.fn)
+    """`dcomp` of `outer` around map `m`, kept on `m` (see `state`) for each
+    fold function it meets, by identity; an entry holds its `outer`, so no
+    other term takes that identity."""
+    kept = m.__dict__.setdefault("_dcomp", {})
+    hit = kept.get(id(outer))
+    if hit is None:
+        hit = kept[id(outer)] = outer, dcomp(outer, m.ks.items, m.fn)
     return hit[1]
 
 

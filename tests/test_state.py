@@ -62,6 +62,18 @@ class TestStreams:
         assert state.fresh_key_name(0) == "@k0"
         assert state.fresh_key_name(7) == "@k7"
 
+    @pytest.mark.parametrize("size", [0, 1, 2, 5, 16])
+    def test_store_get_finds_each_label_and_no_other(self, size):
+        # the store is sorted by label, as `merge_results` leaves it
+        config = state.init(harness.corpus_program("incremental_folding"))
+        labels = random.Random(size).sample(range(3 * size), size)
+        for label in labels:
+            config = state.merge_results(
+                config, {label: StoreEntry(Int(label), ())})
+        for label in range(-1, 3 * size + 1):
+            want = [e for l, e in config.store if l == label]
+            assert config.store_get(label) == (want[0] if want else None)
+
 
 def ring_source(n):
     keys = ", ".join(f"#k{i}" for i in range(n))

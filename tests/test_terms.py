@@ -457,10 +457,15 @@ def plain_twin(cls):
         for f in dataclasses.fields(cls)], frozen=True)
 
 
+def sample_values(cls, k=0):
+    """A distinct term for every field of `cls`."""
+    return [1 if (cls, f.name) == (Proj, "index") else Int(k + j)
+            for j, f in enumerate(dataclasses.fields(cls))]
+
+
 def sample(cls, k=0):
     """An instance of `cls` with a distinct term in every field."""
-    return cls(*(1 if (cls, f.name) == (Proj, "index") else Int(k + j)
-                 for j, f in enumerate(dataclasses.fields(cls))))
+    return cls(*sample_values(cls, k))
 
 
 class TestRecord:
@@ -477,8 +482,17 @@ class TestRecord:
             "Configuration", "Blocked", "Stuck", "Redex", "StepRecord",
             "Candidate", "ConfigType"}
         for c in RECORDS:
-            # stored through the bound setter, not the generated __init__
-            assert c.__init__.__globals__.get("_set") is object.__setattr__, c
+            # fields in slots, kept values in a `__dict__` made on first
+            # use, and no `__weakref__`
+            names = [f.name for f in dataclasses.fields(c)]
+            assert c.__slots__ == (*names, "__dict__"), c
+            assert c.__weakrefoffset__ == 0, c
+            # stored through each slot's bound setter, not the generated
+            # __init__ or `object.__setattr__`
+            setters = c.__init__.__globals__
+            assert [setters[f"_s{i}"] for i in range(len(names))] \
+                == [vars(c)[n].__set__ for n in names], c
+            assert object.__setattr__ not in setters.values(), c
 
     @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
     def test_fields_and_signature(self, cls):
@@ -489,7 +503,9 @@ class TestRecord:
                        for p in inspect.signature(twin.__init__).parameters.values()]
         fs = dataclasses.fields(cls)
         x = sample(cls)
-        assert x.__dict__ == {f.name: getattr(x, f.name) for f in fs}
+        assert [getattr(x, f.name) for f in fs] == sample_values(cls)
+        assert all(f.name in cls.__slots__ for f in fs)
+        assert x.__dict__ == {}  # nothing kept yet
         assert cls(**{f.name: getattr(x, f.name) for f in fs}) == x
         defaults = {f.name: f.default for f in fs
                     if f.default is not dataclasses.MISSING}
@@ -504,6 +520,10 @@ class TestRecord:
                      if getattr(x, f.name) != getattr(y, f.name))
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(x, first, getattr(y, first))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(x, first)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            x.other = 1  # no field, and not kept with `state.keep`
         assert x == sample(cls) and hash(x) == hash(sample(cls)) and x != y
         state.keep(x, "_probe", lambda: "kept")
         again = dataclasses.replace(x)
@@ -519,11 +539,23 @@ class TestRecord:
         with pytest.raises(ValueError, match="projection index 0"):
             dataclasses.replace(Proj(1, Var("n")), index=0)
 
-    def test_no_more_memory_than_a_plain_dataclass(self):
+    @pytest.mark.parametrize("kept", [
+        0,
+        # the slotted record's `__dict__`, made for its first kept value,
+        # costs more than the room the plain record's dict had for it on
+        # 3.10, which has no managed instance dicts (176 B against 160), and
+        # on 3.13, which sizes its values for the class's shared keys (424
+        # B against 168); 3.11 and 3.12 keep the contract
+        pytest.param(1, marks=pytest.mark.xfail(
+            sys.version_info[:2] in ((3, 10), (3, 13)), strict=True,
+            reason="a kept value costs a slotted record a whole dict")),
+    ], ids=["bare", "one-kept"])
+    def test_no_more_memory_than_a_plain_dataclass(self, kept):
         # in a fresh interpreter: what a process did with `App`s before can
         # change the size of later instances, whatever builds them
-        code = """if True:
+        code = f"""if True:
             import dataclasses, tracemalloc
+            from stationflow.state import keep
             from stationflow.terms import App, Int, Var
             twin = dataclasses.make_dataclass("App", [
                 (f.name, f.type, dataclasses.field(
@@ -534,6 +566,8 @@ class TestRecord:
                 fn, arg = Var("f"), Int(0)
                 tracemalloc.start()
                 xs = [cls(fn, arg) for _ in range(10_000)]
+                for x in xs[:{kept} * len(xs)]:
+                    keep(x, "_sexpr", tuple)  # the shared empty tuple
                 size = tracemalloc.get_traced_memory()[0]
                 tracemalloc.stop()
                 return size

@@ -258,9 +258,13 @@ class TestVerdictTable:
         assert self.reuse(SUM, SUM)
         assert not self.reuse(SUM, SUM_UNMARKED)
 
-    def test_no_verdict_for_another_key_list(self, empty_verdicts):
-        # the compensation is kept on the map with the fold function it was
-        # built for, so another fold function or key list builds it again
+    def test_no_verdict_for_another_key_list(self, monkeypatch,
+                                            empty_verdicts):
+        # the compensation is kept on the map for each fold function it was
+        # built for, so another fold function or key list builds it again,
+        # and a fold function met before does not
+        dcomp = tlo.dcomp
+        built = self.counted(monkeypatch, "dcomp")
         for ks in (kl("a"), kl("b"), kl("a", "b")):
             unit = singleton(0, MapOp(INC, ks))
             for fn in (SUM, SUM_UNMARKED, SUM):
@@ -268,7 +272,10 @@ class TestVerdictTable:
                 ((_, _, (moved, _), *_),) = tlo.window_candidates(
                     unit, fold, ("reorderrw",), False)
                 ((_, op),) = moved.entries
-                assert op.fn == tlo.dcomp(fn, ks.items, INC)
+                assert op.fn == dcomp(fn, ks.items, INC)
+        assert [(fn, ks) for fn, ks, _ in built] == [
+            (fn, ks.items) for ks in (kl("a"), kl("b"), kl("a", "b"))
+            for fn in (SUM, SUM_UNMARKED)]
 
     def test_no_verdict_for_a_function_built_after_one_was_freed(
             self, empty_verdicts):
