@@ -126,6 +126,7 @@ def run_cmd(path, scheduler, seed, fuel, trace_path, tlo_rules,
     payload = {
         "status": result.status,
         "steps": result.steps,
+        "rewrites": result.rewrites,
         "detail": result.detail,
         "frontend": state.to_sexpr(result.config.frontend) if terminal else None,
         "terminal": state.canonical_terminal(result.config) if terminal else None,
@@ -158,8 +159,15 @@ def check_determinism_cmd(schedules, programs, fuel, strict_residuals) -> None:
                                        fuel=fuel)
     _emit(report.to_json())
     for v in report.verdicts:
+        t = v.steps[1:]  # the rewriting runs'
+        runs = (f"{min(t)}/{sum(t) / len(t):.1f}/{max(t)} (min/mean/max)"
+                if t else "none")
         _say(f"{v.program}: {v.agreed}/{v.schedules} schedules agree"
-             + (f"; facts: {v.fact_error}" if v.fact_error else ""))
+             + (f"; facts: {v.fact_error}" if v.fact_error else "")
+             + f"; steps eager {v.steps[0]}, tlo-random {runs}"
+             f"; {sum(v.rewrites.values())} rewrites"
+             + (": " + ", ".join(f"{r} {n}" for r, n in v.rewrites.items())
+                if v.rewrites else ""))
     sys.exit(EXIT_OK if report.ok else EXIT_INCONCLUSIVE
              if report.faults == {"fuel"} else EXIT_PROPERTY)
 

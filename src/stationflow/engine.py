@@ -6,7 +6,7 @@ phase split.  Station rules, stream routing, and the optimizer hook each
 produce explicit redex descriptions so schedulers can pick among them.
 Each station rule is written once: `station_task_redexes` decides Map, Fold,
 Complete, Last and Prop in one pass, and `apply_redex` steps every rule
-through one `_STEPS` table, the frontend and routing steps by site.
+through one `_STEPS` table by rule (`site` is trace output only).
 
 A step changes at most two stations and carries the rest over.  `run` keeps
 an index of what its scheduler draws from: per station the plain redexes
@@ -27,6 +27,7 @@ replaces.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
@@ -248,13 +249,8 @@ def enumerate_redexes(config: Configuration, tlo_on: bool = False,
                       tlo_rules: tuple[str, ...] | None = None,
                       assume_set_adjacency: bool = False) -> list[Redex]:
     """All rule instances applicable right now, in a stable order."""
-    out: list[Redex] = []
-    fr = frontend_redex(config)
-    if isinstance(fr, Redex):
-        out.append(fr)
-    tg = tograph_redex(config)
-    if tg is not None:
-        out.append(tg)
+    out = [r for r in (frontend_redex(config), tograph_redex(config))
+           if isinstance(r, Redex)]
     last = len(config.backend) - 1
     for i in range(len(config.backend)):
         out.extend(_station_plain(config, i, i == last))
@@ -369,16 +365,17 @@ def _load(config: Configuration, r: Redex) -> Stepped:
     return _set_station(config, i, station), [label]
 
 
-# the step of each rule at a station; the frontend and routing steps go by site
-_STEPS = {"Map": _visit, "Fold": _visit, "Complete": _finish, "Last": _finish,
-          "Prop": _prop, "Load": _load,
+# the step of each rule
+_STEPS = {**{c.rule: _frontend for c in CONTRACTIONS.values()},
+          "Emit": _frontend, "Claim": _frontend, "Add": _route,
+          "Empty": _route, "First": _route, "Map": _visit, "Fold": _visit,
+          "Complete": _finish, "Last": _finish, "Prop": _prop, "Load": _load,
           "Opt": lambda config, r: tlo.apply_rewrite(config, r.rewrite)}
 
 
 def apply_redex(config: Configuration, r: Redex) -> tuple[Configuration, str, list[int]]:
     """The configuration after `r`, `r`'s rule and the labels it touched."""
-    step = (_frontend if r.site == "frontend" else _route if r.site == "top"
-            else _STEPS.get(r.rule))
+    step = _STEPS.get(r.rule)
     if step is None:
         raise ValueError(f"cannot apply {r}")
     config, labels = step(config, r)
@@ -422,9 +419,7 @@ def eager_enumerate(config: Configuration, wet=None) -> list[Redex]:
         return station_task_redexes(station, i, last)[:1]
 
     fr = frontend_redex(config)
-    if isinstance(fr, Redex):
-        return [fr]
-    return []
+    return [fr] if isinstance(fr, Redex) else []
 
 
 ### the driver
@@ -452,6 +447,7 @@ class RunResult:
     steps: int
     trace: list[StepRecord] = field(default_factory=list)
     detail: str = ""
+    rewrites: dict[str, int] = field(default_factory=dict)  # rule -> applied
 
 
 def _undo_of(prev) -> tuple | None:
@@ -609,29 +605,33 @@ def run(config: Configuration, scheduler: str = "eager", seed: int = 0,
         tlo_rules = None
     rng = random.Random(seed)
     records: list[StepRecord] = []
+    rewrites: dict[str, int] = Counter()
+    ended = partial(RunResult, trace=records, rewrites=rewrites)
     parts = DigestParts() if trace else None
     ix = _Index(config, tlo_rules, assume_set_adjacency)
     for step in range(fuel):
         if ix.terminal():
-            return RunResult(config, "terminal", step, records)
+            return ended(config, "terminal", step)
         choice = choose(ix, rng)
         if choice is None:
             fr = frontend_redex(config)
             if isinstance(fr, Blocked):
-                return RunResult(config, "blocked", step, records,
-                                 f"frontend waits on label {fr.label}")
+                return ended(config, "blocked", step,
+                             detail=f"frontend waits on label {fr.label}")
             if isinstance(fr, Stuck):
-                return RunResult(config, "stuck", step, records, fr.reason)
-            return RunResult(config, "stuck", step, records, "no applicable rule")
+                return ended(config, "stuck", step, detail=fr.reason)
+            return ended(config, "stuck", step, detail="no applicable rule")
         config, rule, labels = apply_redex(config, choice)
         if rule == "Add":  # it shifts every station's index
             ix = _Index(config, tlo_rules, assume_set_adjacency)
         else:
             ix.advance(choice, config, labels)
+        if rule == "Opt":
+            rewrites[choice.rewrite.rule] += 1
         if trace:
             records.append(StepRecord(step, rule, choice.site, tuple(labels),
                                       config_digest(config, parts)))
-    return RunResult(config, "fuel", fuel, records, "fuel exhausted")
+    return ended(config, "fuel", fuel, detail="fuel exhausted")
 
 
 def write_trace(path, records: list[StepRecord]) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import random
 import re
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import cache
 from importlib import resources
@@ -71,6 +72,8 @@ class ProgramVerdict:
     agreed: int
     fact_error: str | None
     failures: list[str] = field(default_factory=list)
+    steps: list[int] = field(default_factory=list)  # eager's first
+    rewrites: dict[str, int] = field(default_factory=dict)  # tlo-random's
 
     @property
     def ok(self) -> bool:
@@ -95,12 +98,14 @@ def check_determinism(programs=DETERMINISM_SET, schedules: int = 50,
                       strict_residuals: bool = False,
                       fuel: int = 1_000_000) -> DeterminismReport:
     """One eager run plus seeded rewriting runs per program; every schedule
-    must land on the same canonical terminal."""
+    must land on the same canonical terminal.  A verdict counts the steps
+    of each schedule and the rewrites of the rewriting runs by rule."""
     report = DeterminismReport([])
     for name in programs:
         prog = corpus_program(name)
         base = engine.run(state.init(prog), scheduler="eager", fuel=fuel)
         failures: list[str] = []
+        steps, rewrites = [base.steps], Counter()
         agreed = 0
         if base.status != "terminal":
             digest, fact_error = "", "no eager terminal"
@@ -115,6 +120,8 @@ def check_determinism(programs=DETERMINISM_SET, schedules: int = 50,
             for seed in range(schedules - 1):
                 r = engine.run(state.init(prog), scheduler="tlo-random",
                                seed=seed, fuel=fuel)
+                steps.append(r.steps)
+                rewrites.update(r.rewrites)
                 if r.status != "terminal":
                     failures.append(f"seed {seed}: {r.status} {r.detail}")
                     report.faults.add(r.status)
@@ -124,7 +131,8 @@ def check_determinism(programs=DETERMINISM_SET, schedules: int = 50,
                 else:
                     agreed += 1
         report.verdicts.append(ProgramVerdict(name, digest, schedules, agreed,
-                                              fact_error, failures))
+                                              fact_error, failures, steps,
+                                              dict(rewrites.most_common())))
     return report
 
 
@@ -230,10 +238,6 @@ class SoundnessReport(_JSONReport):
         return self.pairs == self.agreed and not self.counterexamples
 
 
-def _complete(config: Configuration):
-    return engine.run(config, scheduler="det")
-
-
 def check_rewrite_soundness(min_pairs: int = 200) -> SoundnessReport:
     """Sample reachable configurations and single rewrite applications;
     completing with and without the rewrite must agree on the terminal."""
@@ -253,8 +257,8 @@ def check_rewrite_soundness(min_pairs: int = 200) -> SoundnessReport:
             # drawn before the walk draws its next step, from the same rng
             cand = ix.cand_at(rng.randrange(ix.ncands))
             rewritten, _ = tlo.apply_rewrite(config, cand)
-            left = _complete(config)
-            right = _complete(rewritten)
+            left = engine.run(config, scheduler="det")
+            right = engine.run(rewritten, scheduler="det")
             pairs += 1
             if (left.status == right.status == "terminal"
                     and terminal_digest(left.config)

@@ -7,18 +7,19 @@ Structural conventions
  - generated keys live in the "@k<i>" namespace, labels are plain ints
  - a unit is an ordered sequence of label/operation pairs; the head of a
    stream is index 0
- - a fact decided by one immutable object alone is kept on it with `keep`
-   and read again wherever a step carries the object over: a station's
-   `loaded`; an operation's target (`_target`, False standing for None);
-   and what the redex search finds in a non-value term (`_step`: the rule,
-   the label a Claim waits on and the hole path, or the Stuck reason, but
-   not the redex node, which can be the term itself, a cycle only the
-   collector frees); the type and effect `types.type_of_config` found
-   for a term it types (`_ty`), with the labels the term mentions and their
-   types, read again only where those labels have the same types; and a
-   map operation's `dcomp` (`_dcomp`) per fold function it meets, with the
-   function.  Configuration-wide facts (`is_dry`, `is_terminal`) are not
-   cached, but `engine.run` and the harness walks keep an index across steps
+ - a fact decided by one immutable object alone is kept on it with `keep`,
+   None as well, and read again wherever a step carries the object over:
+   an operation's target (`_target`); what the redex search finds in a
+   non-value term (`_step`: the rule, the label a Claim waits on and the
+   hole path, or the Stuck reason, but not the redex node, which can be
+   the term itself, a cycle only the collector frees); the type and effect
+   `types.type_of_config` found for a term it types (`_ty`), with the
+   labels the term mentions and their types, read again only where those
+   labels have the same types; and a map operation's `dcomp` (`_dcomp`)
+   per fold function it meets, with the function.  Not kept: a station's
+   `loaded` (nearly every station built is tested) and configuration-wide
+   facts (`is_dry`, `is_terminal`), though `engine.run` and the harness
+   walks keep an index across steps
  - `engine.run`'s window table for a station's rewrite candidates is keyed
    by the identities of a window's two units; an entry holds the units, so
    no other unit takes those identities, and the table lives in the run
@@ -79,12 +80,10 @@ class Station:
     node: Expr  # a node constructor, fully evaluated once loaded
     streamlet: tuple[Unit, ...] = ()
 
-    # Lazy, so `init` and short runs pay only for the stations they test;
-    # kept with `keep`, as `cached_property` takes a lock on Python 3.10/11.
     @property
     def loaded(self) -> bool:
         """The node is a value."""
-        return keep(self, "loaded", is_value, self.node)
+        return is_value(self.node)
 
     @property
     def idle(self) -> bool:
@@ -108,12 +107,15 @@ class Configuration:
         return None
 
 
+_MISSING = object()
+
+
 def keep(obj, name: str, make, *args):
     """`make(*args)`, kept in the immutable `obj`'s instance `__dict__` under
     `name` and returned again on later calls."""
     memo = obj.__dict__
-    hit = memo.get(name)
-    if hit is None:
+    hit = memo.get(name, _MISSING)
+    if hit is _MISSING:
         hit = memo[name] = make(*args)
     return hit
 
@@ -148,17 +150,16 @@ def init(program: Program) -> Configuration:
 def target(op: Operation) -> tuple[str, ...] | None:
     """Keys an operation still wants, or None where that is undefined
     (add operations, and operations whose key list is still loading);
-    kept on the operation, False standing for None."""
-    kept = keep(op, "_target", _target, op)
-    return None if kept is False else kept
+    kept on the operation."""
+    return keep(op, "_target", _target, op)
 
 
-def _target(op: Operation) -> tuple[str, ...] | bool:
+def _target(op: Operation) -> tuple[str, ...] | None:
     match op:
         case MapOp(_, KL(items)) | FoldOp(_, _, KL(items)):
             if all(isinstance(i, Key) for i in items):
                 return tuple(i.name for i in items)
-    return False
+    return None
 
 
 def finalize(label: int, op: Operation) -> tuple[int, StoreEntry]:

@@ -190,17 +190,14 @@ def apply_rewrite(config: Configuration,
 
 def dcomp(outer: Expr, keys: tuple[Key, ...], inner: Expr) -> Expr:
     """Fold function that first applies `inner` to nodes whose key lies in
-    `keys`, then runs `outer`; key membership compiles to nested zero tests
-    on key-list subtraction."""
+    `keys`, then runs `outer`; key membership compiles to one zero test,
+    the length of the node's key minus `keys`."""
     avoid = free_vars(outer) | free_vars(inner)
     x = _fresh_name("x", avoid) if "x" in avoid else "x"
     y = _fresh_name("y", avoid | {x}) if "y" in avoid or x == "y" else "y"
     vx = Var(x)
-    chain: Expr = vx
-    for k in reversed(keys):
-        test = Len(Subtract(KL((Proj(1, vx),)), KL((k,))))
-        chain = If0(test, App(inner, vx), chain)
-    body = App(App(outer, chain), Var(y))
+    test = Len(Subtract(KL((Proj(1, vx),)), KL(keys)))
+    body = App(App(outer, If0(test, App(inner, vx), vx)), Var(y))
     return Lam(x, NODE, Lam(y, NODE, body))
 
 

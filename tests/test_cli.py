@@ -9,7 +9,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from stationflow import engine, harness
+from stationflow import engine, harness, state
 from stationflow.cli import cli
 
 
@@ -77,6 +77,15 @@ class TestRun:
         assert out["status"] == "terminal"
         assert out["frontend"] == "(node (key _) (int 3) (kl))"
         assert out["digest"]
+        assert out["rewrites"] == {}
+
+    def test_rewrites_counted(self, runner, prog_file):
+        r = runner.invoke(cli, ["run", prog_file("core_pr"), "--scheduler",
+                                "tlo-random", "--seed", "7"])
+        assert r.exit_code == 0
+        want = engine.run(state.init(harness.corpus_program("core_pr")),
+                          scheduler="tlo-random", seed=7).rewrites
+        assert json.loads(r.stdout)["rewrites"] == want != {}
 
     def test_schedulers_agree(self, runner, prog_file):
         p = prog_file("core_social")
@@ -234,6 +243,21 @@ class TestCheckCommands:
                                 "--programs", "incremental_folding"])
         assert r.exit_code == 0
         assert json.loads(r.stdout)["ok"] is True
+
+    def test_check_determinism_reports_steps_and_rewrites(self, runner):
+        r = runner.invoke(cli, ["check-determinism", "--schedules", "4",
+                                "--programs", "core_social"])
+        assert r.exit_code == 0
+        (got,) = json.loads(r.stdout)["programs"]
+        (v,) = harness.check_determinism(("core_social",), 4).verdicts
+        assert (got["steps"], got["rewrites"]) == (v.steps, v.rewrites)
+        assert len(v.steps) == 4 and v.rewrites
+        assert r.stderr.startswith(
+            f"core_social: 4/4 schedules agree; steps eager {v.steps[0]}, "
+            f"tlo-random {min(v.steps[1:])}/")
+        assert f"; {sum(v.rewrites.values())} rewrites: " in r.stderr
+        for rule, n in v.rewrites.items():
+            assert f" {rule} {n}" in r.stderr
 
     def test_check_determinism_out_of_fuel_exits_3(self, runner):
         r = runner.invoke(cli, ["check-determinism", "--fuel", "5",

@@ -6,6 +6,7 @@ import hashlib
 import json
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -348,6 +349,25 @@ class TestApplyRedex:
             r = run(config, scheduler=scheduler, seed=3)
             assert r.status == "terminal" and len(seen) == r.steps + 1
 
+    def test_the_site_is_not_read(self, monkeypatch):
+        # each step of the corpus walks steps, with its redex's site made
+        # nonsense, to the same configuration: the rule alone dispatches
+        stepped = []
+
+        def checked(config, r):
+            want = apply_redex(config, r)
+            assert apply_redex(config, dataclasses.replace(r, site="?")) == want
+            stepped.append(r.rule)
+            return want
+
+        monkeypatch.setattr(harness, "apply_redex", checked)
+        for k, name in enumerate(harness.RUNNABLE):
+            config = state.init(harness.corpus_program(name))
+            for _ in harness._walk(config, random.Random(k), tlo_on=True):
+                pass
+        assert {"Map", "Fold", "Complete", "Last", "Prop", "Load", "Opt",
+                "Emit", "Add", "First", "Claim", "Beta"} <= set(stepped)
+
     def test_unknown_rule_is_named(self):
         config = state.init(harness.corpus_program("core_social"))
         with pytest.raises(ValueError, match="Bogus"):
@@ -620,9 +640,9 @@ class TestKeptRedexes:
                 assert not any("_step" in e.__dict__ for e in terms)
 
     def test_kept_values_leave_equality_alone(self):
-        # stations keep `loaded` and, like units and store entries,
-        # their digest text; the terms they hold keep what the redex search
-        # found and their printed form
+        # stations, like units and store entries, keep their digest text;
+        # the terms they hold keep what the redex search found and their
+        # printed form
         config = state.init(harness.corpus_program("chronological_order"))
         for _ in range(40):
             config, _, _ = apply_redex(config, enumerate_redexes(config)[0])
@@ -646,7 +666,7 @@ class TestKeptRedexes:
         for e in kept:
             ignored(e, KEPT)
         for s in config.backend:
-            assert set(s.__dict__) <= {"loaded", "_json"}
+            assert set(s.__dict__) <= {"_json"}
         holders = [*config.backend, *(u for s in config.backend
                                       for u in s.streamlet),
                    *(e for _, e in config.store)]
@@ -670,6 +690,37 @@ def batched_start():
     return state.Configuration(
         (Station(Node(A, Int(3), KL(())), (batched,)),), (), (), Int(0),
         next_label=2)
+
+
+class TestRewriteCounts:
+    """`run` counts the rewrites it applies by rule."""
+
+    @pytest.mark.parametrize("scheduler", ("tlo-random", "det"))
+    def test_counts_what_was_applied(self, monkeypatch, scheduler):
+        applied = []
+        apply_rewrite = tlo.apply_rewrite
+
+        def recorded(config, cand):
+            applied.append(cand.rule)
+            return apply_rewrite(config, cand)
+
+        monkeypatch.setattr(tlo, "apply_rewrite", recorded)
+        # seed 3 applies every rule to the op mix; det unbatches only the
+        # batched start
+        configs = [state.init(harness.corpus_program(n))
+                   for n in harness.RUNNABLE] + [mix_config(8),
+                                                  batched_start()]
+        counted = set()
+        for config in configs:
+            for seed in (0, 3):
+                applied.clear()
+                r = run(config, scheduler=scheduler, seed=seed,
+                        assume_set_adjacency=True)
+                assert r.status == "terminal"
+                assert r.rewrites == dict(Counter(applied))
+                counted |= r.rewrites.keys()
+        assert counted == ({"unbatch"} if scheduler == "det"
+                           else set(tlo.RULE_NAMES))
 
 
 class TestDetScheduler:

@@ -4,6 +4,7 @@ every checker, and the bundled corpus registry."""
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -34,6 +35,20 @@ class TestDeterminism:
         assert rep.ok
         for v in rep.verdicts:
             assert v.agreed == 4 and v.fact_error is None
+
+    def test_verdicts_count_steps_and_rewrites(self):
+        # each verdict holds the step counts of the runs it compared, eager
+        # first, and the rewrites of its tlo-random runs by rule
+        rep = harness.check_determinism(schedules=6)
+        for v in rep.verdicts:
+            prog = harness.corpus_program(v.program)
+            tlo_runs = [engine.run(state.init(prog), scheduler="tlo-random",
+                                   seed=seed) for seed in range(5)]
+            eager = engine.run(state.init(prog))
+            assert v.steps == [r.steps for r in [eager, *tlo_runs]]
+            assert v.rewrites == dict(sum(
+                (Counter(r.rewrites) for r in tlo_runs), Counter()))
+        assert any(v.rewrites for v in rep.verdicts)
 
     def test_report_is_json_serializable(self):
         import json
@@ -90,7 +105,7 @@ def test_det_completes_every_walk_configuration():
 
 # sha256 over every step, rewrite and completion the checks below take,
 # and their reports
-GOLDEN_WALKS = "b069c31c0ed0cc62378e546dbf81cf2761470ac62a316eb83a3f296a52b86318"
+GOLDEN_WALKS = "f0617a0c66a56c01a5daa46da0e7ce48a9c09f0562ad18290498f198dc0e6aa2"
 
 
 def test_walks_are_pinned(monkeypatch):

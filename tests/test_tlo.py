@@ -12,7 +12,7 @@ from stationflow import engine, harness, state, terms, tlo
 from stationflow.parser import parse_source
 from stationflow.state import Station, Unit, singleton
 from stationflow.terms import (
-    Arith, Claim, Concat, FoldOp, Int, Key, KL, Label, Lam, MapOp, Node,
+    App, Arith, Claim, Concat, FoldOp, Int, Key, KL, Label, Lam, MapOp, Node,
     NODE, Proj, Subtract, Var,
     compose, kl_value,
 )
@@ -129,6 +129,18 @@ class TestReorders:
         config = config_with([station("a", 3, u1, u2), station("b", 5)])
         (cand,) = rules_at(config, "reorderrw")
         assert_sound(config, cand)
+
+    @pytest.mark.parametrize("keys", [(), ("a",), ("a", "b"), ("c", "b", "a")])
+    def test_compensation_tests_membership_once(self, keys):
+        # the map's function is applied to a node exactly when its key is
+        # in the map's list, by one zero test however long that list is
+        fn = tlo.dcomp(SUM, kl(*keys).items, INC)
+        assert terms.to_sexpr(fn).count("(if0 ") == 1
+        for name in ("a", "b", "z"):
+            node = mknode(name, 5)
+            seen = App(INC, node) if name in keys else node
+            assert (terms.normalize(App(App(fn, node), BASE))
+                    == terms.normalize(App(App(SUM, seen), BASE)))
 
     def test_map_fold_swap_partial_overlap(self):
         u1 = singleton(0, MapOp(INC, kl("b")))
