@@ -10,18 +10,17 @@ through one `_STEPS` table by rule (`site` is trace output only).
 
 A step changes at most two stations and carries the rest over.  `run` keeps
 an index of what its scheduler draws from: per station the plain redexes
-that step now and the rewrite candidates window by window, keyed by the
-identities of a window's two units (`tlo` keeps the prover verdicts), with
-counts; the stations that are not idle, which decide terminality; and the
-stations with a load site waiting on each label.  It rebuilds only the
-stations a step touched and, after a store write, those waiting on a
-written label; `det` builds a station's windows only when no plain redex is
-left, and the frontend and routing redexes are rebuilt only when the fields
-they read change.  The redex search records its hole as a path of child
-positions, along which the Load and frontend rules plug the contractum.
-What the redex search finds in a term is kept on the term (see `state`),
-except by `eager_enumerate` for the wet station, which every eager step
-replaces.
+that step now and the rewrite candidates of the rules the scheduler draws
+from, window by window, keyed by the identities of a window's two units
+(`tlo` keeps the prover verdicts), with counts; the stations that are not
+idle, which decide terminality; and the stations with a load site waiting
+on each label.  It rebuilds only the stations a step touched and, after a
+store write, those waiting on a written label, and the frontend and routing
+redexes only when the fields they read change.  The redex search records
+its hole as a path of child positions, along which the Load and frontend
+rules plug the contractum.  What the redex search finds in a term is kept
+on the term (see `state`), except by `eager_enumerate` for the wet station,
+which every eager step replaces.
 """
 
 from __future__ import annotations
@@ -460,7 +459,8 @@ def _undo_of(prev) -> tuple | None:
 
 
 class _Index:
-    """What `run`'s schedulers draw from (see the module docstring)."""
+    """What `run`'s schedulers draw from (see the module docstring); `rules`
+    are the rewrite rules whose candidates it builds, None for all."""
 
     def __init__(self, config: Configuration, rules, assume_set_adjacency):
         n = len(config.backend)
@@ -470,7 +470,6 @@ class _Index:
         self.last_opt = None
         self.busy = {i for i, s in enumerate(config.backend) if not s.idle}
         self.stale = set(range(n))
-        self.unwindowed = set()  # stations whose windows are stale
         self.plain = [()] * n  # the plain redexes that step now
         self.cands, self.ncand = [()] * n, [0] * n  # `tlo.station_windows`
         self.windows = [{} for _ in range(n)]
@@ -484,6 +483,9 @@ class _Index:
 
     def advance(self, r: Redex, config: Configuration, labels) -> None:
         """Move to `config`, the result of applying `r`."""
+        if r.rule == "Add":  # it shifts every station's index
+            self.__init__(config, self.rules, self.adjacency)
+            return
         old, self.config = self.config, config
         self.last_opt = r.rewrite
         touched = ((0,) if r.rule == "First" else () if r.station is None
@@ -496,26 +498,23 @@ class _Index:
             for label in dict(r.rewrite.results) if r.rewrite else labels:
                 self.stale |= self.waiting.pop(label, set())
 
-    def refresh(self, cands: bool) -> int:
-        """Rebuild the stale stations and, if `cands`, the windows of every
-        station rebuilt since they were last built; count the plain redexes."""
+    def refresh(self) -> int:
+        """Rebuild the stale stations, with their windows if the index has
+        rules; count the plain redexes."""
         config, stale = self.config, self.stale
         last = len(config.backend) - 1
         for i in stale:
             self.nplain -= len(self.plain[i])
             self.plain[i] = _station_plain(config, i, i == last, self.waiting)
             self.nplain += len(self.plain[i])
-        self.unwindowed |= stale
-        stale.clear()
-        if cands:
-            for i in self.unwindowed:
+            if self.rules:
                 self.cands[i] = tlo.station_windows(
                     config.backend[i], self.rules, self.adjacency,
                     self.windows[i])
                 n = sum(map(len, self.cands[i]))
                 self.ncands += n - self.ncand[i]
                 self.ncand[i] = n
-            self.unwindowed.clear()
+        stale.clear()
         front_of = (config.frontend, config.top, config.store, not config.backend)
         if any(map(is_not, front_of, self.front_of)):
             self.front_of, self.front = front_of, [
@@ -552,23 +551,25 @@ def _eager(ix: _Index, rng) -> Redex | None:
 
 
 def _det(ix: _Index, rng) -> Redex | None:
-    # first structural redex; batched head units admit no task rule, so
-    # unbatching must stay reachable or completion is partial.  Rewrites
-    # are built only when no structural redex exists.
-    if ix.refresh(cands=False):
+    """The first plain redex, else the split-1 unbatch of the first unit of
+    two or more operations (a batched head unit admits no task rule), else
+    nothing."""
+    if ix.refresh():
         return ix.plain_at(0)
-    ix.refresh(cands=True)
-    cands = [c for i, cs in enumerate(ix.cands) for c in tlo.placed(i, cs)]
-    # unbatch only: strictly increases the unit count, so the fallback
-    # cannot cycle the way batch or the reorders can
-    unb = [c for c in cands if c.rule == "unbatch"]
-    return _opt(unb[0]) if unb else _opt(cands[0]) if cands else None
+    for i, station in enumerate(ix.config.backend):
+        for j, unit in enumerate(station.streamlet):
+            if len(unit.entries) >= 2:
+                rule, *rest = tlo.window_candidates(unit, None, ("unbatch",),
+                                                    False)[0]
+                return _opt(tlo.Candidate(rule, i, j, *rest))
+    return None
 
 
-def _draw(ix: _Index, rng, rewrite: bool) -> Redex | None:
-    # rewriting off, this is a uniform draw among the plain redexes
-    n = ix.refresh(cands=rewrite)
-    total, undo = ix.ncands if rewrite else 0, _undo_of(ix.last_opt)
+def _draw(ix: _Index, rng) -> Redex | None:
+    # with no rules in the index, this is a uniform draw among the plain
+    # redexes
+    n = ix.refresh()
+    total, undo = ix.ncands, _undo_of(ix.last_opt)
     nundo = 0 if undo is None else sum((c[0], c[4]) == undo[1:]
                                        for w in ix.cands[undo[0]] for c in w)
     if total > nundo and (not n or rng.random() < 0.2):
@@ -582,9 +583,8 @@ def _draw(ix: _Index, rng, rewrite: bool) -> Redex | None:
 
 
 # name -> its choice among what the index offers, None when nothing applies
-SCHEDULERS = {"eager": _eager, "det": _det,
-              "random": partial(_draw, rewrite=False),
-              "tlo-random": partial(_draw, rewrite=True)}
+SCHEDULERS = {"eager": _eager, "det": _det, "random": _draw,
+              "tlo-random": _draw}
 
 
 def run(config: Configuration, scheduler: str = "eager", seed: int = 0,
@@ -593,22 +593,22 @@ def run(config: Configuration, scheduler: str = "eager", seed: int = 0,
     """Drive a configuration to a terminal state under one of `SCHEDULERS`.
 
     eager: the deterministic baseline, one redex at a time.
-    det: first structural redex, unbatching only when nothing else applies;
-    total on states the eager policy cannot reach.
+    det: first structural redex, else the first unbatch; it stops where
+    neither applies, as at a wedge no structural redex can leave.
     random: uniform choice among structural redexes, rewriting off.
-    tlo-random: random plus optimizer steps at weight 0.2.
+    tlo-random: random plus optimizer steps at weight 0.2, drawn from
+    `tlo_rules` (None: every rule); no other scheduler builds candidates.
     """
     choose = SCHEDULERS.get(scheduler)
     if choose is None:
         raise ValueError(f"unknown scheduler {scheduler!r}")
-    if scheduler == "det":  # its fallback may unbatch whatever the rules
-        tlo_rules = None
     rng = random.Random(seed)
     records: list[StepRecord] = []
     rewrites: dict[str, int] = Counter()
     ended = partial(RunResult, trace=records, rewrites=rewrites)
     parts = DigestParts() if trace else None
-    ix = _Index(config, tlo_rules, assume_set_adjacency)
+    ix = _Index(config, tlo_rules if scheduler == "tlo-random" else (),
+                assume_set_adjacency)
     for step in range(fuel):
         if ix.terminal():
             return ended(config, "terminal", step)
@@ -622,10 +622,7 @@ def run(config: Configuration, scheduler: str = "eager", seed: int = 0,
                 return ended(config, "stuck", step, detail=fr.reason)
             return ended(config, "stuck", step, detail="no applicable rule")
         config, rule, labels = apply_redex(config, choice)
-        if rule == "Add":  # it shifts every station's index
-            ix = _Index(config, tlo_rules, assume_set_adjacency)
-        else:
-            ix.advance(choice, config, labels)
+        ix.advance(choice, config, labels)
         if rule == "Opt":
             rewrites[choice.rewrite.rule] += 1
         if trace:

@@ -139,25 +139,21 @@ def check_determinism(programs=DETERMINISM_SET, schedules: int = 50,
 ### uniformly random walks
 
 def _walk(config: Configuration, rng: random.Random, tlo_on: bool):
-    """Steps drawn uniformly by `rng` from `config`, with rewrites if
-    `tlo_on`.  Like `engine.run`, it draws from one `engine._Index`,
-    advanced after each step and rebuilt after an Add.  Yields each
-    configuration reached, the rule that led there (None at the start) and
-    the refreshed index, None once it is terminal; ends there or where the
-    index offers nothing."""
-    ix, rule = engine._Index(config, None, False), None
+    """Steps drawn uniformly by `rng` from `config`, with rewrites of every
+    rule if `tlo_on`.  Like `engine.run`, it draws from one `engine._Index`,
+    advanced after each step.  Yields each configuration reached, the rule
+    that led there (None at the start) and the refreshed index, None once it
+    is terminal; ends there or where the index offers nothing."""
+    ix, rule = engine._Index(config, None if tlo_on else (), False), None
     while not ix.terminal():
-        n = ix.refresh(cands=tlo_on)
+        n = ix.refresh()
         yield ix.config, rule, ix
         if not n + ix.ncands:
             return
         k = rng.randrange(n + ix.ncands)
         r = ix.plain_at(k) if k < n else engine._opt(ix.cand_at(k - n))
         config, rule, labels = apply_redex(ix.config, r)
-        if rule == "Add":  # it shifts every station's index
-            ix = engine._Index(config, None, False)
-        else:
-            ix.advance(r, config, labels)
+        ix.advance(r, config, labels)
     yield ix.config, rule, None
 
 
@@ -215,7 +211,7 @@ def check_preservation_progress(total_steps: int = 10_000) -> MetatheoryReport:
                 ct = ct2
             if steps >= total_steps:
                 break
-            if ix is not None and not ix.refresh(cands=False):
+            if ix is not None and not ix.refresh():
                 stuck_states += 1
                 fr = frontend_redex(config)
                 notes.append(f"{name}: no redex, frontend waits on label "

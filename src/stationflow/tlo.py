@@ -50,8 +50,9 @@ def candidates(config: Configuration, rules: tuple[str, ...] | None = None,
     enabled = RULE_NAMES if rules is None else tuple(rules)
     out: list[Candidate] = []
     for si, station in enumerate(config.backend):
-        out.extend(placed(si, station_windows(
-            station, enabled, assume_set_adjacency, {})))
+        found = station_windows(station, enabled, assume_set_adjacency, {})
+        out.extend(Candidate(rule, si, j, *rest)
+                   for j, window in enumerate(found) for rule, *rest in window)
     return out
 
 
@@ -75,12 +76,6 @@ def station_windows(station: Station, enabled: tuple[str, ...],
         windows[key] = hit
         out.append(hit[2])
     return out
-
-
-def placed(si: int, found: list[tuple]) -> tuple[Candidate, ...]:
-    """The candidates of station `si` from its `station_windows`."""
-    return tuple(Candidate(rule, si, j, *rest)
-                 for j, window in enumerate(found) for rule, *rest in window)
 
 
 # (prover, argument texts) -> verdict, for the process; emptied when full

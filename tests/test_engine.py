@@ -724,26 +724,27 @@ class TestRewriteCounts:
 
 
 class TestDetScheduler:
-    def test_rewrites_built_only_without_a_plain_redex(self, monkeypatch):
+    @pytest.mark.parametrize("scheduler", ("eager", "random", "det"))
+    def test_only_tlo_random_builds_windows(self, monkeypatch, scheduler):
+        # no scheduler but tlo-random draws a rewrite from the windows, so
+        # no other index builds them; det's unbatch reads the streamlet
+        def refused(*args, **kwargs):
+            raise AssertionError(f"{scheduler} built rewrite windows")
+
+        monkeypatch.setattr(tlo, "station_windows", refused)
         starts = [state.init(harness.corpus_program(n))
-                  for n in harness.RUNNABLE] + [batched_start()]
-        plain_then = []
-        refresh = engine._Index.refresh
-
-        def recorded(ix, cands):
-            if cands:
-                plain_then.append(bool(enumerate_redexes(ix.config)))
-            return refresh(ix, cands)
-
-        monkeypatch.setattr(engine._Index, "refresh", recorded)
+                  for n in harness.RUNNABLE] + [mix_config(1)]
         for config in starts:
-            r = run(config, scheduler="det", trace=True)
+            assert run(config, scheduler=scheduler, seed=3).status == "terminal"
+        r = run(batched_start(), scheduler=scheduler, seed=3, trace=True)
+        if scheduler == "det":
             assert r.status == "terminal"
-        assert r.trace[0].site == "station:0:unbatch"
-        assert plain_then and not any(plain_then)
+            assert r.trace[0].site == "station:0:unbatch"
+        else:  # only a rewrite splits the batched head
+            assert (r.status, r.detail) == ("stuck", "no applicable rule")
 
     def test_fallback_reads_the_index(self, monkeypatch):
-        # det draws its rewrites from the run's window table, never from
+        # det finds its unbatch in the index's configuration, never by
         # `tlo.candidates`, and steps as the reference loop does
         configs = [state.init(harness.corpus_program(n))
                    for n in harness.RUNNABLE] + [mix_config(1), batched_start()]
@@ -784,9 +785,10 @@ def reference_run(config, scheduler="eager", seed=0, fuel=1_000_000,
             return engine.RunResult(config, "terminal", step, records)
         if scheduler == "eager":
             redexes = eager_enumerate(config)
-        elif scheduler == "det":
+        elif scheduler == "det":  # the first plain redex, else unbatch
             redexes = (enumerate_redexes(config, tlo_on=False)
-                       or enumerate_redexes(config, tlo_on=True))
+                       or enumerate_redexes(config, tlo_on=True,
+                                            tlo_rules=("unbatch",))[:1])
         elif scheduler == "random":
             redexes = enumerate_redexes(config, tlo_on=False)
         else:
@@ -815,11 +817,6 @@ def reference_run(config, scheduler="eager", seed=0, fuel=1_000_000,
                 choice = opts_all[rng.randrange(len(opts_all))]
         elif scheduler == "random":
             choice = redexes[rng.randrange(len(redexes))]
-        elif scheduler == "det":
-            plain = [r for r in redexes if r.rule != "Opt"]
-            unb = [r for r in redexes if r.rule == "Opt"
-                   and r.rewrite.rule == "unbatch"]
-            choice = plain[0] if plain else unb[0] if unb else redexes[0]
         else:
             choice = redexes[0]
         config, rule, labels = apply_redex(config, choice)
@@ -877,19 +874,19 @@ class TestIndex:
                   for n in harness.RUNNABLE]
         starts.append((state.init(parse_source(ADD_SOURCE, "add.cg")),
                        SCHEDULES))
-        # schedule 8 applies every rewrite rule, fusemid only under set
-        # adjacency, and reuse leaves a fold base waiting on a Claim
-        starts.append((mix_config(8), [("tlo-random", 8, None, True)]))
+        # seed 3 applies every rewrite rule to this mix, fusemid only under
+        # set adjacency, and reuse leaves a fold base waiting on a Claim
+        starts.append((mix_config(8), [("tlo-random", 3, None, True)]))
         for config, schedules in starts:
             for scheduler, seed, rules, adjacency in schedules:
                 def checked(ix):
-                    n = ix.refresh(cands=True)
+                    n = ix.refresh()
                     offered = [ix.plain_at(k) for k in range(n)]
                     offered += [engine._opt(ix.cand_at(k))
                                 for k in range(ix.ncands)]
                     assert offered == enumerate_redexes(
-                        bare(ix.config), tlo_on=True, tlo_rules=rules,
-                        assume_set_adjacency=adjacency)
+                        bare(ix.config), tlo_on=(scheduler == "tlo-random"),
+                        tlo_rules=rules, assume_set_adjacency=adjacency)
 
                 seen = reached(checked)
                 kw = dict(scheduler=scheduler, seed=seed, tlo_rules=rules,
@@ -901,6 +898,7 @@ class TestIndex:
                 want = []
                 reference_run(config, seen=want, **kw)
                 assert seen == want
+        assert set(r.rewrites) == set(tlo.RULE_NAMES)  # the mix's run
 
     def assert_same_run(self, config, scheduler, seed, rules, adjacency,
                         fuel=1_000_000):
@@ -980,7 +978,7 @@ class TestWalkIndex:
                     assert state.is_terminal(config) and want == []
                     continue
                 assert ix.config is config
-                n = ix.refresh(cands=tlo_on)
+                n = ix.refresh()
                 got = [ix.plain_at(j) for j in range(n)]
                 got += [engine._opt(ix.cand_at(j)) for j in range(ix.ncands)]
                 assert got == want
@@ -1030,7 +1028,7 @@ class TestVerdicts:
         return engine._Index(config, None, False)
 
     def offered(self, ix):
-        n = ix.refresh(cands=True)
+        n = ix.refresh()
         got = ([ix.plain_at(k) for k in range(n)]
                + [engine._opt(ix.cand_at(k)) for k in range(ix.ncands)])
         assert got == enumerate_redexes(bare(ix.config), tlo_on=True)
@@ -1049,7 +1047,7 @@ class TestVerdicts:
         for args in calls.values():
             args.clear()
         self.step(ix, load)
-        ix.refresh(cands=True)
+        ix.refresh()
         assert calls == {"alpha_equiv": [], "dcomp": []}
         self.offered(ix)
 
@@ -1061,7 +1059,7 @@ class TestVerdicts:
         for args in calls.values():
             args.clear()
         self.step(ix, cand)
-        ix.refresh(cands=True)
+        ix.refresh()
         # the new fold function is the outer one of the map before it; the
         # fused map function the inner one of the fold after it
         ((_, op),) = cand.rewrite.replacement[0].entries

@@ -91,8 +91,8 @@ payload(claim r0) * 100 + payload(claim r1)
 
 @pytest.mark.xfail(strict=True, reason=(
     "after reuse bases fold 0 on fold 1's label, a reorder of their empty "
-    "targets puts fold 0 at the head waiting on the unit behind it, and "
-    "det's fallback batches and unbatches until fuel runs out"))
+    "targets puts fold 0 at the head waiting on the unit behind it, on the "
+    "last station, and det ends blocked there without a terminal"))
 def test_det_completes_every_walk_configuration():
     # the first of the walk's 76 configurations that det cannot complete
     # is its 12th; the loop stops there
@@ -101,6 +101,16 @@ def test_det_completes_every_walk_configuration():
         r = engine.run(config, scheduler="det", fuel=3000)
         assert (r.status, state.to_sexpr(r.config.frontend)) == (
             "terminal", "(int 803)")
+
+
+def test_det_stops_at_the_wedge():
+    # at that 12th configuration nothing but a rewrite applies and no unit
+    # is batched, so det must end there rather than batch and unbatch
+    init = state.init(parse_source(TWO_FOLDS, "two_folds.cg"))
+    walk = harness._walk(init, random.Random(23), tlo_on=True)
+    wedged = [config for config, _, _ in walk][11]
+    r = engine.run(wedged, scheduler="det", fuel=10)
+    assert (r.status, r.detail) == ("blocked", "frontend waits on label 0")
 
 
 # sha256 over every step, rewrite and completion the checks below take,
