@@ -13,9 +13,10 @@ from .terms import (
     INT, KEY, KL_T, NODE, OPERATIONS,
     App, Arith, Claim, Concat, Emit, Expr, Fix, FoldOp, If0, Int, KL, Key,
     Label, Lam, Len, MapOp, Node, Operation, Proj, Subtract, TFun, TFuture,
-    Type, Var, _fresh_name, children, free_vars, op_args, substitute,
-    with_children,
+    Type, Var, children, fresh_names, op_args, substitute, with_children,
 )
+# unused here, but perfbench/layers.py counts the calls at this binding
+from .terms import free_vars  # noqa: F401
 
 
 class SourceError(Exception):
@@ -104,9 +105,7 @@ def desugar_graph_op(name: str, args: list[Expr], commutative: bool = False,
                      loc: tuple[int, int] | None = None) -> Operation:
     """Expand a surface graph operation to its core map/fold encoding, with
     `loc` on every term the expansion adds around the arguments."""
-    avoid = frozenset().union(*map(free_vars, args))
-    x = "x" if "x" not in avoid else _fresh_name("x", avoid)
-    y = "y" if "y" not in avoid and x != "y" else _fresh_name("y", avoid | {x})
+    x, y = fresh_names(("x", "y"), *args)
     op = GRAPH_OPS[name][1](Var(x), Var(y), commutative, *args)
     parsed = {id(a) for a in args}
 

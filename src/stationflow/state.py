@@ -26,8 +26,10 @@ Structural conventions
    (an Add starts afresh).  The prover verdicts of the pair rules are kept
    for the process in `tlo._verdict`, keyed by the canonical text of the
    functions they read, so they hold no term
- - the `to_sexpr` text (the printer lives in `terms`) of every closed
-   compound term is kept on the immutable term, and the JSON text
+ - a compound term's free names are kept on it (`terms.free_vars`, as
+   `_fv`) and only tested for membership; a term is closed when that set
+   is empty, and the `to_sexpr` text (the printer lives in `terms`) of
+   every closed compound term is kept on it, and the JSON text
    `config_digest` writes for a station (node text and streamlet), a unit
    (its `[label, operation]` pairs) and a store entry (`[value, residual]`)
    is kept on that object as `_json`; a traced run's `DigestParts` holds
@@ -271,7 +273,7 @@ def terminal_digest(config: Configuration, strict_residuals: bool = False) -> st
 
 
 def _unit_json(unit: Unit) -> str:
-    ops = ",".join([f"[{label},{_encode(_op_sexpr(op, {}, 0)[0])}]"
+    ops = ",".join([f"[{label},{_encode(_op_sexpr(op, {}, 0))}]"
                     for label, op in unit.entries])
     return f"[{ops}]"
 

@@ -4,14 +4,15 @@
 argument and the future it yields; no other module spells these out.  The
 canonical printer `to_sexpr` writes bound variables as de Bruijn indices, and
 its text is the one notion of term sameness: `alpha_equiv` compares it, and
-`tlo` keys its prover verdicts by it.
+`tlo` keys its prover verdicts by it.  A term is closed when the free names
+`free_vars` keeps on it are none: the printer keeps the text of closed terms,
+and `substitute` visits only the subterms that hold the name it replaces.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import MISSING, dataclass, field, fields
-from operator import is_
 
 
 def record(cls):
@@ -341,50 +342,68 @@ def with_children(e: Expr, cs) -> Expr:
 
 ### free variables and substitution
 
+_CLOSED: frozenset[str] = frozenset()
+_VAR_NAMES: dict[str, frozenset[str]] = {}
+_LEAVES = frozenset((Int, Key, Label))
+
+
 def free_vars(e: Expr) -> frozenset[str]:
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Lam):
-        return free_vars(e.body) - {e.param}
-    out: frozenset[str] = frozenset()
-    for c in children(e):
-        out |= free_vars(c)
-    return out
+    """The names free in `e`, kept on a compound term as `_fv` (see `state`).
+    Sets are shared: one per name, one empty, and a lone open child's."""
+    t = type(e)
+    if t is Var:
+        fv = _VAR_NAMES.get(e.name)
+        return fv or _VAR_NAMES.setdefault(e.name, frozenset((e.name,)))
+    if t in _LEAVES:
+        return _CLOSED
+    memo = e.__dict__
+    fv = memo.get("_fv")
+    if fv is not None:
+        return fv
+    if t is Lam:
+        fv = free_vars(e.body)
+        if e.param in fv:
+            fv = fv - {e.param} or _CLOSED
+    else:
+        fv = _CLOSED
+        for c in children(e):
+            cfv = free_vars(c)
+            if not cfv <= fv:
+                fv = fv | cfv if fv else cfv
+    memo["_fv"] = fv
+    return fv
 
 
-def _fresh_name(base: str, avoid: frozenset[str]) -> str:
-    # deterministic: smallest unused index, no global counter
-    i = 0
-    while f"{base}${i}" in avoid:
-        i += 1
-    return f"{base}${i}"
+def fresh_names(bases: tuple[str, ...], *terms: Expr) -> Iterator[str]:
+    """A name for each of `bases`, free in none of `terms` and distinct
+    from each other: the base itself, else the base with the smallest
+    unused `$i` suffix (deterministic, no global counter)."""
+    avoid = set().union(*map(free_vars, terms))
+    for base in bases:
+        name, i = base, 0
+        while name in avoid:
+            name, i = f"{base}${i}", i + 1
+        avoid.add(name)
+        yield name
 
 
 def substitute(e: Expr, v: Expr, x: str) -> Expr:
-    """Capture-avoiding substitution of x by v in e.  Where x does not
-    occur free the subterm itself is returned, so a closed part keeps its
-    identity and what is kept on it (see `state`)."""
-    if isinstance(e, Var):
-        return v if e.name == x else e
-    if isinstance(e, Lam):
+    """Capture-avoiding substitution of x by v in e.  It visits only the
+    subterms that hold x free and returns every other one itself, so a
+    closed part keeps its identity and what is kept on it (see `state`)."""
+    if x not in free_vars(e):
+        return e
+    t = type(e)
+    if t is Var:
+        return v
+    if t is Lam:
         param, body = e.param, e.body
-        if param == x:
-            return e
-        if param in free_vars(v) and x in free_vars(body):
-            renamed = _fresh_name(param, free_vars(body) | free_vars(v))
-            body = substitute(body, Var(renamed), param)
-            param = renamed
-        new = substitute(body, v, x)
-        if new is e.body:
-            return e
-        return Lam(param, e.ptype, new, e.commutative, e.loc)
-    cs = children(e)
-    if not cs:
-        return e
-    new = tuple([substitute(c, v, x) for c in cs])
-    if all(map(is_, new, cs)):
-        return e
-    return with_children(e, new)
+        if param in free_vars(v):
+            param, = fresh_names((param,), body, v)
+            body = substitute(body, Var(param), e.param)
+        return Lam(param, e.ptype, substitute(body, v, x), e.commutative,
+                   e.loc)
+    return with_children(e, tuple([substitute(c, v, x) for c in children(e)]))
 
 
 def transform(e: Expr, fn) -> Expr:
@@ -414,10 +433,6 @@ _TAGS = {App: "app", Fix: "fix", KL: "kl", Node: "node", Concat: "cat",
          Subtract: "sub", If0: "if0", Len: "len", Claim: "claim"}
 
 
-# the lowest binder level reached by a term without variables
-_NO_VARS = 1 << 62
-
-
 def to_sexpr(e: Expr) -> str:
     """Deterministic s-expression; bound variables become de Bruijn indices
     so alpha-equivalent terms print identically.
@@ -426,7 +441,7 @@ def to_sexpr(e: Expr) -> str:
     `proj1`..`proj3` and of arithmetic `arith` and its operator, except a
     variable, a literal, a lambda and an emission, `(emit (keyword arg ...))`.
 
-    The text of every closed compound term, one without free variables, is
+    The text of every closed compound term, one with no `free_vars`, is
     kept in the immutable term's instance `__dict__` (which `__eq__` and
     `__hash__` do not read).  That is sound because every variable in a
     closed term is bound inside it and prints as the distance to its
@@ -434,63 +449,50 @@ def to_sexpr(e: Expr) -> str:
     binders.  An open term keeps nothing: its text depends on its context.
     A term carried over by a step, or left unchanged by a substitution
     (see `substitute`), is printed once."""
-    return _sexpr(e, {}, 0)[0]
+    return _sexpr(e, {}, 0)
 
 
-def _sexpr(e: Expr, depth: dict[str, int], level: int) -> tuple[str, int]:
+def _sexpr(e: Expr, depth: dict[str, int], level: int) -> str:
     """The text of `e` under `level` binders, `depth` giving the level of
-    the binder of each name in scope, and the lowest binder level its
-    variables reach (0 for a free one).  `e` is closed when that is above
-    `level`."""
+    the binder of each name in scope."""
     t = type(e)
     if t is Var:
         idx = depth.get(e.name)
         if idx is None:
-            return f"(free {e.name})", 0
-        return f"(bound {level - idx})", idx
+            return f"(free {e.name})"
+        return f"(bound {level - idx})"
     if t is Int:
-        return f"(int {e.value})", _NO_VARS
+        return f"(int {e.value})"
     if t is Key:
-        return f"(key {e.name})", _NO_VARS
+        return f"(key {e.name})"
     if t is Label:
-        return f"(label {e.index})", _NO_VARS
+        return f"(label {e.index})"
     memo = e.__dict__
     text = memo.get("_sexpr")
     if text is not None:
-        return text, _NO_VARS
+        return text
     if t is Lam:
-        inner, low = _sexpr(e.body, {**depth, e.param: level + 1}, level + 1)
+        inner = _sexpr(e.body, {**depth, e.param: level + 1}, level + 1)
         ptype = str(e.ptype) if e.ptype is not None else "_"
         text = f"({'lam!' if e.commutative else 'lam'} {ptype} {inner})"
     elif t is Emit:
-        inner, low = _op_sexpr(e.op, depth, level)
-        text = f"(emit {inner})"
+        text = f"(emit {_op_sexpr(e.op, depth, level)})"
     else:
         tag = _TAGS.get(t)
         if tag is None:
             tag = f"proj{e.index}" if t is Proj else f"arith {e.op}"
-        text, low = _form(tag, children(e), depth, level)
-    if low > level:
+        text = _form(tag, children(e), depth, level)
+    if not free_vars(e):
         memo["_sexpr"] = text
-    return text, low
+    return text
 
 
-def _op_sexpr(op: Operation, depth: dict[str, int],
-              level: int) -> tuple[str, int]:
+def _op_sexpr(op: Operation, depth: dict[str, int], level: int) -> str:
     return _form(OPERATIONS[type(op)].keyword, op_args(op), depth, level)
 
 
-def _form(tag: str, subterms, depth: dict[str, int],
-          level: int) -> tuple[str, int]:
-    """`(tag sub ...)` and the lowest binder level the subterms reach."""
-    low = _NO_VARS
-    parts = [tag]
-    for c in subterms:
-        part, clow = _sexpr(c, depth, level)
-        parts.append(part)
-        if clow < low:
-            low = clow
-    return f"({' '.join(parts)})", low
+def _form(tag: str, subterms, depth: dict[str, int], level: int) -> str:
+    return f"({' '.join([tag, *[_sexpr(c, depth, level) for c in subterms]])})"
 
 
 def alpha_equiv(a: Expr, b: Expr) -> bool:
@@ -668,10 +670,6 @@ def eta_contract(e: Expr) -> Expr:
 
 def compose(f: Expr, g: Expr) -> Lam:
     """Function composition λz. f (g z) with a fresh z drawn from the reserved namespace."""
-    avoid = free_vars(f) | free_vars(g)
-    i = 0
-    while f"$z{i}" in avoid:
-        i += 1
-    z = f"$z{i}"
+    z, = fresh_names(("$z",), f, g)
     ptype = g.ptype if isinstance(g, Lam) and g.ptype is not None else NODE
     return Lam(z, ptype, App(f, App(g, Var(z))), False)

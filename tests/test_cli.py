@@ -158,8 +158,9 @@ class TestRun:
             " digits, too many to print"]
 
 
-LET_CHAIN = "let x0 = 0 in\n" + "".join(
-    f"let x{i} = x{i - 1} + 1 in\n" for i in range(1, 401)) + "x400"
+def let_chain(n):
+    return "let x0 = 0 in\n" + "".join(
+        f"let x{i} = x{i - 1} + 1 in\n" for i in range(1, n + 1)) + f"x{n}"
 
 
 class TestDeepInput:
@@ -167,8 +168,9 @@ class TestDeepInput:
     # interpreter's limit must end in one line on stderr, not a traceback
     @pytest.mark.parametrize("command, text", [
         ("typecheck", "1;" * 800 + "1"),
-        ("run", LET_CHAIN),
-    ], ids=["typecheck-seq", "run-let-chain"])
+        ("typecheck", let_chain(800)),
+        ("run", let_chain(800)),
+    ], ids=["typecheck-seq", "typecheck-let-chain", "run-let-chain"])
     def test_exits_2_naming_the_file(self, runner, tmp_path, command, text):
         p = tmp_path / "deep.cg"
         p.write_text(text)
@@ -176,6 +178,17 @@ class TestDeepInput:
         assert r.exit_code == 2
         assert r.stderr.splitlines() == [
             f"{p}: input nests too deeply to process"]
+
+    def test_runs_a_let_chain_of_400(self, runner, tmp_path):
+        # each Beta descends only to the occurrence of its name, in the next
+        # binding, and not through the rest of the chain
+        p = tmp_path / "lets.cg"
+        p.write_text(let_chain(400))
+        r = runner.invoke(cli, ["run", str(p)])
+        assert r.exit_code == 0
+        out = json.loads(r.stdout)
+        assert (out["status"], out["steps"], out["frontend"]) == (
+            "terminal", 801, "(int 400)")
 
 
 class TestTraceDiff:

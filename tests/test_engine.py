@@ -22,7 +22,7 @@ from stationflow.state import Station, Unit
 from stationflow.terms import (
     INT, NODE, AddOp, App, Arith, Claim, Concat, Emit, Fix, FoldOp, If0, Int,
     KL, Key, Label, Lam, Len, MapOp, Node, Proj, Subtract, TFun, Var,
-    children, op_args, with_children,
+    children, free_vars, op_args, with_children,
 )
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -535,7 +535,61 @@ def bare(config):
     return out
 
 
-KEPT = ("_step", "_sexpr")
+KEPT = ("_step", "_sexpr", "_fv")
+
+
+def reference_free_vars(e):
+    """The names free in `e`, worked out afresh over the whole term: the
+    oracle for the sets `terms.free_vars` keeps."""
+    if isinstance(e, Var):
+        return frozenset((e.name,))
+    if isinstance(e, Lam):
+        return reference_free_vars(e.body) - {e.param}
+    out = frozenset()
+    for c in children(e):
+        out |= reference_free_vars(c)
+    return out
+
+
+def held_terms(config):
+    """Every term `config` holds, subterms included, each object once: the
+    station nodes, the arguments of every operation in a streamlet or the
+    top stream, the store's values and the frontend."""
+    units = [*config.top, *(u for s in config.backend for u in s.streamlet)]
+    todo = [*(s.node for s in config.backend),
+            *(a for u in units for _, op in u.entries for a in op_args(op)),
+            *(e.value for _, e in config.store), config.frontend]
+    seen = {}
+    while todo:
+        e = todo.pop()
+        if id(e) not in seen:
+            seen[id(e)] = e
+            todo.extend(children(e))
+    return seen.values()
+
+
+class TestKeptFreeNames:
+    """The free names kept on a term are the ones the reference finds."""
+
+    @pytest.mark.parametrize("name", harness.RUNNABLE)
+    def test_kept_equal_reference_on_the_corpus(self, reached, name):
+        prog = harness.corpus_program(name)
+        for scheduler, seed in (("eager", 0), ("det", 0), ("random", 3),
+                                ("tlo-random", 3)):
+            seen = reached(lambda ix: None)
+            r = run(state.init(prog), scheduler=scheduler, seed=seed)
+            assert r.status == "terminal"
+            assert len(seen) == r.steps + 1
+            # checked once the run is over, so sets kept late are included
+            terms = {id(e): e for c in seen for e in held_terms(c)}.values()
+            kept = 0
+            for e in terms:
+                want = reference_free_vars(e)
+                if "_fv" in e.__dict__:
+                    kept += 1
+                    assert e.__dict__["_fv"] == want
+                assert free_vars(e) == want
+            assert kept
 
 
 class TestKeptRedexes:

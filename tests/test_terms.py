@@ -60,6 +60,35 @@ class TestSubstitution:
         assert out == App(App(fn, Int(5)), fn)
         assert out.fn.fn is fn and out.arg is fn
 
+    def test_descends_only_along_the_path_to_the_occurrence(self,
+                                                            monkeypatch):
+        fn = Lam("n", NODE, Node(Proj(1, Var("n")), Int(0), Proj(3, Var("n"))))
+        one, ks = Int(1), KL((Var("k"),))
+        e = If0(Var("y"), App(fn, Arith("+", Len(Var("x")), one)), ks)
+        free_vars(e)  # kept before the count starts
+        opened, rebuilt = [], []
+        for name, seen in (("children", opened), ("with_children", rebuilt)):
+            def counted(t, *args, walk=getattr(terms, name), seen=seen):
+                seen.append(type(t).__name__)
+                return walk(t, *args)
+            monkeypatch.setattr(terms, name, counted)
+        out = substitute(e, KL(()), "x")
+        assert out == If0(Var("y"), App(fn, Arith("+", Len(KL(())), one)), ks)
+        assert opened == ["If0", "App", "Arith", "Len"]
+        assert rebuilt == opened[::-1]
+        assert out.scrut is e.scrut and out.els is ks
+        assert out.then.fn is fn and out.then.arg.right is one
+
+    def test_free_names_are_kept_and_shared(self):
+        # one set per name, one empty set, and a node with one open child
+        # keeps that child's set
+        x = free_vars(Var("x"))
+        assert free_vars(Var("x")) is x
+        e = App(Int(1), Lam("y", None, Len(Var("x"))))
+        assert free_vars(e) is x and e.__dict__["_fv"] is x
+        assert free_vars(Lam("x", None, e)) is free_vars(Int(0)) == frozenset()
+        assert free_vars(Concat(Var("x"), Var("y"))) == {"x", "y"}
+
 
 class TestAlphaEquiv:
     def test_renamed_binders_equal(self):
