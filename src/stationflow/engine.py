@@ -4,18 +4,25 @@ The frontend and the in-graph load sites share one expression stepper; the
 load flavor simply refuses to emit, which is the operational face of the
 phase split.  Station rules, stream routing, and the optimizer hook each
 produce explicit redex descriptions so schedulers can pick among them.
-Each station rule is written once: `station_task_redexes` decides Map, Fold,
-Complete, Last and Prop in one pass, and `apply_redex` steps every rule
-through one `_STEPS` table by rule (`site` is trace output only).
+Each station rule is written once: `_tasks` decides Map, Fold, Complete,
+Last and Prop in one pass, and `apply_redex` steps every rule through one
+`_STEPS` table by rule (`site` is trace output only).
 
 A step changes at most two stations and carries the rest over.  `run` keeps
-an index of what its scheduler draws from: per station the plain redexes
-that step now and the rewrite candidates of the rules the scheduler draws
-from, window by window, keyed by the identities of a window's two units
-(`tlo` keeps the prover verdicts), with counts; the stations that are not
-idle, which decide terminality; and the stations with a load site waiting
-on each label.  It rebuilds only the stations a step touched and, after a
-store write, those waiting on a written label, and the frontend and routing
+an index of what its scheduler draws from: per station its plain entries,
+the task rules and load sites that step now, and the window entries of the
+rewrite rules the scheduler draws from (`tlo.window_candidates`), window by
+window, keyed by the identities of a window's two units (`tlo` keeps the
+prover verdicts), with counts; the stations that are not idle, which decide
+terminality; and the stations with a load site waiting on each label.  An
+entry is built into a `Redex` or a `tlo.Candidate` only when it is drawn.
+A Load step updates its station in place: it replaces or drops the entry of
+the one site it stepped, notes the station under the label the new term
+waits on, and derives again only a window of two folds, whose reuse
+condition reads the base; where the task rules may change (a node or the
+head fold's base reaches a value) it rebuilds the station instead.  Every
+other step has the index rebuild the stations it touched and, after a store
+write, those waiting on a written label, and the frontend and routing
 redexes only when the fields they read change.  The redex search records
 its hole as a path of child positions, along which the Load and frontend
 rules plug the contractum.  What the redex search finds in a term is kept
@@ -29,7 +36,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
 from operator import is_not
 
 from . import tlo
@@ -174,8 +180,8 @@ def tograph_redex(config: Configuration) -> Redex | None:
     return Redex("First", "top")
 
 
-def station_task_redexes(station: Station, i: int, last: bool) -> list[Redex]:
-    """Map, Fold, Complete, Last and Prop at station `i`, in that order;
+def _tasks(station: Station, last: bool) -> list[str]:
+    """Map, Fold, Complete, Last and Prop at a station, in that order;
     `last` says it is the last station of the backend.  A head unit of one
     operation whose target holds the node's key visits a loaded node (Map or
     Fold); one whose target is empty, or misses the key at the last
@@ -201,44 +207,60 @@ def station_task_redexes(station: Station, i: int, last: bool) -> list[Redex]:
     if not last and key is not None \
             and all(t is not None and key not in t for t in targets):
         rules.append("Prop")
-    return [Redex(rule, f"station:{i}", station=i) for rule in rules]
+    return rules
 
 
-def _loads(step) -> bool:
-    """A load site where `_find` gives this can step, now or once its
-    Claim's label is filled: it is not stuck, and a load may not emit."""
-    return not isinstance(step, Stuck) and step[0] != "Emit"
+def _plain_redex(i: int, entry) -> Redex:
+    """The redex of a plain entry of station `i`: a task rule's name, or a
+    load site's unit (None: the node) and hole path."""
+    if type(entry) is str:
+        return Redex(entry, f"station:{i}", station=i)
+    unit, path = entry
+    where = "node" if unit is None else f"unit:{unit}"
+    return Redex("Load", f"station:{i}/{where}", station=i, unit=unit,
+                 path=path)
 
 
-def _load_sites(station: Station, i: int,
-                step_of) -> tuple[tuple[Redex, int | None], ...]:
-    """The Load redexes of station `i` that may step, each with the label
-    its Claim waits on (None: it steps now)."""
+def station_task_redexes(station: Station, i: int, last: bool) -> list[Redex]:
+    """The `_tasks` of station `i` as redexes."""
+    return [Redex(rule, f"station:{i}", station=i)
+            for rule in _tasks(station, last)]
+
+
+def _load_site(unit: int | None, e: Expr, step_of):
+    """The plain entry of the load site at `unit` (None: the node), whose
+    term is the non-value `e`, with the label its Claim waits on (None: it
+    steps now); None when it cannot step, now or once that label is filled:
+    it is stuck, or would emit."""
+    step = step_of(e)
+    if isinstance(step, Stuck) or step[0] == "Emit":
+        return None
+    return (unit, step[2]), step[1]
+
+
+def _load_sites(station: Station, step_of) -> list[tuple]:
+    """The `_load_site`s of a station that may step: the node's, then each
+    fold unit's base, in streamlet order."""
     sites = [] if station.loaded else [(None, station.node)]
     for j, unit in enumerate(station.streamlet):
         if len(unit.entries) == 1:
             _, op = unit.entries[0]
             if isinstance(op, FoldOp) and not is_value(op.base):
                 sites.append((j, op.base))
-    out = []
-    for j, expr in sites:
-        step = step_of(expr)
-        if _loads(step):
-            where = "node" if j is None else f"unit:{j}"
-            out.append((Redex("Load", f"station:{i}/{where}", station=i,
-                              unit=j, path=step[2]), step[1]))
-    return tuple(out)
+    return [site for site in (_load_site(j, e, step_of) for j, e in sites)
+            if site is not None]
 
 
 def _station_plain(config: Configuration, i: int, last: bool,
-                   waiting: dict | None = None) -> list[Redex]:
-    """The task redexes of station `i`, then its load sites that step now;
-    `waiting`, if given, notes `i` under each label a site waits on."""
+                   waiting: dict | None = None) -> list:
+    """The plain entries of station `i` (see `_plain_redex`): its task
+    rules, then its load sites that step now; `waiting`, if given, notes
+    `i` under each label a site waits on."""
     station = config.backend[i]
-    out = station_task_redexes(station, i, last)
-    for r, label in _load_sites(station, i, _kept_step):
+    out = _tasks(station, last)
+    for entry, label in _load_sites(station, _kept_step):
         if _ready(config, label):
-            out.append(r)
+            out.append(entry)
         elif waiting is not None:
             waiting.setdefault(label, set()).add(i)
     return out
@@ -252,7 +274,8 @@ def enumerate_redexes(config: Configuration, tlo_on: bool = False,
            if isinstance(r, Redex)]
     last = len(config.backend) - 1
     for i in range(len(config.backend)):
-        out.extend(_station_plain(config, i, i == last))
+        out.extend(_plain_redex(i, entry)
+                   for entry in _station_plain(config, i, i == last))
     if tlo_on:
         out.extend(map(_opt, tlo.candidates(
             config, rules=tlo_rules, assume_set_adjacency=assume_set_adjacency)))
@@ -401,15 +424,16 @@ def eager_enumerate(config: Configuration, wet=None) -> list[Redex]:
         station = config.backend[i]
         if not station.loaded:
             step = _find(station.node)
-            if _loads(step) and _ready(config, step[1]):
+            if not isinstance(step, Stuck) and step[0] != "Emit" \
+                    and _ready(config, step[1]):
                 return [Redex("Load", f"station:{i}/node", station=i,
                               path=step[2])]
             return []
         if not station_is_load_free(station):
-            loads = [r for r, label in _load_sites(station, i, _find)
+            loads = [entry for entry, label in _load_sites(station, _find)
                      if _ready(config, label)]
-            if loads and len(station.streamlet) == 1 and loads[0].unit == 0:
-                return [loads[0]]
+            if loads and len(station.streamlet) == 1 and loads[0][0] == 0:
+                return [_plain_redex(i, loads[0])]
             return []
         # eager takes the first of Complete, Map, Fold, Last and Prop that
         # applies, which is the first offered: Map and Fold exclude the
@@ -458,9 +482,19 @@ def _undo_of(prev) -> tuple | None:
     return prev.station, undo, prev.labels
 
 
+def _undoes(undo, sl, j: int, spec) -> bool:
+    """The window entry `spec` at unit `j` of streamlet `sl` is a candidate
+    that `undo` (see `_undo_of`) names."""
+    return spec[0] == undo[1] and tlo.window_labels(spec[0], sl, j) == undo[2]
+
+
 class _Index:
     """What `run`'s schedulers draw from (see the module docstring); `rules`
-    are the rewrite rules whose candidates it builds, None for all."""
+    are the rewrite rules whose window entries it keeps, None for all.  A
+    station's plain entries (`_plain_redex`) and window entries
+    (`tlo.candidate`) become a `Redex` or a `Candidate` only in `plain_at`
+    and `cand_at`.  A Load updates its station in place (`_load`); `refresh`
+    rebuilds the stations that other steps touched."""
 
     def __init__(self, config: Configuration, rules, assume_set_adjacency):
         n = len(config.backend)
@@ -470,7 +504,7 @@ class _Index:
         self.last_opt = None
         self.busy = {i for i, s in enumerate(config.backend) if not s.idle}
         self.stale = set(range(n))
-        self.plain = [()] * n  # the plain redexes that step now
+        self.plain = [()] * n  # the plain entries that step now
         self.cands, self.ncand = [()] * n, [0] * n  # `tlo.station_windows`
         self.windows = [{} for _ in range(n)]
         self.waiting: dict[int, set[int]] = {}  # label -> stations
@@ -488,6 +522,9 @@ class _Index:
             return
         old, self.config = self.config, config
         self.last_opt = r.rewrite
+        if r.rule == "Load" and r.station not in self.stale \
+                and self._load(r, old):
+            return
         touched = ((0,) if r.rule == "First" else () if r.station is None
                    else (r.station, r.station + 1) if r.rule == "Prop"
                    else (r.station,))
@@ -498,9 +535,46 @@ class _Index:
             for label in dict(r.rewrite.results) if r.rewrite else labels:
                 self.stale |= self.waiting.pop(label, set())
 
+    def _load(self, r: Redex, old: Configuration) -> bool:
+        """Carry station `r.station` over the Load `r` from `old` in place
+        (see the module docstring), or return False, changing nothing,
+        where the task rules or the station's idleness may change: the node
+        reached a value or may have another key, or the head fold's base
+        reached a value."""
+        i, j = r.station, r.unit
+        station = self.config.backend[i]
+        if j is None:
+            # the search never enters a key, so a node keeps a key it has
+            e, was = station.node, old.backend[i].node
+            if is_value(e) or type(was) is not Node or type(was.key) is not Key:
+                return False
+        else:
+            ((_, op),) = station.streamlet[j].entries
+            e = op.base
+            if j == 0 and is_value(e):
+                return False
+            if self.rules:
+                added = tlo.rebase_windows(
+                    station.streamlet, j, old.backend[i].streamlet[j],
+                    self.rules, self.adjacency, self.windows[i],
+                    self.cands[i])
+                self.ncand[i] += added
+                self.ncands += added
+        plain = self.plain[i]
+        k = plain.index((j, r.path))
+        site = None if is_value(e) else _load_site(j, e, _kept_step)
+        if site is not None and _ready(self.config, site[1]):
+            plain[k] = site[0]
+            return True
+        if site is not None:
+            self.waiting.setdefault(site[1], set()).add(i)
+        del plain[k]
+        self.nplain -= 1
+        return True
+
     def refresh(self) -> int:
         """Rebuild the stale stations, with their windows if the index has
-        rules; count the plain redexes."""
+        rules; count the plain entries."""
         config, stale = self.config, self.stale
         last = len(config.backend) - 1
         for i in stale:
@@ -523,11 +597,15 @@ class _Index:
         return len(self.front) + self.nplain
 
     def plain_at(self, k: int) -> Redex:
-        """The `k`-th plain redex in `enumerate_redexes` order."""
-        for rs in chain((self.front,), self.plain):
-            if k < len(rs):
-                return rs[k]
-            k -= len(rs)
+        """The `k`-th plain redex in `enumerate_redexes` order; only that
+        redex is built."""
+        if k < len(self.front):
+            return self.front[k]
+        k -= len(self.front)
+        for i, entries in enumerate(self.plain):
+            if k < len(entries):
+                return _plain_redex(i, entries[k])
+            k -= len(entries)
 
     def cand_at(self, k: int, undo=None):
         """The `k`-th candidate in `tlo.candidates` order, leaving out those
@@ -536,12 +614,12 @@ class _Index:
             if k >= n and (undo is None or undo[0] != i):
                 k -= n
                 continue
+            sl = self.config.backend[i].streamlet
             for j, window in enumerate(self.cands[i]):
                 if undo is not None and undo[0] == i:
-                    window = [c for c in window if (c[0], c[4]) != undo[1:]]
+                    window = [s for s in window if not _undoes(undo, sl, j, s)]
                 if k < len(window):
-                    rule, *rest = window[k]
-                    return tlo.Candidate(rule, i, j, *rest)
+                    return tlo.candidate(window[k], i, j, sl)
                 k -= len(window)
 
 
@@ -559,9 +637,8 @@ def _det(ix: _Index, rng) -> Redex | None:
     for i, station in enumerate(ix.config.backend):
         for j, unit in enumerate(station.streamlet):
             if len(unit.entries) >= 2:
-                rule, *rest = tlo.window_candidates(unit, None, ("unbatch",),
-                                                    False)[0]
-                return _opt(tlo.Candidate(rule, i, j, *rest))
+                return _opt(tlo.candidate(("unbatch", 1), i, j,
+                                          station.streamlet))
     return None
 
 
@@ -570,8 +647,12 @@ def _draw(ix: _Index, rng) -> Redex | None:
     # redexes
     n = ix.refresh()
     total, undo = ix.ncands, _undo_of(ix.last_opt)
-    nundo = 0 if undo is None else sum((c[0], c[4]) == undo[1:]
-                                       for w in ix.cands[undo[0]] for c in w)
+    nundo = 0
+    if undo is not None:
+        sl = ix.config.backend[undo[0]].streamlet
+        nundo = sum(_undoes(undo, sl, j, s)
+                    for j, window in enumerate(ix.cands[undo[0]])
+                    for s in window)
     if total > nundo and (not n or rng.random() < 0.2):
         return _opt(ix.cand_at(rng.randrange(total - nundo), undo))
     if n:

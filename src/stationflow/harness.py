@@ -21,7 +21,6 @@ from .engine import (  # noqa: F401
     Blocked, apply_redex, enumerate_redexes, frontend_redex)
 from .parser import Program, SourceError, parse_source
 from .state import Configuration, terminal_digest
-from .terms import OPERATIONS
 from .types import type_of_config
 
 RUNNABLE = ("incremental_folding", "core_social", "core_pr",
@@ -265,35 +264,3 @@ def check_rewrite_soundness(min_pairs: int = 200) -> SoundnessReport:
                     f"{name}: {cand.rule} at station {cand.station} "
                     f"offset {cand.start} -> {left.status}/{right.status}")
     return SoundnessReport(pairs, agreed, counterexamples[:10])
-
-
-### single-run helpers
-
-def eager_emission_kinds(name: str, limit: int | None = None) -> list[str]:
-    """Kinds of the operations the eager run emits, in order."""
-    config = state.init(corpus_program(name))
-    kinds: list[str] = []
-    while not state.is_terminal(config):
-        redexes = engine.eager_enumerate(config)
-        if not redexes:
-            break
-        config, rule, _ = apply_redex(config, redexes[0])
-        if rule == "Emit":
-            _, op = config.top[-1].entries[0]
-            kinds.append(OPERATIONS[type(op)].keyword)
-            if limit is not None and len(kinds) >= limit:
-                break
-    return kinds
-
-
-def reuse_never_offered(seeds: int = 20) -> bool:
-    """Drive the guard program under rewriting schedules and watch the
-    candidate lists: the non-commutative fold pair must never offer reuse."""
-    prog = corpus_program("reuse_guard")
-    for seed in range(seeds):
-        for _, _, ix in _walk(state.init(prog), random.Random(seed),
-                              tlo_on=True):
-            if ix is not None and any(c[0] == "reuse" for windows in ix.cands
-                                      for window in windows for c in window):
-                return False
-    return True

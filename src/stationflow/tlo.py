@@ -3,12 +3,17 @@
 Every rewrite acts on a contiguous window of one streamlet and may settle
 some labels directly into the store.  Candidates are discovered in a fixed
 order so seeded schedulers replay exactly.  `candidates` builds them afresh
-on every call.  The provers are pure and a window's candidates read only its
-two units, so `engine.run` keeps them window by window and rebuilds only the
-windows a step changed.  A pair rule's verdict depends on operation functions
-only up to the names of bound variables, so it is kept for the process in one
-bounded table keyed by their `to_sexpr` text (`_verdict`); the compensation
-function reorderrw builds is kept on the map operation (`_dcomp_kept`).
+on every call.  A window's entries are specs, a rule name with the split for
+unbatch: `window_candidates` decides only the side conditions, and
+`candidate` builds the one `Candidate` a scheduler draws, its replacement,
+results and labels.  The provers are pure and a window's entries read only
+its two units, so `engine.run` keeps them window by window and rebuilds only
+the windows a step changed; a Load gives a fold a new base, which only
+reuse's side condition reads (`rebase_windows`).  A pair rule's verdict
+depends on operation functions only up to the names of bound variables, so
+it is kept for the process in one bounded table keyed by their `to_sexpr`
+text (`_verdict`); the compensation function reorderrw builds is kept on
+the map operation (`_dcomp_kept`).
 """
 
 from __future__ import annotations
@@ -53,9 +58,15 @@ def candidates(config: Configuration, rules: tuple[str, ...] | None = None,
     out: list[Candidate] = []
     for si, station in enumerate(config.backend):
         found = station_windows(station, enabled, assume_set_adjacency, {})
-        out.extend(Candidate(rule, si, j, *rest)
-                   for j, window in enumerate(found) for rule, *rest in window)
+        sl = station.streamlet
+        out.extend(candidate(spec, si, j, sl)
+                   for j, window in enumerate(found) for spec in window)
     return out
+
+
+def _window(sl: tuple[Unit, ...], j: int) -> tuple[Unit, Unit | None]:
+    """The units of the window at unit `j` of `sl`; None past the tail."""
+    return sl[j], sl[j + 1] if j + 1 < len(sl) else None
 
 
 def station_windows(station: Station, enabled: tuple[str, ...],
@@ -68,8 +79,8 @@ def station_windows(station: Station, enabled: tuple[str, ...],
     windows.clear()
     out = []
     sl = station.streamlet
-    for j, unit in enumerate(sl):
-        nxt = sl[j + 1] if j + 1 < len(sl) else None
+    for j in range(len(sl)):
+        unit, nxt = _window(sl, j)
         key = (id(unit), id(nxt))
         hit = old.get(key)
         if hit is None:
@@ -78,6 +89,33 @@ def station_windows(station: Station, enabled: tuple[str, ...],
         windows[key] = hit
         out.append(hit[2])
     return out
+
+
+def rebase_windows(sl: tuple[Unit, ...], j: int, old: Unit,
+                   enabled: tuple[str, ...], assume_set_adjacency: bool,
+                   windows: dict, found: list[tuple]) -> int:
+    """Carry `station_windows`' result `found` and its table `windows`
+    over a Load that gave the fold at unit `j` of streamlet `sl` a new base,
+    `old` the unit it replaced.  Of the side conditions only reuse's reads a
+    base, so only a window of two folds is derived again; returns the
+    change in the number of entries."""
+    added = 0
+    for k in (j - 1, j) if j else (j,):
+        unit, nxt = _window(sl, k)
+        hit = windows.pop((id(old), id(nxt)) if k == j else (id(unit), id(old)),
+                          None)
+        if hit is None or (nxt is not None and _folds(unit, nxt)):
+            specs = window_candidates(unit, nxt, enabled, assume_set_adjacency)
+            added += len(specs) - len(found[k])
+            found[k] = specs
+        windows[id(unit), id(nxt)] = unit, nxt, found[k]
+    return added
+
+
+def _folds(*units: Unit) -> bool:
+    """Each unit holds one fold."""
+    return all(len(u.entries) == 1 and isinstance(u.entries[0][1], FoldOp)
+               for u in units)
 
 
 # (prover, argument texts) -> verdict, for the process; emptied when full
@@ -120,55 +158,87 @@ def _dcomp_kept(m: MapOp, outer: Expr) -> Expr:
 
 
 def window_candidates(unit: Unit, nxt: Unit | None, enabled: tuple[str, ...],
-                      assume_set_adjacency: bool) -> tuple[tuple, ...]:
+                      assume_set_adjacency: bool) -> tuple[tuple[str, int], ...]:
     """The rewrites of the window at `unit`, `nxt` the unit after it (None
-    at the tail): `unit`'s unbatch splits, then the pair rules, each as the
-    `Candidate` fields after station and start, which it does not read."""
-    out: list[tuple] = []
+    at the tail): `unit`'s unbatch splits, then the pair rules.  Each is an
+    entry for `candidate`, its rule and split (0 but for unbatch); only the
+    side conditions are decided here."""
+    out: list[tuple[str, int]] = []
     if "unbatch" in enabled and len(unit.entries) >= 2:
-        for split in range(1, len(unit.entries)):
-            left = Unit(unit.entries[:split])
-            right = Unit(unit.entries[split:])
-            out.append(("unbatch", 1, (left, right), (), unit.labels(), split))
+        out.extend(("unbatch", split) for split in range(1, len(unit.entries)))
     if nxt is None:
         return tuple(out)
     if "batch" in enabled:
-        out.append(("batch", 2, (Unit(unit.entries + nxt.entries),), (),
-                    unit.labels() + nxt.labels()))
+        out.append(("batch", 0))
     a, b = _single(unit), _single(nxt)
     if a is None or b is None:
         return tuple(out)
-    (l1, o1), (l2, o2) = a, b
+    (_, o1), (_, o2) = a, b
     t1, t2 = target(o1), target(o2)
     if "reorderd" in enabled and t1 is not None and t2 is not None \
             and not (set(t1) & set(t2)):
-        out.append(("reorderd", 2, (nxt, unit), (), (l1, l2)))
+        out.append(("reorderd", 0))
     if "reorderrr" in enabled and isinstance(o1, FoldOp) and isinstance(o2, FoldOp):
-        out.append(("reorderrr", 2, (nxt, unit), (), (l1, l2)))
-    if "reorderrw" in enabled and isinstance(o1, MapOp) and isinstance(o2, FoldOp):
-        if t1 is not None:
-            comp = _dcomp_kept(o1, o2.fn)
-            new_fold = singleton(l2, FoldOp(comp, o2.base, o2.ks))
-            out.append(("reorderrw", 2, (new_fold, unit), (), (l1, l2)))
+        out.append(("reorderrr", 0))
+    if "reorderrw" in enabled and isinstance(o1, MapOp) \
+            and isinstance(o2, FoldOp) and t1 is not None:
+        out.append(("reorderrw", 0))
     if ({"fusem", "fusemid"} & set(enabled)) and isinstance(o1, MapOp) \
             and isinstance(o2, MapOp) and o1.ks == o2.ks:
         verdict = _verdict(_fused, o2.fn, o1.fn, assume_set_adjacency)
         if "fusem" in enabled and verdict == "refuted":
-            fused = singleton(l1, MapOp(compose(o2.fn, o1.fn), o1.ks))
-            out.append(("fusem", 2, (fused,),
-                        ((l2, StoreEntry(Int(0), ())),), (l1, l2)))
+            out.append(("fusem", 0))
         if "fusemid" in enabled and verdict == "proved":
-            out.append(("fusemid", 2, (),
-                        ((l1, StoreEntry(Int(0), ())),
-                         (l2, StoreEntry(Int(0), ()))), (l1, l2)))
+            out.append(("fusemid", 0))
     if "reuse" in enabled and isinstance(o1, FoldOp) and isinstance(o2, FoldOp):
         if (t1 is not None and t2 is not None and set(t1) <= set(t2)
                 and _verdict(_reusable, o1.fn, o2.fn)
                 and alpha_equiv(o1.base, o2.base)):
-            shrunk = KL(kl_subtract(o2.ks.items, o1.ks.items))
-            second = singleton(l2, FoldOp(o2.fn, Claim(Label(l1)), shrunk))
-            out.append(("reuse", 2, (unit, second), (), (l1, l2)))
+            out.append(("reuse", 0))
     return tuple(out)
+
+
+def window_labels(rule: str, sl: tuple[Unit, ...], j: int) -> tuple[int, ...]:
+    """The labels a candidate of `rule` at unit `j` of `sl` touches."""
+    unit, nxt = _window(sl, j)
+    if rule == "unbatch":
+        return unit.labels()
+    if rule == "batch":
+        return unit.labels() + nxt.labels()
+    return unit.entries[0][0], nxt.entries[0][0]
+
+
+def candidate(spec: tuple[str, int], station: int, start: int,
+              sl: tuple[Unit, ...]) -> Candidate:
+    """The candidate of window entry `spec` at unit `start` of `sl`, the
+    streamlet of station `station`."""
+    rule, split = spec
+    unit, nxt = _window(sl, start)
+    results = ()
+    if rule == "unbatch":
+        replacement = Unit(unit.entries[:split]), Unit(unit.entries[split:])
+    elif rule == "batch":
+        replacement = Unit(unit.entries + nxt.entries),
+    else:
+        (l1, o1), (l2, o2) = unit.entries[0], nxt.entries[0]
+        if rule in ("reorderd", "reorderrr"):
+            replacement = nxt, unit
+        elif rule == "reorderrw":
+            comp = _dcomp_kept(o1, o2.fn)
+            replacement = singleton(l2, FoldOp(comp, o2.base, o2.ks)), unit
+        elif rule == "fusem":
+            replacement = singleton(l1, MapOp(compose(o2.fn, o1.fn), o1.ks)),
+            results = (l2, StoreEntry(Int(0), ())),
+        elif rule == "fusemid":
+            replacement = ()
+            results = (l1, StoreEntry(Int(0), ())), (l2, StoreEntry(Int(0), ()))
+        else:  # reuse
+            shrunk = KL(kl_subtract(o2.ks.items, o1.ks.items))
+            replacement = unit, singleton(l2, FoldOp(o2.fn, Claim(Label(l1)),
+                                                     shrunk))
+    return Candidate(rule, station, start, 1 if rule == "unbatch" else 2,
+                     replacement, results, window_labels(rule, sl, start),
+                     split)
 
 
 def apply_rewrite(config: Configuration,

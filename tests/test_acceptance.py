@@ -14,6 +14,7 @@ from stationflow.engine import apply_redex, eager_enumerate
 from stationflow.parser import SourceError
 from stationflow.terms import Int, Node
 from stationflow.types import type_of_expr
+from test_harness import eager_emission_kinds, reuse_never_offered
 
 
 class Budget:
@@ -85,7 +86,7 @@ def test_4_rewrite_soundness(acceptance_report):
 
 def test_5_reuse_guard(acceptance_report):
     b = Budget(1)
-    never = harness.reuse_never_offered(seeds=20)
+    never = reuse_never_offered(seeds=20)
     r = engine.run(state.init(harness.corpus_program("reuse_guard")))
     facts = harness.check_facts("reuse_guard", r.config)
     acceptance_report(
@@ -129,7 +130,7 @@ def test_7_eager_policy_is_deterministic(acceptance_report):
 
 def test_8_rank_program_emission_order(acceptance_report):
     b = Budget(1)
-    kinds = harness.eager_emission_kinds("core_pr", limit=9)
+    kinds = eager_emission_kinds("core_pr", limit=9)
     want = ["map", "fold", "fold", "map", "map", "fold", "fold", "map", "map"]
     acceptance_report(
         kinds == want and b.within,

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stationflow import engine, harness, state, tlo
+from stationflow import engine, harness, state, terms, tlo
 from stationflow.engine import (
     apply_redex, eager_enumerate, enumerate_redexes, run,
 )
@@ -1039,6 +1039,164 @@ class TestWalkIndex:
         assert reached > 600
 
 
+def load_tags(r, old, config) -> set[str]:
+    """What the Load `r` from `old` to `config` did: a node or a head, or
+    another, fold base reached a value ("node-done", "head-done",
+    "unit-done"); a node had no key before ("unkeyed"); the term now
+    waits on an unfilled label ("waits"); a fold is next to the loaded one
+    ("beside-fold")."""
+    station, tags = config.backend[r.station], set()
+    if r.unit is None:
+        e, was = station.node, old.backend[r.station].node
+        if not (isinstance(was, Node) and isinstance(was.key, Key)):
+            tags.add("unkeyed")
+    else:
+        sl = station.streamlet
+        e = sl[r.unit].entries[0][1].base
+        if any(tlo._folds(*sl[k:k + 2]) for k in (r.unit - 1, r.unit)
+               if 0 <= k < len(sl) - 1):
+            tags.add("beside-fold")
+    if terms.is_value(e):
+        tags.add("node-done" if r.unit is None
+                 else "head-done" if r.unit == 0 else "unit-done")
+    else:
+        step = engine._find(e)
+        if step[0] == "Claim" and config.store_get(step[1]) is None:
+            tags.add("waits")
+    return tags
+
+
+def keyed_start():
+    """A node whose key a Load finds, two steps before its payload: the map
+    on #b ahead of it may propagate only from then."""
+    node = App(Lam("v", NODE, Node(Proj(1, Var("v")), Arith("+", Int(1), Int(2)),
+                                   KL(()))), Node(A, Int(0), KL(())))
+    maps = Unit(((0, MapOp(plus(1), KL((B,)))),))
+    return state.Configuration((Station(node, (maps,)),
+                                Station(Node(B, Int(2), KL(())))), (), (),
+                               Int(0), next_label=1)
+
+
+# (start, walk seeds, rewrite rules, set adjacency); between them the walks
+# reach every kind of Load `load_tags` tells apart
+LOAD_WALKS = (
+    *[(lambda n=n: state.init(harness.corpus_program(n)), (0, 1, 2), None,
+       False) for n in harness.RUNNABLE],
+    (lambda: state.init(harness.corpus_program("core_pr")), (0, 1), (),
+     False),
+    (lambda: mix_config(8), (0, 1, 2), None, True),
+    (keyed_start, (0,), None, False),
+)
+
+
+class TestLoadInPlace:
+    """A Load step updates its station's entries in the index in place; the
+    index must hold after every step what a fresh one built from the same
+    configuration holds, and a Load must derive windows only where a base
+    is read."""
+
+    @staticmethod
+    def walks(step=None):
+        """Uniform draws among every plain redex and candidate from each
+        of `LOAD_WALKS`; yields the index, refreshed, at every configuration
+        reached, and calls `step(ix, r, config, labels)` to advance it, if
+        given, in place of `ix.advance`."""
+        for start, seeds, rules, adjacency in LOAD_WALKS:
+            for seed in seeds:
+                rng = random.Random(seed)
+                ix = engine._Index(start(), rules, adjacency)
+                while not ix.terminal():
+                    n = ix.refresh()
+                    yield ix
+                    if not n + ix.ncands:
+                        break
+                    k = rng.randrange(n + ix.ncands)
+                    r = (ix.plain_at(k) if k < n
+                         else engine._opt(ix.cand_at(k - n)))
+                    config, _, labels = apply_redex(ix.config, r)
+                    (step or type(ix).advance)(ix, r, config, labels)
+
+    def test_index_equals_a_fresh_one_after_every_step(self):
+        tags, offered = Counter(), Counter()
+        advance = engine._Index.advance
+
+        def step(ix, r, config, labels):
+            old = ix.config
+            advance(ix, r, config, labels)
+            if r.rule == "Load":
+                new = load_tags(r, old, config)
+                tags.update(new)
+                ix.refresh()
+                rules = {ix.plain_at(k).rule for k in range(len(ix.front),
+                                                               ix.nplain)
+                         if ix.plain_at(k).station == r.station}
+                for tag in new & {"node-done", "head-done"}:
+                    offered[tag] += bool(rules & ({"Map", "Fold"}
+                                                  if tag == "node-done"
+                                                  else {"Complete", "Last"}))
+
+        for ix in self.walks(step):
+            fresh = engine._Index(ix.config, ix.rules, ix.adjacency)
+            fresh.refresh()
+            for field in ("plain", "cands", "ncand", "nplain", "ncands",
+                          "busy", "front"):
+                assert getattr(ix, field) == getattr(fresh, field), field
+            assert ([{key: hit[2] for key, hit in w.items()}
+                     for w in ix.windows]
+                    == [{key: hit[2] for key, hit in w.items()}
+                        for w in fresh.windows])
+            # a woken station is rebuilt, so extra entries do no harm
+            for label, stations in fresh.waiting.items():
+                assert stations <= ix.waiting.get(label, set())
+        assert set(tags) == {"node-done", "head-done", "unit-done", "unkeyed",
+                             "waits", "beside-fold"}
+        # a node that loads offers its visit, a head base its settling
+        assert offered["node-done"] and offered["head-done"]
+
+    def test_a_load_derives_only_fold_pair_windows(self, monkeypatch):
+        # a Load on a node derives no window and rebuilds no station; one on
+        # a fold unit derives at most the windows of two folds next to it,
+        # unless its base, at the head, reaches a value
+        derived, rebuilt, reused = [], [], 0
+        for name, seen in (("window_candidates", derived),
+                           ("station_windows", rebuilt)):
+            def counted(*a, _fn=getattr(tlo, name), _seen=seen):
+                _seen.append(a)
+                return _fn(*a)
+            monkeypatch.setattr(tlo, name, counted)
+        station_plain = engine._station_plain
+        monkeypatch.setattr(engine, "_station_plain", lambda *a: (
+            rebuilt.append(a), station_plain(*a))[1])
+        advance = engine._Index.advance
+        loads = Counter()
+
+        def step(ix, r, config, labels):
+            nonlocal reused
+            derived.clear()
+            rebuilt.clear()
+            old = ix.config
+            advance(ix, r, config, labels)
+            ix.refresh()
+            if r.rule != "Load" or not ix.rules or load_tags(r, old, config) \
+                    & {"node-done", "unkeyed", "head-done"}:
+                return
+            assert rebuilt == []
+            if r.unit is None:
+                loads["node"] += 1
+                assert derived == []
+                return
+            loads["unit"] += 1
+            sl = config.backend[r.station].streamlet
+            assert [(u, n) for u, n, *_ in derived] == [
+                sl[k:k + 2] for k in (r.unit - 1, r.unit)
+                if 0 <= k < len(sl) - 1 and tlo._folds(*sl[k:k + 2])]
+            reused += len(derived)
+
+        for _ in self.walks(step):
+            pass
+        assert loads["node"] and loads["unit"] and reused
+
+
 SUM = Lam("n", NODE, Lam("acc", NODE,
           Node(Proj(1, Var("acc")),
                Arith("+", Proj(2, Var("n")), Proj(2, Var("acc"))),
@@ -1113,10 +1271,10 @@ class TestVerdicts:
         for args in calls.values():
             args.clear()
         self.step(ix, cand)
-        ix.refresh()
+        # a candidate is built when drawn, and `offered` draws every one:
         # the new fold function is the outer one of the map before it; the
         # fused map function the inner one of the fold after it
+        self.offered(ix)
         ((_, op),) = cand.rewrite.replacement[0].entries
         assert any(args[0 if rule == "reorderrw" else 2] is op.fn
                    for args in calls["dcomp"])
-        self.offered(ix)

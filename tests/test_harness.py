@@ -10,6 +10,39 @@ import pytest
 
 from stationflow import engine, harness, state, tlo
 from stationflow.parser import parse_source
+from stationflow.terms import OPERATIONS
+
+
+def eager_emission_kinds(name: str, limit: int | None = None) -> list[str]:
+    """Kinds of the operations the eager run of corpus program `name`
+    emits, in order."""
+    config = state.init(harness.corpus_program(name))
+    kinds: list[str] = []
+    while not state.is_terminal(config):
+        redexes = engine.eager_enumerate(config)
+        if not redexes:
+            break
+        config, rule, _ = engine.apply_redex(config, redexes[0])
+        if rule == "Emit":
+            _, op = config.top[-1].entries[0]
+            kinds.append(OPERATIONS[type(op)].keyword)
+            if limit is not None and len(kinds) >= limit:
+                break
+    return kinds
+
+
+def reuse_never_offered(seeds: int = 20) -> bool:
+    """Drive the guard program under rewriting walks and watch the window
+    entries: the non-commutative fold pair must never offer reuse."""
+    prog = harness.corpus_program("reuse_guard")
+    for seed in range(seeds):
+        for _, _, ix in harness._walk(state.init(prog), random.Random(seed),
+                                      tlo_on=True):
+            if ix is not None and any(rule == "reuse" for windows in ix.cands
+                                      for window in windows
+                                      for rule, _ in window):
+                return False
+    return True
 
 
 class TestCorpusRegistry:
@@ -75,11 +108,11 @@ class TestRewriteSoundness:
 
 class TestSingleRunHelpers:
     def test_emission_kind_replay(self):
-        kinds = harness.eager_emission_kinds("incremental_folding")
+        kinds = eager_emission_kinds("incremental_folding")
         assert kinds == ["fold"]
 
     def test_reuse_guard_never_offers(self):
-        assert harness.reuse_never_offered(seeds=4)
+        assert reuse_never_offered(seeds=4)
 
 
 TWO_FOLDS = """graph [ #a: 5 [], #b: 3 [#a] ]
@@ -147,5 +180,5 @@ def test_walks_are_pinned(monkeypatch):
                 harness.check_preservation_progress(400),
                 harness.check_rewrite_soundness(20)):
         record("report", json.dumps(rep.to_json(), sort_keys=True))
-    record("reuse", harness.reuse_never_offered(4))
+    record("reuse", reuse_never_offered(4))
     assert h.hexdigest() == GOLDEN_WALKS

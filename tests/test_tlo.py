@@ -281,8 +281,9 @@ class TestVerdictTable:
             unit = singleton(0, MapOp(INC, ks))
             for fn in (SUM, SUM_UNMARKED, SUM):
                 fold = singleton(1, FoldOp(fn, BASE, kl("a", "b")))
-                ((_, _, (moved, _), *_),) = tlo.window_candidates(
-                    unit, fold, ("reorderrw",), False)
+                (spec,) = tlo.window_candidates(unit, fold, ("reorderrw",),
+                                                False)
+                moved, _ = tlo.candidate(spec, 0, 0, (unit, fold)).replacement
                 ((_, op),) = moved.entries
                 assert op.fn == dcomp(fn, ks.items, INC)
         assert [(fn, ks) for fn, ks, _ in built] == [
