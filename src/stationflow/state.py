@@ -13,13 +13,17 @@ Structural conventions
    non-value term (`_step`: the rule, the label a Claim waits on and the
    hole path, or the Stuck reason, but not the redex node, which can be
    the term itself, a cycle only the collector frees); the type and effect
-   `types.type_of_config` found for a term it types (`_ty`), with the
-   labels the term mentions and their types, read again only where those
-   labels have the same types; and a map operation's `dcomp` (`_dcomp`)
-   per fold function it meets, with the function.  Not kept: a station's
-   `loaded` (nearly every station built is tested) and configuration-wide
-   facts (`is_dry`, `is_terminal`), though `engine.run` and the harness
-   walks keep an index across steps
+   `types.type_of_config` found for each compound term and subterm it
+   types (`_ty`), with the labels the term reads and its free names, each
+   with its type, read again only where they have the same types; a back
+   station's typing (`_ty`), with the labels it reads from older zones and
+   their types and the future each of its own labels is bound at; and a
+   map operation's `dcomp` (`_dcomp`) per fold function it meets, with the
+   function.  `types` also holds the last store it typed, with each
+   label's type.  Not kept: a station's `loaded` (nearly every station
+   built is tested) and configuration-wide facts (`is_dry`,
+   `is_terminal`), though `engine.run` and the harness walks keep an index
+   across steps
  - `engine.run`'s window table for a station's rewrite candidates is keyed
    by the identities of a window's two units; an entry holds the units, so
    no other unit takes those identities, and the table lives in the run

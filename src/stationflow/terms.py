@@ -19,7 +19,13 @@ def record(cls):
     """`dataclass(frozen=True)`, built again with each field in a slot and
     a `__dict__` slot, made on first use, for what is kept (see `state`);
     its `__init__` stores through each slot's `__set__`, bound once here.
-    Fields take plain defaults only; a `__post_init__` still runs."""
+    Fields take plain defaults only; a `__post_init__` still runs.  A class
+    without a docstring gets its name and field names as one: `dataclass`
+    would derive one through `inspect.signature`, a large share of the
+    cost of building the class."""
+    if cls.__doc__ is None:
+        names = ", ".join(vars(cls).get("__annotations__", ()))
+        cls.__doc__ = f"{cls.__name__}({names})"
     cls = dataclass(frozen=True, init=False)(cls)
     names = [f.name for f in fields(cls)]
     attrs = {k: v for k, v in vars(cls).items()

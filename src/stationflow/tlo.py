@@ -330,12 +330,26 @@ def prove_commutative(fn: Expr) -> str:
         return "unknown"
     # visit-order invariance is the interchange law f x (f y z) = f y (f x z);
     # the literal swap f x y = f y x is too strong, a payload fold threads the
-    # base node through its accumulator and always differs on the key slot
-    for a in _PROBES:
-        for b in _PROBES:
-            for z in _PROBES:
-                lhs, ok1 = normalize(App(App(fn, a), App(App(fn, b), z)))
-                rhs, ok2 = normalize(App(App(fn, b), App(App(fn, a), z)))
+    # base node through its accumulator and always differs on the key slot.
+    # Each side is normalized once, keyed by the probes' positions, and the
+    # two sides are one term where x and y are one probe.
+    sides: dict[tuple[int, int, int], tuple[Expr, bool]] = {}
+
+    def side(x: int, y: int, z: int) -> tuple[Expr, bool]:
+        out = sides.get((x, y, z))
+        if out is None:
+            out = sides[x, y, z] = normalize(
+                App(App(fn, _PROBES[x]), App(App(fn, _PROBES[y]), _PROBES[z])))
+        return out
+
+    probes = range(len(_PROBES))
+    for a in probes:
+        for b in probes:
+            if a == b:
+                continue
+            for z in probes:
+                lhs, ok1 = side(a, b, z)
+                rhs, ok2 = side(b, a, z)
                 if ok1 and ok2 and lhs != rhs:
                     return "refuted"
     return "proved"

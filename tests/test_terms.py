@@ -562,6 +562,24 @@ class TestRecord:
             moved = dataclasses.replace(x, loc=(3, 4))
             assert moved.loc == (3, 4) and moved == x and hash(moved) == hash(x)
 
+    def test_a_class_without_a_docstring_is_built_without_a_signature(
+            self, monkeypatch):
+        # `dataclass` derives a missing docstring through
+        # `inspect.signature`, which costs more than the rest of the build
+        def refuse(*args, **kwargs):
+            raise AssertionError("inspect.signature called")
+
+        monkeypatch.setattr(inspect, "signature", refuse)
+
+        @terms.record
+        class Pair:
+            left: int
+            right: int = 0
+
+        assert Pair(1) == Pair(1, 0) != Pair(2)
+        assert Pair.__doc__ == "Pair(left, right)"
+        assert terms.App.__doc__ == "App(fn, arg, loc)"
+
     def test_post_init_still_checks(self):
         with pytest.raises(ValueError, match="projection index 4"):
             Proj(4, Var("n"))

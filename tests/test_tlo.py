@@ -457,10 +457,28 @@ class TestProvers:
         assert tlo.prove_commutative(SUM_UNMARKED) == "unknown"
         assert tlo.prove_commutative(SUM) == "proved"
 
+    DIFFERENCE = Lam("a", NODE, Lam("b", NODE,
+                     Node(Proj(1, Var("b")),
+                          Arith("-", Proj(2, Var("a")), Proj(2, Var("b"))),
+                          Proj(3, Var("b")))),
+                     commutative=True)
+
     def test_annotation_downgraded_by_probe(self):
-        sub = Lam("a", NODE, Lam("b", NODE,
-                  Node(Proj(1, Var("b")),
-                       Arith("-", Proj(2, Var("a")), Proj(2, Var("b"))),
-                       Proj(3, Var("b")))),
-                  commutative=True)
-        assert tlo.prove_commutative(sub) == "refuted"
+        assert tlo.prove_commutative(self.DIFFERENCE) == "refuted"
+
+    def test_each_interchange_side_is_normalized_once(self, monkeypatch):
+        # f x (f y z) for every x != y and z among the three probes: 18
+        # sides, each read twice; x == y gives one term on both sides
+        calls = []
+        normalize = tlo.normalize
+        monkeypatch.setattr(tlo, "normalize",
+                            lambda e: calls.append(e) or normalize(e))
+        assert tlo.prove_commutative(SUM) == "proved"
+        assert len(calls) == len({terms.to_sexpr(e) for e in calls}) == 18
+        calls.clear()
+        # refuted by the first triple with x != y, probes 0, 1 and 0
+        assert tlo.prove_commutative(self.DIFFERENCE) == "refuted"
+        p = tlo._PROBES
+        fn = self.DIFFERENCE
+        assert calls == [App(App(fn, p[0]), App(App(fn, p[1]), p[0])),
+                         App(App(fn, p[1]), App(App(fn, p[0]), p[0]))]

@@ -16,8 +16,8 @@ from stationflow.parser import (
     INFIX, SourceError, Token, _check_closed, _Parser, parse_source, tokenize,
 )
 from stationflow.terms import (
-    INT, KEY, KL_T, NODE, AddOp, Arith, Claim, FoldOp, Int, Key, KL, Label,
-    Lam, MapOp, Node, Proj, TFun, TFuture, Var, children,
+    INT, KEY, KL_T, NODE, AddOp, App, Arith, Claim, FoldOp, If0, Int, Key, KL,
+    Label, Lam, MapOp, Node, Proj, TFun, TFuture, Var, children,
 )
 from stationflow.types import type_of_config, type_of_expr
 from test_engine import bare
@@ -317,6 +317,14 @@ class TestKeptTypes:
     """`type_of_config` keeps each term's type with the labels the term
     mentions and their types; a kept type may never hide an error."""
 
+    @staticmethod
+    def type_as_unkept_copies_do(configs):
+        # typed in the order reached, as a check would, so each reads what
+        # the configurations before it kept on the terms, stations and
+        # store they share; then each unkept copy, none sharing anything
+        kept = [_typed(c) for c in configs]
+        assert kept == [_typed(bare(c)) for c in configs]
+
     def test_walks_type_as_unkept_copies_do(self):
         # the walks `test_typing_is_pinned` records
         walked = [*map(harness.corpus_text, harness.RUNNABLE),
@@ -326,11 +334,33 @@ class TestKeptTypes:
             for seed in range(2):
                 walk = harness._walk(state.init(parse_source(src, "m.cg")),
                                      random.Random(seed), tlo_on=True)
+                configs = []
                 for config, _, _ in itertools.islice(walk, 120):
                     label = claims.randrange(config.next_label + 1)
-                    for c in (config, dataclasses.replace(
-                            config, frontend=Claim(Label(label)))):
-                        assert _typed(c) == _typed(bare(c))
+                    configs += [config, dataclasses.replace(
+                        config, frontend=Claim(Label(label)))]
+                self.type_as_unkept_copies_do(configs)
+
+    def test_checked_walks_and_runs_type_as_unkept_copies_do(self, reached):
+        # the walks `check_preservation_progress(2000)` takes, without
+        # rewrites, then every configuration eager and det reach
+        steps, walk = 0, 0
+        while steps < 2000:
+            name = harness.RUNNABLE[walk % len(harness.RUNNABLE)]
+            config = state.init(parse_source(harness.corpus_text(name),
+                                             f"{name}.cg"))
+            configs = [c for c, _, _ in harness._walk(
+                config, random.Random(1000 + walk), tlo_on=False)]
+            self.type_as_unkept_copies_do(configs)
+            steps, walk = steps + len(configs) - 1, walk + 1
+        seen = reached(lambda ix: None)
+        for name in harness.RUNNABLE:
+            prog = parse_source(harness.corpus_text(name), f"{name}.cg")
+            for scheduler in ("eager", "det"):
+                seen.clear()
+                r = engine.run(state.init(prog), scheduler=scheduler)
+                assert r.status == "terminal" and len(seen) == r.steps + 1
+                self.type_as_unkept_copies_do(seen)
 
     def configs(self, frontend):
         # label 0 a future[int] in the store, then a future[node] in the
@@ -356,6 +386,60 @@ class TestKeptTypes:
         assert _typed(as_int) == _typed(bare(as_int)) == (
             "<config>:0:0: T-ENode2: projection argument has type int,"
             " expected node")
+
+    def test_a_body_is_not_read_under_another_binding(self):
+        # one body, bound first to an int and then to a node: kept with the
+        # type of its free name, it is typed again under the other
+        body = If0(Int(0), Var("x"), Var("x"))
+        as_int, as_node = (
+            state.Configuration((), (), (), App(Lam("x", None, body), bound))
+            for bound in (Int(5), Node(Key("a"), Int(1), KL(()))))
+        assert _typed(as_int) == "int False"
+        assert "_ty" in body.__dict__
+        assert _typed(as_node) == _typed(bare(as_node)) == "node False"
+        wrong = App(Lam("x", None, Arith("+", body, Int(1))),
+                    Node(Key("a"), Int(1), KL(())))
+        assert _typed(dataclasses.replace(as_int, frontend=wrong)) == (
+            "<config>:0:0: T-Arith: '+' applied to node and int")
+
+    @staticmethod
+    def station_configs(station):
+        # `station` under label 0 stored as an int, then as a node
+        return [state.Configuration((station,), (), ((0, state.StoreEntry(
+            value, ())),), Int(0), next_label=2)
+            for value in (Int(5), Node(Key("b"), Int(1), KL(())))]
+
+    def test_a_kept_station_is_not_read_after_a_label_changes_type(self):
+        # the node's payload reads label 0: an int one way, a node's
+        # payload the other
+        payload = If0(Int(0), Claim(Label(0)), Int(1))
+        station = state.Station(Node(Key("a"), payload, KL(())))
+        as_int, as_node = self.station_configs(station)
+        assert _typed(as_int) == "int False"
+        assert "_ty" in station.__dict__
+        assert _typed(as_node) == _typed(bare(as_node)) == (
+            "<config>:0:0: T-If0: branches disagree: node versus int")
+
+    def test_a_station_whose_unit_turns_ill_typed_raises_as_bare(self):
+        # a map function that returns what label 0 holds: a node is a map
+        # function, an int is not
+        fn = Lam("n", NODE, Claim(Label(0)))
+        station = state.Station(Node(Key("a"), Int(1), KL(())), (
+            state.singleton(1, MapOp(fn, KL((Key("a"),)))),))
+        as_int, as_node = self.station_configs(station)
+        assert _typed(as_node) == "int False"
+        assert "_ty" in station.__dict__
+        assert _typed(as_int) == _typed(bare(as_int)) == (
+            "<config>:0:0: RT-StreamUnit: map function in a station streamlet"
+            " has type (node -> int), expected (node -> node)")
+        # and the station is read again where the label has its old type,
+        # with its labels claimed against the older zones
+        assert _typed(as_node) == "int False"
+        clash = dataclasses.replace(as_node, store=(
+            *as_node.store, (1, state.StoreEntry(Int(0), ()))))
+        assert _typed(clash) == _typed(bare(clash)) == (
+            "<config>:0:0: RT-Configuration: label %1 appears in both a"
+            " streamlet and an older zone")
 
     def test_a_failure_is_not_kept_and_a_type_is_read_again(self, monkeypatch):
         term = Arith("+", Claim(Label(0)), Int(1))
