@@ -189,7 +189,9 @@ def check_metatheory_cmd(steps, soundness_pairs) -> None:
         sound = harness.check_rewrite_soundness(min_pairs=soundness_pairs)
         payload["soundness"] = sound.to_json()
         ok = ok and sound.ok
-        _say(f"rewrite soundness: {sound.agreed}/{sound.pairs} pairs agree")
+        _say(f"rewrite soundness: {sound.agreed}/{sound.pairs} pairs agree"
+             + (": " + ", ".join(f"{r} {n}" for r, n in sound.rules.items())
+                if sound.rules else ""))
     _emit(payload)
     sys.exit(EXIT_OK if ok else EXIT_PROPERTY)
 

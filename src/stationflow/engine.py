@@ -11,11 +11,13 @@ Last and Prop in one pass, and `apply_redex` steps every rule through one
 A step changes at most two stations and carries the rest over.  `run` keeps
 an index of what its scheduler draws from: per station its plain entries,
 the task rules and load sites that step now, and the window entries of the
-rewrite rules the scheduler draws from (`tlo.window_candidates`), window by
-window, keyed by the identities of a window's two units (`tlo` keeps the
+rewrite rules the scheduler draws from (`tlo.window_candidates`), window
+by window in streamlet order with the two units each read (`tlo` keeps the
 prover verdicts), with counts; the stations that are not idle, which decide
 terminality; and the stations with a load site waiting on each label.  An
 entry is built into a `Redex` or a `tlo.Candidate` only when it is drawn.
+A rewrite is named by its window's position, so tlo-random's undo guard
+leaves out one block of entries, in the window last batched or unbatched.
 A Load step updates its station in place: it replaces or drops the entry of
 the one site it stepped, notes the station under the label the new term
 waits on, and derives again only a window of two folds, whose reuse
@@ -473,28 +475,14 @@ class RunResult:
     rewrites: dict[str, int] = field(default_factory=dict)  # rule -> applied
 
 
-def _undo_of(prev) -> tuple | None:
-    """The station, rule and labels of the candidates that would undo the
-    rewrite `prev` at the same spot; only batch and unbatch undo each other."""
-    if prev is None or prev.rule not in ("batch", "unbatch"):
-        return None
-    undo = "unbatch" if prev.rule == "batch" else "batch"
-    return prev.station, undo, prev.labels
-
-
-def _undoes(undo, sl, j: int, spec) -> bool:
-    """The window entry `spec` at unit `j` of streamlet `sl` is a candidate
-    that `undo` (see `_undo_of`) names."""
-    return spec[0] == undo[1] and tlo.window_labels(spec[0], sl, j) == undo[2]
-
-
 class _Index:
     """What `run`'s schedulers draw from (see the module docstring); `rules`
     are the rewrite rules whose window entries it keeps, None for all.  A
-    station's plain entries (`_plain_redex`) and window entries
-    (`tlo.candidate`) become a `Redex` or a `Candidate` only in `plain_at`
-    and `cand_at`.  A Load updates its station in place (`_load`); `refresh`
-    rebuilds the stations that other steps touched."""
+    station's plain entries (`_plain_redex`) and windows (`cands`: a unit,
+    the next and their entries for `tlo.candidate`) become a `Redex` or a
+    `Candidate` only in `plain_at` and `cand_at`.  A Load updates its
+    station in place (`_load`); `refresh` rebuilds the stations that other
+    steps touched."""
 
     def __init__(self, config: Configuration, rules, assume_set_adjacency):
         n = len(config.backend)
@@ -506,7 +494,6 @@ class _Index:
         self.stale = set(range(n))
         self.plain = [()] * n  # the plain entries that step now
         self.cands, self.ncand = [()] * n, [0] * n  # `tlo.station_windows`
-        self.windows = [{} for _ in range(n)]
         self.waiting: dict[int, set[int]] = {}  # label -> stations
         self.nplain = self.ncands = 0
         self.front_of = (None,) * 4  # the fields `front` was built from
@@ -532,7 +519,7 @@ class _Index:
             (self.busy.discard if config.backend[i].idle else self.busy.add)(i)
         self.stale.update(touched)
         if config.store is not old.store:  # wake the loads waiting on it
-            for label in dict(r.rewrite.results) if r.rewrite else labels:
+            for label in labels:
                 self.stale |= self.waiting.pop(label, set())
 
     def _load(self, r: Redex, old: Configuration) -> bool:
@@ -554,10 +541,8 @@ class _Index:
             if j == 0 and is_value(e):
                 return False
             if self.rules:
-                added = tlo.rebase_windows(
-                    station.streamlet, j, old.backend[i].streamlet[j],
-                    self.rules, self.adjacency, self.windows[i],
-                    self.cands[i])
+                added = tlo.rebase_windows(station.streamlet, j, self.rules,
+                                           self.adjacency, self.cands[i])
                 self.ncand[i] += added
                 self.ncands += added
         plain = self.plain[i]
@@ -584,8 +569,8 @@ class _Index:
             if self.rules:
                 self.cands[i] = tlo.station_windows(
                     config.backend[i], self.rules, self.adjacency,
-                    self.windows[i])
-                n = sum(map(len, self.cands[i]))
+                    self.cands[i])
+                n = sum(len(specs) for _, _, specs in self.cands[i])
                 self.ncands += n - self.ncand[i]
                 self.ncand[i] = n
         stale.clear()
@@ -607,20 +592,18 @@ class _Index:
                 return _plain_redex(i, entries[k])
             k -= len(entries)
 
-    def cand_at(self, k: int, undo=None):
-        """The `k`-th candidate in `tlo.candidates` order, leaving out those
-        that `undo` (see `_undo_of`) names; only that candidate is built."""
+    def cand_at(self, k: int):
+        """The `k`-th candidate in `tlo.candidates` order; only that
+        candidate is built."""
         for i, n in enumerate(self.ncand):
-            if k >= n and (undo is None or undo[0] != i):
+            if k >= n:
                 k -= n
                 continue
             sl = self.config.backend[i].streamlet
-            for j, window in enumerate(self.cands[i]):
-                if undo is not None and undo[0] == i:
-                    window = [s for s in window if not _undoes(undo, sl, j, s)]
-                if k < len(window):
-                    return tlo.candidate(window[k], i, j, sl)
-                k -= len(window)
+            for j, (_, _, specs) in enumerate(self.cands[i]):
+                if k < len(specs):
+                    return tlo.candidate(specs[k], i, j, sl)
+                k -= len(specs)
 
 
 def _eager(ix: _Index, rng) -> Redex | None:
@@ -646,15 +629,21 @@ def _draw(ix: _Index, rng) -> Redex | None:
     # with no rules in the index, this is a uniform draw among the plain
     # redexes
     n = ix.refresh()
-    total, undo = ix.ncands, _undo_of(ix.last_opt)
-    nundo = 0
-    if undo is not None:
-        sl = ix.config.backend[undo[0]].streamlet
-        nundo = sum(_undoes(undo, sl, j, s)
-                    for j, window in enumerate(ix.cands[undo[0]])
-                    for s in window)
+    total, at, nundo, prev = ix.ncands, 0, 0, ix.last_opt
+    if prev is not None and prev.rule in ("batch", "unbatch"):
+        # a batch and an unbatch undo each other only in the window the
+        # last one rewrote (labels are unique), where a rule's entries
+        # form one block: `nundo` entries from position `at`
+        undo = "unbatch" if prev.rule == "batch" else "batch"
+        windows = ix.cands[prev.station]
+        rules = [rule for rule, _ in windows[prev.start][2]]
+        if undo in rules:
+            nundo = rules.count(undo)
+            at = (sum(ix.ncand[:prev.station]) + rules.index(undo)
+                  + sum(len(specs) for _, _, specs in windows[:prev.start]))
     if total > nundo and (not n or rng.random() < 0.2):
-        return _opt(ix.cand_at(rng.randrange(total - nundo), undo))
+        k = rng.randrange(total - nundo)
+        return _opt(ix.cand_at(k + nundo if k >= at else k))
     if n:
         return ix.plain_at(rng.randrange(n))
     if total:
@@ -678,7 +667,9 @@ def run(config: Configuration, scheduler: str = "eager", seed: int = 0,
     neither applies, as at a wedge no structural redex can leave.
     random: uniform choice among structural redexes, rewriting off.
     tlo-random: random plus optimizer steps at weight 0.2, drawn from
-    `tlo_rules` (None: every rule); no other scheduler builds candidates.
+    `tlo_rules` (None: every rule); the next step undoes no batch or
+    unbatch unless nothing else applies.  No other scheduler builds
+    candidates.  A last allowed step that reaches the terminal reports it.
     """
     choose = SCHEDULERS.get(scheduler)
     if choose is None:
@@ -709,6 +700,8 @@ def run(config: Configuration, scheduler: str = "eager", seed: int = 0,
         if trace:
             records.append(StepRecord(step, rule, choice.site, tuple(labels),
                                       config_digest(config, parts)))
+    if ix.terminal():  # the last step allowed reached the terminal
+        return ended(config, "terminal", fuel)
     return ended(config, "fuel", fuel, detail="fuel exhausted")
 
 

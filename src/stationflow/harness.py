@@ -227,6 +227,7 @@ class SoundnessReport(_JSONReport):
     pairs: int
     agreed: int
     counterexamples: list[str] = field(default_factory=list)
+    rules: dict[str, int] = field(default_factory=dict)  # rule -> pairs
 
     @property
     def ok(self) -> bool:
@@ -235,8 +236,10 @@ class SoundnessReport(_JSONReport):
 
 def check_rewrite_soundness(min_pairs: int = 200) -> SoundnessReport:
     """Sample reachable configurations and single rewrite applications;
-    completing with and without the rewrite must agree on the terminal."""
+    completing with and without the rewrite must agree on the terminal.
+    The report counts the sampled pairs by rule."""
     pairs = agreed = 0
+    rules = Counter()
     counterexamples: list[str] = []
     walk = 0
     while pairs < min_pairs and walk < 400:
@@ -255,6 +258,7 @@ def check_rewrite_soundness(min_pairs: int = 200) -> SoundnessReport:
             left = engine.run(config, scheduler="det")
             right = engine.run(rewritten, scheduler="det")
             pairs += 1
+            rules[cand.rule] += 1
             if (left.status == right.status == "terminal"
                     and terminal_digest(left.config)
                     == terminal_digest(right.config)):
@@ -263,4 +267,5 @@ def check_rewrite_soundness(min_pairs: int = 200) -> SoundnessReport:
                 counterexamples.append(
                     f"{name}: {cand.rule} at station {cand.station} "
                     f"offset {cand.start} -> {left.status}/{right.status}")
-    return SoundnessReport(pairs, agreed, counterexamples[:10])
+    return SoundnessReport(pairs, agreed, counterexamples[:10],
+                           dict(rules.most_common()))

@@ -17,19 +17,17 @@ Structural conventions
    types (`_ty`), with the labels the term reads and its free names, each
    with its type, read again only where they have the same types; a back
    station's typing (`_ty`), with the labels it reads from older zones and
-   their types and the future each of its own labels is bound at; and a
-   map operation's `dcomp` (`_dcomp`) per fold function it meets, with the
-   function.  `types` also holds the last store it typed, with each
-   label's type.  Not kept: a station's `loaded` (nearly every station
-   built is tested) and configuration-wide facts (`is_dry`,
-   `is_terminal`), though `engine.run` and the harness walks keep an index
-   across steps
- - `engine.run`'s window table for a station's rewrite candidates is keyed
-   by the identities of a window's two units; an entry holds the units, so
-   no other unit takes those identities, and the table lives in the run
-   (an Add starts afresh).  The prover verdicts of the pair rules are kept
-   for the process in `tlo._verdict`, keyed by the canonical text of the
-   functions they read, so they hold no term
+   their types and the future each of its own labels is bound at.  `types`
+   also holds the last store it typed, with each label's type.  Not kept:
+   a station's `loaded` (nearly every station built is tested) and
+   configuration-wide facts (`is_dry`, `is_terminal`), though `engine.run`
+   and the harness walks keep an index across steps
+ - `engine.run` keeps a station's rewrite windows in one list by position,
+   each with the two units it read; a rebuild reuses a window whose two
+   units are the same objects, which the old list holds, so no other unit
+   takes those identities (an Add starts afresh).  The prover verdicts of
+   the pair rules are kept for the process in `tlo._verdict`, keyed by the
+   canonical text of the functions they read, so they hold no term
  - a compound term's free names are kept on it (`terms.free_vars`, as
    `_fv`) and only tested for membership; a term is closed when that set
    is empty, and the `to_sexpr` text (the printer lives in `terms`) of

@@ -6,14 +6,15 @@ order so seeded schedulers replay exactly.  `candidates` builds them afresh
 on every call.  A window's entries are specs, a rule name with the split for
 unbatch: `window_candidates` decides only the side conditions, and
 `candidate` builds the one `Candidate` a scheduler draws, its replacement,
-results and labels.  The provers are pure and a window's entries read only
-its two units, so `engine.run` keeps them window by window and rebuilds only
-the windows a step changed; a Load gives a fold a new base, which only
-reuse's side condition reads (`rebase_windows`).  A pair rule's verdict
-depends on operation functions only up to the names of bound variables, so
-it is kept for the process in one bounded table keyed by their `to_sexpr`
-text (`_verdict`); the compensation function reorderrw builds is kept on
-the map operation (`_dcomp_kept`).
+results and labels, those of the units it reads.  A rewrite is named by its
+window's position, a station and a start unit.  The provers are pure and a
+window's entries read only its two units, so `engine.run` keeps a list of
+windows per station, each with its units (`station_windows`), and derives
+again only those whose units a step replaced; a Load gives a fold a new
+base, which only reuse's side condition reads (`rebase_windows`).  A pair
+rule's verdict depends on operation functions only up to the names of bound
+variables, so it is kept for the process in one bounded table keyed by
+their `to_sexpr` text (`_verdict`); reorderrw's `dcomp` is not kept.
 """
 
 from __future__ import annotations
@@ -57,10 +58,9 @@ def candidates(config: Configuration, rules: tuple[str, ...] | None = None,
     enabled = RULE_NAMES if rules is None else tuple(rules)
     out: list[Candidate] = []
     for si, station in enumerate(config.backend):
-        found = station_windows(station, enabled, assume_set_adjacency, {})
-        sl = station.streamlet
-        out.extend(candidate(spec, si, j, sl)
-                   for j, window in enumerate(found) for spec in window)
+        windows = station_windows(station, enabled, assume_set_adjacency)
+        out.extend(candidate(spec, si, j, station.streamlet)
+                   for j, (_, _, specs) in enumerate(windows) for spec in specs)
     return out
 
 
@@ -70,45 +70,34 @@ def _window(sl: tuple[Unit, ...], j: int) -> tuple[Unit, Unit | None]:
 
 
 def station_windows(station: Station, enabled: tuple[str, ...],
-                    assume_set_adjacency: bool, windows: dict) -> list[tuple]:
-    """`window_candidates` of the window at each unit of the streamlet.
-    `windows` maps a window's two unit identities to the units, so no other
-    unit takes those, and what they gave under the same rules and adjacency
-    setting; this streamlet's entries are reused, all others dropped."""
-    old = windows.copy()
-    windows.clear()
-    out = []
+                    assume_set_adjacency: bool, old=()) -> list[tuple]:
+    """The window at each unit of the streamlet, in order: its unit, the
+    unit after it (None at the tail) and their `window_candidates`.  An
+    entry of `old`, this list for an earlier streamlet of the station under
+    the same rules and adjacency setting, is reused where its two units are
+    the same objects; `old` holds them, so no other unit takes those
+    identities."""
+    kept = {(id(w[0]), id(w[1])): w for w in old}
     sl = station.streamlet
-    for j in range(len(sl)):
-        unit, nxt = _window(sl, j)
-        key = (id(unit), id(nxt))
-        hit = old.get(key)
-        if hit is None:
-            hit = unit, nxt, window_candidates(unit, nxt, enabled,
-                                               assume_set_adjacency)
-        windows[key] = hit
-        out.append(hit[2])
-    return out
+    return [kept.get((id(unit), id(nxt))) or (unit, nxt, window_candidates(
+                unit, nxt, enabled, assume_set_adjacency))
+            for unit, nxt in zip(sl, sl[1:] + (None,))]
 
 
-def rebase_windows(sl: tuple[Unit, ...], j: int, old: Unit,
-                   enabled: tuple[str, ...], assume_set_adjacency: bool,
-                   windows: dict, found: list[tuple]) -> int:
-    """Carry `station_windows`' result `found` and its table `windows`
-    over a Load that gave the fold at unit `j` of streamlet `sl` a new base,
-    `old` the unit it replaced.  Of the side conditions only reuse's reads a
-    base, so only a window of two folds is derived again; returns the
-    change in the number of entries."""
+def rebase_windows(sl: tuple[Unit, ...], j: int, enabled: tuple[str, ...],
+                   assume_set_adjacency: bool, found: list[tuple]) -> int:
+    """Carry `station_windows`' result `found` over a Load that gave the
+    fold at unit `j` of streamlet `sl` a new base.  Of the side conditions
+    only reuse's reads a base, so only a window of two folds is derived
+    again; returns the change in the number of entries."""
     added = 0
     for k in (j - 1, j) if j else (j,):
         unit, nxt = _window(sl, k)
-        hit = windows.pop((id(old), id(nxt)) if k == j else (id(unit), id(old)),
-                          None)
-        if hit is None or (nxt is not None and _folds(unit, nxt)):
+        specs = found[k][2]
+        if nxt is not None and _folds(unit, nxt):
             specs = window_candidates(unit, nxt, enabled, assume_set_adjacency)
-            added += len(specs) - len(found[k])
-            found[k] = specs
-        windows[id(unit), id(nxt)] = unit, nxt, found[k]
+            added += len(specs) - len(found[k][2])
+        found[k] = unit, nxt, specs
     return added
 
 
@@ -144,17 +133,6 @@ def _fused(f2: Expr, f1: Expr, assume_set_adjacency: bool) -> str:
     """`prove_identity` of the map `f1` then `f2`, keyed by the two texts
     rather than the longer one of their composition."""
     return prove_identity(compose(f2, f1), assume_set_adjacency)
-
-
-def _dcomp_kept(m: MapOp, outer: Expr) -> Expr:
-    """`dcomp` of `outer` around map `m`, kept on `m` (see `state`) for each
-    fold function it meets, by identity; an entry holds its `outer`, so no
-    other term takes that identity."""
-    kept = m.__dict__.setdefault("_dcomp", {})
-    hit = kept.get(id(outer))
-    if hit is None:
-        hit = kept[id(outer)] = outer, dcomp(outer, m.ks.items, m.fn)
-    return hit[1]
 
 
 def window_candidates(unit: Unit, nxt: Unit | None, enabled: tuple[str, ...],
@@ -198,16 +176,6 @@ def window_candidates(unit: Unit, nxt: Unit | None, enabled: tuple[str, ...],
     return tuple(out)
 
 
-def window_labels(rule: str, sl: tuple[Unit, ...], j: int) -> tuple[int, ...]:
-    """The labels a candidate of `rule` at unit `j` of `sl` touches."""
-    unit, nxt = _window(sl, j)
-    if rule == "unbatch":
-        return unit.labels()
-    if rule == "batch":
-        return unit.labels() + nxt.labels()
-    return unit.entries[0][0], nxt.entries[0][0]
-
-
 def candidate(spec: tuple[str, int], station: int, start: int,
               sl: tuple[Unit, ...]) -> Candidate:
     """The candidate of window entry `spec` at unit `start` of `sl`, the
@@ -224,7 +192,7 @@ def candidate(spec: tuple[str, int], station: int, start: int,
         if rule in ("reorderd", "reorderrr"):
             replacement = nxt, unit
         elif rule == "reorderrw":
-            comp = _dcomp_kept(o1, o2.fn)
+            comp = dcomp(o2.fn, o1.ks.items, o1.fn)
             replacement = singleton(l2, FoldOp(comp, o2.base, o2.ks)), unit
         elif rule == "fusem":
             replacement = singleton(l1, MapOp(compose(o2.fn, o1.fn), o1.ks)),
@@ -236,9 +204,10 @@ def candidate(spec: tuple[str, int], station: int, start: int,
             shrunk = KL(kl_subtract(o2.ks.items, o1.ks.items))
             replacement = unit, singleton(l2, FoldOp(o2.fn, Claim(Label(l1)),
                                                      shrunk))
-    return Candidate(rule, station, start, 1 if rule == "unbatch" else 2,
-                     replacement, results, window_labels(rule, sl, start),
-                     split)
+    length = 1 if rule == "unbatch" else 2
+    labels = tuple(l for u in sl[start:start + length] for l, _ in u.entries)
+    return Candidate(rule, station, start, length, replacement, results,
+                     labels, split)
 
 
 def apply_rewrite(config: Configuration,

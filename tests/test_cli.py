@@ -144,6 +144,22 @@ class TestRun:
         assert r.exit_code == 3
         assert json.loads(r.stdout)["status"] == "fuel"
 
+    @pytest.mark.parametrize("source, fuel", [("1 + 2", 1), ("3", 0)],
+                             ids=["last-step-terminal", "value-at-fuel-0"])
+    def test_fuel_that_reaches_the_terminal_exits_0(self, runner, tmp_path,
+                                                    source, fuel):
+        p = tmp_path / "small.cg"
+        p.write_text(source)
+        r = runner.invoke(cli, ["run", str(p), "--fuel", str(fuel)])
+        assert r.exit_code == 0
+        out = json.loads(r.stdout)
+        assert (out["status"], out["steps"], out["frontend"]) == (
+            "terminal", fuel, "(int 3)")
+        if fuel:  # one step less runs out
+            r = runner.invoke(cli, ["run", str(p), "--fuel", str(fuel - 1)])
+            assert r.exit_code == 3
+            assert json.loads(r.stdout)["status"] == "fuel"
+
     @pytest.mark.parametrize("trace", [False, True])
     def test_overlong_value_exits_3(self, runner, tmp_path, trace):
         # 10 squared 13 times has 8,193 digits, more than `str` prints
@@ -318,6 +334,10 @@ class TestCheckCommands:
         assert r.exit_code == 0
         out = json.loads(r.stdout)
         assert out["metatheory"]["ok"] and out["soundness"]["ok"]
+        rules = out["soundness"]["rules"]
+        assert sum(rules.values()) == out["soundness"]["pairs"]
+        counts = ", ".join(f"{rule} {n}" for rule, n in rules.items())
+        assert (f"pairs agree: {counts}\n") in r.stderr
 
     @pytest.mark.parametrize("args, option", [
         (["check-determinism", "--schedules", "0",

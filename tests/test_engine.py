@@ -823,6 +823,20 @@ def undoes(prev, cand) -> bool:
             and prev.station == cand.station and prev.labels == cand.labels)
 
 
+def reference_draw(redexes, last_opt, rng):
+    """tlo-random's choice among `redexes`: a candidate at weight 0.2, or
+    always if no plain redex applies, never one that `undoes` `last_opt`
+    unless nothing else applies."""
+    opts_all = [r for r in redexes if r.rule == "Opt"]
+    opts = [r for r in opts_all if not undoes(last_opt, r.rewrite)]
+    plain = [r for r in redexes if r.rule != "Opt"]
+    if opts and (not plain or rng.random() < 0.2):
+        return opts[rng.randrange(len(opts))]
+    if plain:
+        return plain[rng.randrange(len(plain))]
+    return opts_all[rng.randrange(len(opts_all))]
+
+
 def reference_run(config, scheduler="eager", seed=0, fuel=1_000_000,
                   trace=False, tlo_rules=None, assume_set_adjacency=False,
                   seen=None):
@@ -860,15 +874,7 @@ def reference_run(config, scheduler="eager", seed=0, fuel=1_000_000,
             return engine.RunResult(config, "stuck", step, records,
                                     "no applicable rule")
         if scheduler == "tlo-random":
-            opts_all = [r for r in redexes if r.rule == "Opt"]
-            opts = [r for r in opts_all if not undoes(last_opt, r.rewrite)]
-            plain = [r for r in redexes if r.rule != "Opt"]
-            if opts and (not plain or rng.random() < 0.2):
-                choice = opts[rng.randrange(len(opts))]
-            elif plain:
-                choice = plain[rng.randrange(len(plain))]
-            else:
-                choice = opts_all[rng.randrange(len(opts_all))]
+            choice = reference_draw(redexes, last_opt, rng)
         elif scheduler == "random":
             choice = redexes[rng.randrange(len(redexes))]
         else:
@@ -879,7 +885,107 @@ def reference_run(config, scheduler="eager", seed=0, fuel=1_000_000,
             records.append(engine.StepRecord(step, rule, choice.site,
                                              tuple(labels),
                                              state.config_digest(config)))
+    if state.is_terminal(config):
+        return engine.RunResult(config, "terminal", fuel, records)
     return engine.RunResult(config, "fuel", fuel, records, "fuel exhausted")
+
+
+class TestFuelBoundary:
+    """A run whose last allowed step reaches the terminal reports it, as
+    does a run that starts there with no fuel; a step less reports fuel."""
+
+    @pytest.mark.parametrize("scheduler", tuple(engine.SCHEDULERS))
+    def test_fuel_of_the_steps_taken_reaches_the_terminal(self, scheduler):
+        for name in harness.RUNNABLE:
+            config = state.init(harness.corpus_program(name))
+            steps = run(config, scheduler=scheduler, seed=7).steps
+            for fuel, status in ((steps, "terminal"), (steps - 1, "fuel")):
+                kw = dict(scheduler=scheduler, seed=7, fuel=fuel)
+                got, want = run(config, **kw), reference_run(config, **kw)
+                assert ((got.status, got.steps) == (want.status, want.steps)
+                        == (status, fuel))
+
+    def test_a_value_is_terminal_at_fuel_0(self):
+        config = state.init(parse_source("3", "value.cg"))
+        for r in (run(config, fuel=0), reference_run(config, fuel=0)):
+            assert (r.status, r.steps) == ("terminal", 0)
+
+
+def undo_start(*stations):
+    """Loaded stations at keys a and b: station i's streamlet holds units
+    of the sizes `stations[i]` lists, of maps on its key, labelled in
+    order."""
+    backend, label = [], 0
+    for key, sizes in zip((A, B), stations):
+        units = []
+        for n in sizes:
+            units.append(Unit(tuple((label + k, MapOp(plus(1), KL((key,))))
+                                    for k in range(n))))
+            label += n
+        backend.append(Station(Node(key, Int(3), KL(())), tuple(units)))
+    return state.Configuration(tuple(backend), (), (), Int(0),
+                               next_label=label)
+
+
+class TestUndoGuard:
+    """tlo-random does not draw the rewrite that undoes the batch or
+    unbatch just applied, unless nothing else applies; each draw is the
+    one `reference_draw` makes over the bare enumeration, whose label-based
+    `undoes` is the oracle."""
+
+    @staticmethod
+    def after(config, rule, station, start):
+        """A tlo-random index over `config` after it applied the `rule`
+        candidate at unit `start` of `station`, and that candidate."""
+        ix = engine._Index(config, None, False)
+        ix.refresh()
+        prev, = [c for c in map(ix.cand_at, range(ix.ncands))
+                 if (c.rule, c.station, c.start) == (rule, station, start)]
+        r = engine._opt(prev)
+        config, _, labels = apply_redex(ix.config, r)
+        ix.advance(r, config, labels)
+        ix.refresh()
+        return ix, prev
+
+    @staticmethod
+    def drawn(ix, prev):
+        """The rewrites drawn over 300 seeds, and how many draws were
+        plain redexes."""
+        redexes = enumerate_redexes(bare(ix.config), tlo_on=True)
+        opts, plain = set(), 0
+        for seed in range(300):
+            got = engine._draw(ix, random.Random(seed))
+            assert got == reference_draw(redexes, prev, random.Random(seed))
+            if got.rule == "Opt":
+                opts.add((got.rewrite.rule, got.station, got.rewrite.start))
+            else:
+                plain += 1
+        return opts, plain
+
+    def test_a_batch_is_not_unbatched_at_once(self):
+        # the three-operation unit at unit 1 of station 1 offers two
+        # unbatch splits, then a batch with the unit after it
+        ix, prev = self.after(undo_start((1, 1), (1, 2, 1, 1)), "batch", 1, 1)
+        assert ix.cands[1][1][2] == (("unbatch", 1), ("unbatch", 2),
+                                     ("batch", 0))
+        opts, plain = self.drawn(ix, prev)
+        assert plain
+        assert opts == {("batch", 0, 0), ("fusem", 0, 0), ("batch", 1, 0),
+                        ("batch", 1, 1)}
+
+    def test_an_unbatch_leaves_out_only_the_batch_of_its_window(self):
+        ix, prev = self.after(undo_start((1, 1), (1, 2, 1)), "unbatch", 1, 1)
+        opts, plain = self.drawn(ix, prev)
+        assert plain
+        assert ("batch", 1, 1) not in opts
+        assert {("batch", 1, 0), ("batch", 1, 2), ("fusem", 1, 1)} <= opts
+
+    def test_the_undo_is_drawn_when_nothing_else_applies(self):
+        ix, prev = self.after(undo_start((1, 1)), "batch", 0, 0)
+        opts, plain = self.drawn(ix, prev)
+        assert (opts, plain) == ({("unbatch", 0, 0)}, 0)
+        r = run(undo_start((1, 1)), scheduler="tlo-random", seed=3)
+        assert r.status == "terminal"
 
 
 ADD_SOURCE = ("graph [#a: 1 [], #b: 2 []]\n"
@@ -1141,10 +1247,10 @@ class TestLoadInPlace:
             for field in ("plain", "cands", "ncand", "nplain", "ncands",
                           "busy", "front"):
                 assert getattr(ix, field) == getattr(fresh, field), field
-            assert ([{key: hit[2] for key, hit in w.items()}
-                     for w in ix.windows]
-                    == [{key: hit[2] for key, hit in w.items()}
-                        for w in fresh.windows])
+            # each window entry holds the configuration's own units
+            assert ([[(id(u), id(n)) for u, n, _ in w] for w in ix.cands]
+                    == [[(id(u), id(n)) for u, n, _ in w]
+                        for w in fresh.cands])
             # a woken station is rebuilt, so extra entries do no harm
             for label, stations in fresh.waiting.items():
                 assert stations <= ix.waiting.get(label, set())

@@ -39,8 +39,8 @@ def reuse_never_offered(seeds: int = 20) -> bool:
         for _, _, ix in harness._walk(state.init(prog), random.Random(seed),
                                       tlo_on=True):
             if ix is not None and any(rule == "reuse" for windows in ix.cands
-                                      for window in windows
-                                      for rule, _ in window):
+                                      for _, _, specs in windows
+                                      for rule, _ in specs):
                 return False
     return True
 
@@ -104,6 +104,11 @@ class TestRewriteSoundness:
     def test_sampled_pairs_agree(self):
         rep = harness.check_rewrite_soundness(min_pairs=20)
         assert rep.ok and rep.pairs >= 20
+
+    def test_rule_counts_sum_to_pairs(self):
+        rep = harness.check_rewrite_soundness(min_pairs=40)
+        assert sum(rep.rules.values()) == rep.pairs
+        assert set(rep.rules) <= set(tlo.RULE_NAMES) and len(rep.rules) > 1
 
 
 class TestSingleRunHelpers:
@@ -179,6 +184,9 @@ def test_walks_are_pinned(monkeypatch):
     for rep in (harness.check_determinism(schedules=4),
                 harness.check_preservation_progress(400),
                 harness.check_rewrite_soundness(20)):
-        record("report", json.dumps(rep.to_json(), sort_keys=True))
+        fields = rep.to_json()
+        rules = fields.pop("rules", None)  # the soundness report's, below
+        record("report", json.dumps(fields, sort_keys=True))
     record("reuse", reuse_never_offered(4))
     assert h.hexdigest() == GOLDEN_WALKS
+    assert rules == {"batch": 10, "unbatch": 7, "reorderd": 2, "reorderrw": 1}

@@ -252,7 +252,7 @@ def sum_fn(n="n", acc="acc", marked=True, payload=None, loc=None):
 class TestVerdictTable:
     """`window_candidates` keeps the pair rules' prover verdicts in `tlo`'s
     table for the process, keyed by the canonical text of the functions
-    they read, and reorderrw's `dcomp` on the map operation."""
+    they read; reorderrw's `dcomp` is built with each candidate."""
 
     def reuse(self, f1, f2):
         u1 = singleton(0, FoldOp(f1, BASE, kl("a")))
@@ -272,9 +272,8 @@ class TestVerdictTable:
 
     def test_no_verdict_for_another_key_list(self, monkeypatch,
                                             empty_verdicts):
-        # the compensation is kept on the map for each fold function it was
-        # built for, so another fold function or key list builds it again,
-        # and a fold function met before does not
+        # the compensation is not kept: each candidate built for a key
+        # list and a fold function builds it, a fold function met before too
         dcomp = tlo.dcomp
         built = self.counted(monkeypatch, "dcomp")
         for ks in (kl("a"), kl("b"), kl("a", "b")):
@@ -288,7 +287,7 @@ class TestVerdictTable:
                 assert op.fn == dcomp(fn, ks.items, INC)
         assert [(fn, ks) for fn, ks, _ in built] == [
             (fn, ks.items) for ks in (kl("a"), kl("b"), kl("a", "b"))
-            for fn in (SUM, SUM_UNMARKED)]
+            for fn in (SUM, SUM_UNMARKED, SUM)]
 
     def test_no_verdict_for_a_function_built_after_one_was_freed(
             self, empty_verdicts):
