@@ -8,28 +8,30 @@ Each station rule is written once: `_tasks` decides Map, Fold, Complete,
 Last and Prop in one pass, and `apply_redex` steps every rule through one
 `_STEPS` table by rule (`site` is trace output only).
 
-A step changes at most two stations and carries the rest over.  `run` keeps
-an index of what its scheduler draws from: per station its plain entries,
-the task rules and load sites that step now, and the window entries of the
-rewrite rules the scheduler draws from (`tlo.window_candidates`), window
-by window in streamlet order with the two units each read (`tlo` keeps the
-prover verdicts), with counts; the stations that are not idle, which decide
-terminality; and the stations with a load site waiting on each label.  An
-entry is built into a `Redex` or a `tlo.Candidate` only when it is drawn.
-A rewrite is named by its window's position, so tlo-random's undo guard
-leaves out one block of entries, in the window last batched or unbatched.
-A Load step updates its station in place: it replaces or drops the entry of
-the one site it stepped, notes the station under the label the new term
-waits on, and derives again only a window of two folds, whose reuse
+A step changes at most two stations and carries the rest over.  One driver,
+`steps`, keeps an index of what its choice draws from: per station its plain
+entries, the task rules and load sites that step now, and the window entries
+of the rewrite rules the choice draws from (`tlo.window_candidates`),
+window by window in streamlet order with the two units each read (`tlo`
+keeps the prover verdicts), with counts; the stations that are not idle,
+which decide terminality; and the stations with a load site waiting on each
+label.  An entry is built into a `Redex` or a `tlo.Candidate` only when it
+is drawn.  A rewrite is named by its window's position, so tlo-random's undo
+guard leaves out one block of entries, in the window last batched or
+unbatched.  A Load step updates its station in place: it replaces or drops
+the entry of the one site it stepped, notes the station under the label the
+new term waits on, and derives again only a window of two folds, whose reuse
 condition reads the base; where the task rules may change (a node or the
 head fold's base reaches a value) it rebuilds the station instead.  Every
 other step has the index rebuild the stations it touched and, after a store
 write, those waiting on a written label, and the frontend and routing
-redexes only when the fields they read change.  The redex search records
-its hole as a path of child positions, along which the Load and frontend
-rules plug the contractum.  What the redex search finds in a term is kept
-on the term (see `state`), except by `eager_enumerate` for the wet station,
-which every eager step replaces.
+redexes only when the fields they read change.  The redex search records its
+hole as a path of child positions, along which the Load and frontend rules
+plug the contractum.  What the redex search finds in a term is kept on the
+term (see `state`), except by `eager_enumerate` for the wet station, which
+every eager step replaces.  `run` consumes `steps` under a scheduler, the
+harness walks under `uniform`, each through its own binding of
+`apply_redex`, which a probe of its steps wraps.
 """
 
 from __future__ import annotations
@@ -476,7 +478,7 @@ class RunResult:
 
 
 class _Index:
-    """What `run`'s schedulers draw from (see the module docstring); `rules`
+    """What a `steps` choice draws from (see the module docstring); `rules`
     are the rewrite rules whose window entries it keeps, None for all.  A
     station's plain entries (`_plain_redex`) and windows (`cands`: a unit,
     the next and their entries for `tlo.candidate`) become a `Redex` or a
@@ -652,9 +654,45 @@ def _draw(ix: _Index, rng) -> Redex | None:
     return None
 
 
+def uniform(ix: _Index, rng) -> Redex | None:
+    """A uniform draw among the plain redexes and the candidates: the
+    harness walks' choice, which no `run` scheduler offers."""
+    n = ix.refresh()
+    if not n + ix.ncands:
+        return None
+    k = rng.randrange(n + ix.ncands)
+    return ix.plain_at(k) if k < n else _opt(ix.cand_at(k - n))
+
+
 # name -> its choice among what the index offers, None when nothing applies
 SCHEDULERS = {"eager": _eager, "det": _det, "random": _draw,
               "tlo-random": _draw}
+
+
+def steps(config: Configuration, choose, rng, rules, assume_set_adjacency,
+          apply):
+    """Step `config` by `choose(ix, rng)` and `apply`, the caller's own
+    binding of `apply_redex`, over an `_Index` of the windows of `rules`
+    (None: all) until `choose` finds nothing.  Yields the index, and the
+    redex and labels of the step that led there, at each configuration,
+    `(ix, None, [])` first, before the next draw; the consumer tests for
+    the terminal."""
+    ix = _Index(config, rules, assume_set_adjacency)
+    yield ix, None, []
+    while (r := choose(ix, rng)) is not None:
+        config, _, labels = apply(ix.config, r)
+        ix.advance(r, config, labels)
+        yield ix, r, labels
+
+
+def stopped(config: Configuration) -> tuple[str, str]:
+    """Why a non-terminal configuration that offers nothing stops: the
+    status, blocked or stuck, and its detail."""
+    fr = frontend_redex(config)
+    if isinstance(fr, Blocked):
+        return "blocked", f"frontend waits on label {fr.label}"
+    return "stuck", (fr.reason if isinstance(fr, Stuck)
+                     else "no applicable rule")
 
 
 def run(config: Configuration, scheduler: str = "eager", seed: int = 0,
@@ -674,35 +712,25 @@ def run(config: Configuration, scheduler: str = "eager", seed: int = 0,
     choose = SCHEDULERS.get(scheduler)
     if choose is None:
         raise ValueError(f"unknown scheduler {scheduler!r}")
-    rng = random.Random(seed)
     records: list[StepRecord] = []
     rewrites: dict[str, int] = Counter()
     ended = partial(RunResult, trace=records, rewrites=rewrites)
     parts = DigestParts() if trace else None
-    ix = _Index(config, tlo_rules if scheduler == "tlo-random" else (),
-                assume_set_adjacency)
-    for step in range(fuel):
+    for step, (ix, r, labels) in enumerate(steps(
+            config, choose, random.Random(seed),
+            tlo_rules if scheduler == "tlo-random" else (),
+            assume_set_adjacency, apply_redex)):
+        if r is not None and r.rule == "Opt":
+            rewrites[r.rewrite.rule] += 1
+        if r is not None and trace:
+            records.append(StepRecord(step - 1, r.rule, r.site, tuple(labels),
+                                      config_digest(ix.config, parts)))
         if ix.terminal():
-            return ended(config, "terminal", step)
-        choice = choose(ix, rng)
-        if choice is None:
-            fr = frontend_redex(config)
-            if isinstance(fr, Blocked):
-                return ended(config, "blocked", step,
-                             detail=f"frontend waits on label {fr.label}")
-            if isinstance(fr, Stuck):
-                return ended(config, "stuck", step, detail=fr.reason)
-            return ended(config, "stuck", step, detail="no applicable rule")
-        config, rule, labels = apply_redex(config, choice)
-        ix.advance(choice, config, labels)
-        if rule == "Opt":
-            rewrites[choice.rewrite.rule] += 1
-        if trace:
-            records.append(StepRecord(step, rule, choice.site, tuple(labels),
-                                      config_digest(config, parts)))
-    if ix.terminal():  # the last step allowed reached the terminal
-        return ended(config, "terminal", fuel)
-    return ended(config, "fuel", fuel, detail="fuel exhausted")
+            return ended(ix.config, "terminal", step)
+        if step >= fuel:
+            return ended(ix.config, "fuel", fuel, detail="fuel exhausted")
+    status, detail = stopped(ix.config)
+    return ended(ix.config, status, step, detail=detail)
 
 
 def write_trace(path, records: list[StepRecord]) -> None:

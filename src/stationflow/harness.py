@@ -1,9 +1,12 @@
 """Validation harnesses over the bundled program corpus: schedule
 determinism, checked against each program's `-- expect` terminal, and
-preservation, progress, soundness and reuse checks on one random `_walk`.
-A walk draws from `engine.run`'s index, which rebuilds only what a step
-changed, and re-typing its configuration reads the types kept on the terms
-the step carried over (see `state`)."""
+preservation, progress and soundness checks on random walks.  A walk is
+`engine.steps`, the driver `engine.run` consumes, with `engine.uniform`
+drawing among every plain redex and candidate.  It steps through this
+module's binding of `apply_redex`, so a probe that wraps that binding counts
+the walks' steps apart from those of the runs they start.  Its index
+rebuilds only what a step changed, and re-typing its configuration reads
+the types kept on the terms the step carried over (see `state`)."""
 
 from __future__ import annotations
 
@@ -16,9 +19,10 @@ from functools import cache
 from importlib import resources
 
 from . import engine, state, tlo
-# `enumerate_redexes` is unused here, but perfbench/layers.py wraps this binding
+# `enumerate_redexes` and `frontend_redex` are unused here, but
+# perfbench/layers.py wraps these bindings
 from .engine import (  # noqa: F401
-    Blocked, apply_redex, enumerate_redexes, frontend_redex)
+    apply_redex, enumerate_redexes, frontend_redex)
 from .parser import Program, SourceError, parse_source
 from .state import Configuration, terminal_digest
 from .types import type_of_config
@@ -135,27 +139,6 @@ def check_determinism(programs=DETERMINISM_SET, schedules: int = 50,
     return report
 
 
-### uniformly random walks
-
-def _walk(config: Configuration, rng: random.Random, tlo_on: bool):
-    """Steps drawn uniformly by `rng` from `config`, with rewrites of every
-    rule if `tlo_on`.  Like `engine.run`, it draws from one `engine._Index`,
-    advanced after each step.  Yields each configuration reached, the rule
-    that led there (None at the start) and the refreshed index, None once it
-    is terminal; ends there or where the index offers nothing."""
-    ix, rule = engine._Index(config, None if tlo_on else (), False), None
-    while not ix.terminal():
-        n = ix.refresh()
-        yield ix.config, rule, ix
-        if not n + ix.ncands:
-            return
-        k = rng.randrange(n + ix.ncands)
-        r = ix.plain_at(k) if k < n else engine._opt(ix.cand_at(k - n))
-        config, rule, labels = apply_redex(ix.config, r)
-        ix.advance(r, config, labels)
-    yield ix.config, rule, None
-
-
 class _JSONReport:
     def to_json(self) -> dict:
         return {"ok": self.ok, **asdict(self)}
@@ -181,41 +164,39 @@ def check_preservation_progress(total_steps: int = 10_000) -> MetatheoryReport:
     """Randomly scheduled walks, re-typing the configuration after every
     step: the frontend type must never change, a pure frontend must stay
     pure, and a well-typed non-terminal must always offer a redex."""
-    steps = type_changes = effect_flips = stuck_states = 0
+    steps = type_changes = effect_flips = stuck_states = walk = 0
     notes: list[str] = []
-    walk = 0
     while steps < total_steps:
         name = RUNNABLE[walk % len(RUNNABLE)]
         rng = random.Random(1000 + walk)
         walk += 1
         config = state.init(corpus_program(name))
         ct = type_of_config(config)
-        for config, rule, ix in _walk(config, rng, tlo_on=False):
-            if rule is not None:
+        for ix, r, _ in engine.steps(config, engine.uniform, rng, (), False,
+                                     apply_redex):
+            if r is not None:
                 steps += 1
                 try:
-                    ct2 = type_of_config(config)
+                    ct2 = type_of_config(ix.config)
                 except SourceError as ex:
                     type_changes += 1
-                    notes.append(f"{name}: step {rule} broke typing: {ex}")
+                    notes.append(f"{name}: step {r.rule} broke typing: {ex}")
                     break
                 if ct2.frontend != ct.frontend:
                     type_changes += 1
                     notes.append(f"{name}: type changed {ct.frontend} -> "
-                                 f"{ct2.frontend} after {rule}")
+                                 f"{ct2.frontend} after {r.rule}")
                 if not ct.effect and ct2.effect:
                     effect_flips += 1
                     notes.append(f"{name}: pure frontend turned emitting "
-                                 f"after {rule}")
+                                 f"after {r.rule}")
                 ct = ct2
-            if steps >= total_steps:
+            if steps >= total_steps or ix.terminal():
                 break
-            if ix is not None and not ix.refresh():
-                stuck_states += 1
-                fr = frontend_redex(config)
-                notes.append(f"{name}: no redex, frontend waits on label "
-                             f"{fr.label}" if isinstance(fr, Blocked)
-                             else f"{name}: no redex in non-terminal state")
+        else:  # the walk stopped short of the terminal
+            stuck_states += 1
+            status, detail = engine.stopped(ix.config)
+            notes.append(f"{name}: no redex, {status}: {detail}")
     return MetatheoryReport(steps, type_changes, effect_flips, stuck_states,
                             notes[:20])
 
@@ -238,24 +219,25 @@ def check_rewrite_soundness(min_pairs: int = 200) -> SoundnessReport:
     """Sample reachable configurations and single rewrite applications;
     completing with and without the rewrite must agree on the terminal.
     The report counts the sampled pairs by rule."""
-    pairs = agreed = 0
+    pairs = agreed = walk = 0
     rules = Counter()
     counterexamples: list[str] = []
-    walk = 0
     while pairs < min_pairs and walk < 400:
         name = SOUNDNESS_SET[walk % len(SOUNDNESS_SET)]
         rng = random.Random(5000 + walk)
         walk += 1
-        for config, _, ix in _walk(state.init(corpus_program(name)),
-                                   rng, tlo_on=True):
-            if ix is None or pairs >= min_pairs:
+        for ix, _, _ in engine.steps(state.init(corpus_program(name)),
+                                     engine.uniform, rng, None, False,
+                                     apply_redex):
+            if pairs >= min_pairs or ix.terminal():
                 break
+            ix.refresh()
             if not ix.ncands:
                 continue
             # drawn before the walk draws its next step, from the same rng
             cand = ix.cand_at(rng.randrange(ix.ncands))
-            rewritten, _ = tlo.apply_rewrite(config, cand)
-            left = engine.run(config, scheduler="det")
+            rewritten, _ = tlo.apply_rewrite(ix.config, cand)
+            left = engine.run(ix.config, scheduler="det")
             right = engine.run(rewritten, scheduler="det")
             pairs += 1
             rules[cand.rule] += 1

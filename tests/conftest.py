@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from stationflow import engine, state, tlo
+from stationflow import engine, harness, state, tlo
 from stationflow.parser import parse_source
 
 _ACCEPTANCE_LINES = []
@@ -20,6 +22,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in _ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def walk(config, seed, tlo_on, assume_set_adjacency=False):
+    """The index, refreshed, at every configuration a harness walk from
+    `config` reaches: `engine.steps` under `engine.uniform` with
+    `random.Random(seed)`, drawing rewrites of every rule if `tlo_on`,
+    through `harness.apply_redex`."""
+    for ix, _, _ in engine.steps(config, engine.uniform, random.Random(seed),
+                                 None if tlo_on else (), assume_set_adjacency,
+                                 harness.apply_redex):
+        ix.refresh()
+        yield ix
 
 
 @pytest.fixture

@@ -24,6 +24,7 @@ from stationflow.terms import (
     KL, Key, Label, Lam, Len, MapOp, Node, Proj, Subtract, TFun, Var,
     children, free_vars, op_args, with_children,
 )
+from conftest import walk
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -328,10 +329,9 @@ class TestApplyRedex:
         rules = set()
         for k, name in enumerate(harness.RUNNABLE):
             config = state.init(harness.corpus_program(name))
-            for config, _, _ in harness._walk(
-                    config, random.Random(k), tlo_on=True):
-                redexes = enumerate_redexes(config, tlo_on=True)
-                self.assert_rules_kept(config, redexes)
+            for ix in walk(config, k, tlo_on=True):
+                redexes = enumerate_redexes(ix.config, tlo_on=True)
+                self.assert_rules_kept(ix.config, redexes)
                 rules.update(r.rule for r in redexes)
         assert {"Map", "Fold", "Complete", "Last", "Prop", "Load", "Opt",
                 "Emit", "Add", "First", "Claim"} <= rules
@@ -363,7 +363,7 @@ class TestApplyRedex:
         monkeypatch.setattr(harness, "apply_redex", checked)
         for k, name in enumerate(harness.RUNNABLE):
             config = state.init(harness.corpus_program(name))
-            for _ in harness._walk(config, random.Random(k), tlo_on=True):
+            for _ in walk(config, k, tlo_on=True):
                 pass
         assert {"Map", "Fold", "Complete", "Last", "Prop", "Load", "Opt",
                 "Emit", "Add", "First", "Claim", "Beta"} <= set(stepped)
@@ -910,6 +910,39 @@ class TestFuelBoundary:
         for r in (run(config, fuel=0), reference_run(config, fuel=0)):
             assert (r.status, r.steps) == ("terminal", 0)
 
+    @pytest.mark.parametrize("fuel", (0, -1))
+    def test_no_fuel_stops_a_non_terminal_at_once(self, fuel):
+        # a negative fuel is reported as given, as a run's steps
+        config = state.init(harness.corpus_program("core_pr"))
+        for r in (run(config, fuel=fuel), reference_run(config, fuel=fuel)):
+            assert (r.status, r.steps, r.detail) == ("fuel", fuel,
+                                                     "fuel exhausted")
+            assert r.config is config
+
+
+class TestDriver:
+    """`run` and the harness walks consume one generator, `engine.steps`,
+    which yields each configuration before it draws the next step."""
+
+    def test_each_configuration_is_yielded_before_the_next_draw(self):
+        events = []
+
+        def choose(ix, rng):
+            events.append("draw")
+            return engine.uniform(ix, rng)
+
+        config = state.init(harness.corpus_program("incremental_folding"))
+        for ix, r, labels in engine.steps(config, choose, random.Random(0),
+                                          (), False, apply_redex):
+            if not events:
+                assert (ix.config, r, labels) == (config, None, [])
+            events.append("yield")
+        assert ix.terminal()
+        assert events == ["yield", "draw"] * (len(events) // 2)
+
+    def test_uniform_is_no_scheduler(self):
+        assert engine.uniform not in engine.SCHEDULERS.values()
+
 
 def undo_start(*stations):
     """Loaded stations at keys a and b: station i's streamlet holds units
@@ -1121,7 +1154,7 @@ class TestIndex:
 
 
 class TestWalkIndex:
-    """`harness._walk` draws from an `engine._Index` as `run` does; at
+    """A harness walk draws from an `engine._Index` as `run` does; at
     every configuration it reaches, the index must offer what a
     fresh enumeration of an unkept copy offers, in order."""
 
@@ -1130,18 +1163,16 @@ class TestWalkIndex:
         reached = 0
         for k, name in enumerate(harness.RUNNABLE):
             config = state.init(harness.corpus_program(name))
-            for config, _, ix in harness._walk(config, random.Random(k),
-                                               tlo_on=tlo_on):
+            for ix in walk(config, k, tlo_on):
+                config = ix.config
                 want = enumerate_redexes(bare(config), tlo_on=tlo_on)
                 reached += 1
-                if ix is None:  # terminal
-                    assert state.is_terminal(config) and want == []
-                    continue
-                assert ix.config is config
+                assert ix.terminal() == state.is_terminal(config)
                 n = ix.refresh()
                 got = [ix.plain_at(j) for j in range(n)]
                 got += [engine._opt(ix.cand_at(j)) for j in range(ix.ncands)]
                 assert got == want
+            assert ix.terminal()
         assert reached > 600
 
 
@@ -1183,15 +1214,15 @@ def keyed_start():
                                Int(0), next_label=1)
 
 
-# (start, walk seeds, rewrite rules, set adjacency); between them the walks
+# (start, walk seeds, rewrites on, set adjacency); between them the walks
 # reach every kind of Load `load_tags` tells apart
 LOAD_WALKS = (
-    *[(lambda n=n: state.init(harness.corpus_program(n)), (0, 1, 2), None,
+    *[(lambda n=n: state.init(harness.corpus_program(n)), (0, 1, 2), True,
        False) for n in harness.RUNNABLE],
-    (lambda: state.init(harness.corpus_program("core_pr")), (0, 1), (),
+    (lambda: state.init(harness.corpus_program("core_pr")), (0, 1), False,
      False),
-    (lambda: mix_config(8), (0, 1, 2), None, True),
-    (keyed_start, (0,), None, False),
+    (lambda: mix_config(8), (0, 1, 2), True, True),
+    (keyed_start, (0,), True, False),
 )
 
 
@@ -1202,27 +1233,14 @@ class TestLoadInPlace:
     is read."""
 
     @staticmethod
-    def walks(step=None):
-        """Uniform draws among every plain redex and candidate from each
-        of `LOAD_WALKS`; yields the index, refreshed, at every configuration
-        reached, and calls `step(ix, r, config, labels)` to advance it, if
-        given, in place of `ix.advance`."""
-        for start, seeds, rules, adjacency in LOAD_WALKS:
+    def walks():
+        """The index of every `walk` of `LOAD_WALKS` at every configuration
+        reached.  A test sees each step by patching `_Index.advance`."""
+        for start, seeds, tlo_on, adjacency in LOAD_WALKS:
             for seed in seeds:
-                rng = random.Random(seed)
-                ix = engine._Index(start(), rules, adjacency)
-                while not ix.terminal():
-                    n = ix.refresh()
-                    yield ix
-                    if not n + ix.ncands:
-                        break
-                    k = rng.randrange(n + ix.ncands)
-                    r = (ix.plain_at(k) if k < n
-                         else engine._opt(ix.cand_at(k - n)))
-                    config, _, labels = apply_redex(ix.config, r)
-                    (step or type(ix).advance)(ix, r, config, labels)
+                yield from walk(start(), seed, tlo_on, adjacency)
 
-    def test_index_equals_a_fresh_one_after_every_step(self):
+    def test_index_equals_a_fresh_one_after_every_step(self, monkeypatch):
         tags, offered = Counter(), Counter()
         advance = engine._Index.advance
 
@@ -1241,7 +1259,8 @@ class TestLoadInPlace:
                                                   if tag == "node-done"
                                                   else {"Complete", "Last"}))
 
-        for ix in self.walks(step):
+        monkeypatch.setattr(engine._Index, "advance", step)
+        for ix in self.walks():
             fresh = engine._Index(ix.config, ix.rules, ix.adjacency)
             fresh.refresh()
             for field in ("plain", "cands", "ncand", "nplain", "ncands",
@@ -1298,7 +1317,8 @@ class TestLoadInPlace:
                 if 0 <= k < len(sl) - 1 and tlo._folds(*sl[k:k + 2])]
             reused += len(derived)
 
-        for _ in self.walks(step):
+        monkeypatch.setattr(engine._Index, "advance", step)
+        for _ in self.walks():
             pass
         assert loads["node"] and loads["unit"] and reused
 

@@ -3,14 +3,15 @@ every checker, and the bundled corpus registry."""
 
 import hashlib
 import json
-import random
 from collections import Counter
 
 import pytest
 
 from stationflow import engine, harness, state, tlo
 from stationflow.parser import parse_source
+from stationflow.state import Station
 from stationflow.terms import OPERATIONS
+from conftest import walk
 
 
 def eager_emission_kinds(name: str, limit: int | None = None) -> list[str]:
@@ -36,11 +37,9 @@ def reuse_never_offered(seeds: int = 20) -> bool:
     entries: the non-commutative fold pair must never offer reuse."""
     prog = harness.corpus_program("reuse_guard")
     for seed in range(seeds):
-        for _, _, ix in harness._walk(state.init(prog), random.Random(seed),
-                                      tlo_on=True):
-            if ix is not None and any(rule == "reuse" for windows in ix.cands
-                                      for _, _, specs in windows
-                                      for rule, _ in specs):
+        for ix in walk(state.init(prog), seed, tlo_on=True):
+            if any(rule == "reuse" for windows in ix.cands
+                   for _, _, specs in windows for rule, _ in specs):
                 return False
     return True
 
@@ -100,6 +99,59 @@ class TestMetatheory:
         assert rep.stuck_states == 0
 
 
+class TestStoppedWalk:
+    """A walk that ends short of the terminal is a stuck state, noted with
+    why it stopped."""
+
+    def test_a_walk_that_stops_short_counts_as_stuck(self, monkeypatch):
+        # the tenth draw finds nothing: the first walk stops where its
+        # frontend waits on a label, and the walks after it go on
+        uniform, drawn_at = engine.uniform, []
+
+        def stops_once(ix, rng):
+            drawn_at.append(ix.config)
+            return None if len(drawn_at) == 10 else uniform(ix, rng)
+
+        monkeypatch.setattr(engine, "uniform", stops_once)
+        rep = harness.check_preservation_progress(total_steps=400)
+        assert (rep.steps, rep.stuck_states, rep.ok) == (400, 1, False)
+        status, detail = engine.stopped(drawn_at[9])
+        assert (status, detail) == ("blocked", "frontend waits on label 0")
+        assert rep.notes == [
+            f"incremental_folding: no redex, {status}: {detail}"]
+
+
+class TestUnsoundRewrite:
+    """A rewrite that changes the terminal is a counterexample naming its
+    rule, station and offset."""
+
+    def test_a_rewrite_that_drops_a_unit_is_reported(self, monkeypatch):
+        # the check applies its drawn candidate before the walk or a det
+        # run applies any, so only the first application drops the unit it
+        # wrote; both sides end terminal, one without the dropped results
+        apply_rewrite, faulty = tlo.apply_rewrite, []
+
+        def drops_a_unit(config, cand):
+            config, labels = apply_rewrite(config, cand)
+            if faulty:
+                return config, labels
+            faulty.append(cand)
+            i, sl = cand.station, config.backend[cand.station].streamlet
+            station = Station(config.backend[i].node,
+                              sl[:cand.start] + sl[cand.start + 1:])
+            backend = config.backend[:i] + (station,) + config.backend[i + 1:]
+            return state.evolve(config, backend=backend), labels
+
+        monkeypatch.setattr(tlo, "apply_rewrite", drops_a_unit)
+        rep = harness.check_rewrite_soundness(min_pairs=20)
+        (cand,) = faulty
+        assert not rep.ok
+        assert (rep.pairs, rep.agreed) == (20, 19)
+        assert rep.counterexamples == [
+            f"core_social: {cand.rule} at station {cand.station} offset "
+            f"{cand.start} -> terminal/terminal"]
+
+
 class TestRewriteSoundness:
     def test_sampled_pairs_agree(self):
         rep = harness.check_rewrite_soundness(min_pairs=20)
@@ -135,8 +187,8 @@ def test_det_completes_every_walk_configuration():
     # the first of the walk's 76 configurations that det cannot complete
     # is its 12th; the loop stops there
     init = state.init(parse_source(TWO_FOLDS, "two_folds.cg"))
-    for config, _, _ in harness._walk(init, random.Random(23), tlo_on=True):
-        r = engine.run(config, scheduler="det", fuel=3000)
+    for ix in walk(init, 23, tlo_on=True):
+        r = engine.run(ix.config, scheduler="det", fuel=3000)
         assert (r.status, state.to_sexpr(r.config.frontend)) == (
             "terminal", "(int 803)")
 
@@ -145,8 +197,7 @@ def test_det_stops_at_the_wedge():
     # at that 12th configuration nothing but a rewrite applies and no unit
     # is batched, so det must end there rather than batch and unbatch
     init = state.init(parse_source(TWO_FOLDS, "two_folds.cg"))
-    walk = harness._walk(init, random.Random(23), tlo_on=True)
-    wedged = [config for config, _, _ in walk][11]
+    wedged = [ix.config for ix in walk(init, 23, tlo_on=True)][11]
     r = engine.run(wedged, scheduler="det", fuel=10)
     assert (r.status, r.detail) == ("blocked", "frontend waits on label 0")
 

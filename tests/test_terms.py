@@ -22,6 +22,7 @@ from stationflow.terms import (
     alpha_equiv, arith_eval, children, compose, eta_contract, free_vars,
     is_value, kl_subtract, kl_value, normalize, substitute, term_equiv,
 )
+from conftest import walk
 
 IDENT = Lam("x", NODE, Var("x"))
 
@@ -203,10 +204,8 @@ class TestAlphaOracle:
     def test_agrees_along_the_corpus_walks(self):
         by_class = {}
         for k, name in enumerate(harness.RUNNABLE):
-            for config, _, _ in harness._walk(
-                    state.init(harness.corpus_program(name)),
-                    random.Random(k), True):
-                for e in config_terms(config):
+            for ix in walk(state.init(harness.corpus_program(name)), k, True):
+                for e in config_terms(ix.config):
                     if not isinstance(e, (AddOp, MapOp, FoldOp)):
                         by_class.setdefault(type(e), {})[id(e)] = e
         rng = random.Random(0)
@@ -433,10 +432,9 @@ class TestIsValueOracle:
         seen = 0
         for k, name in enumerate(harness.RUNNABLE):
             for tlo_on in (False, True):
-                for config, _, _ in harness._walk(
-                        state.init(harness.corpus_program(name)),
-                        random.Random(k), tlo_on):
-                    for e in config_terms(config):
+                for ix in walk(state.init(harness.corpus_program(name)), k,
+                               tlo_on):
+                    for e in config_terms(ix.config):
                         assert is_value(e) == is_value_oracle(e), e
                         seen += 1
         assert seen > 10_000

@@ -20,6 +20,7 @@ from stationflow.terms import (
     Label, Lam, MapOp, Node, Proj, TFun, TFuture, Var, children,
 )
 from stationflow.types import type_of_config, type_of_expr
+from conftest import walk
 from test_engine import bare
 
 
@@ -332,27 +333,26 @@ class TestKeptTypes:
         claims = random.Random(14)
         for src in walked:
             for seed in range(2):
-                walk = harness._walk(state.init(parse_source(src, "m.cg")),
-                                     random.Random(seed), tlo_on=True)
+                start = state.init(parse_source(src, "m.cg"))
                 configs = []
-                for config, _, _ in itertools.islice(walk, 120):
-                    label = claims.randrange(config.next_label + 1)
-                    configs += [config, dataclasses.replace(
-                        config, frontend=Claim(Label(label)))]
+                for ix in itertools.islice(walk(start, seed, True), 120):
+                    label = claims.randrange(ix.config.next_label + 1)
+                    configs += [ix.config, dataclasses.replace(
+                        ix.config, frontend=Claim(Label(label)))]
                 self.type_as_unkept_copies_do(configs)
 
     def test_checked_walks_and_runs_type_as_unkept_copies_do(self, reached):
         # the walks `check_preservation_progress(2000)` takes, without
         # rewrites, then every configuration eager and det reach
-        steps, walk = 0, 0
+        steps, k = 0, 0
         while steps < 2000:
-            name = harness.RUNNABLE[walk % len(harness.RUNNABLE)]
+            name = harness.RUNNABLE[k % len(harness.RUNNABLE)]
             config = state.init(parse_source(harness.corpus_text(name),
                                              f"{name}.cg"))
-            configs = [c for c, _, _ in harness._walk(
-                config, random.Random(1000 + walk), tlo_on=False)]
+            configs = [ix.config for ix in walk(config, 1000 + k,
+                                                tlo_on=False)]
             self.type_as_unkept_copies_do(configs)
-            steps, walk = steps + len(configs) - 1, walk + 1
+            steps, k = steps + len(configs) - 1, k + 1
         seen = reached(lambda ix: None)
         for name in harness.RUNNABLE:
             prog = parse_source(harness.corpus_text(name), f"{name}.cg")
@@ -552,11 +552,10 @@ def test_typing_is_pinned():
     claims = random.Random(14)
     for src in walked:
         for seed in range(2):
-            walk = harness._walk(state.init(parse_source(src, "m.cg")),
-                                 random.Random(seed), tlo_on=True)
-            for config, _, _ in itertools.islice(walk, 120):
-                record(config_type, config)
-                label = claims.randrange(config.next_label + 1)
+            start = state.init(parse_source(src, "m.cg"))
+            for ix in itertools.islice(walk(start, seed, True), 120):
+                record(config_type, ix.config)
+                label = claims.randrange(ix.config.next_label + 1)
                 record(config_type, dataclasses.replace(
-                    config, frontend=Claim(Label(label))))
+                    ix.config, frontend=Claim(Label(label))))
     assert h.hexdigest() == GOLDEN_TYPING
