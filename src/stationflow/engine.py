@@ -6,7 +6,8 @@ phase split.  Station rules, stream routing, and the optimizer hook each
 produce explicit redex descriptions so schedulers can pick among them.
 Each station rule is written once: `_tasks` decides Map, Fold, Complete,
 Last and Prop in one pass, and `apply_redex` steps every rule through one
-`_STEPS` table by rule (`site` is trace output only).
+`_STEPS` table by rule (`site` is trace output only).  A Map leaves one term
+`a = f n` under both projections of the node, and node Loads step it once.
 
 A step changes at most two stations and carries the rest over.  One driver,
 `steps`, keeps an index of what its choice draws from: per station its plain
@@ -331,7 +332,8 @@ def _set_station(config: Configuration, i: int, station: Station) -> Configurati
 
 def _visit(config: Configuration, r: Redex) -> Stepped:
     """Map or Fold: the head operation visits the node, and the node's key
-    leaves its target.  A map rewrites the node, a fold its base."""
+    leaves its target.  A map leaves the node `Node(k, proj2 a, proj3 a)`,
+    `a = f n` (see `_load`); a fold rewrites its base."""
     station = config.backend[r.station]
     (label, op), = station.streamlet[0].entries
     node = station.node
@@ -377,11 +379,19 @@ def _load_term(config: Configuration, e: Expr, path: tuple[int, ...]) -> Expr:
 
 
 def _load(config: Configuration, r: Redex) -> Stepped:
+    """One step of a load site's term.  Where a node's two projections hold
+    equal terms `a`, not yet a value, `a` steps once for both."""
     i, unit, station = r.station, r.unit, config.backend[r.station]
     if unit is None:
-        station = Station(_load_term(config, station.node, r.path),
-                          station.streamlet)
-        return _set_station(config, i, station), []
+        node = station.node
+        pay, adj = children(node)[1:] if type(node) is Node else (None, None)
+        if r.path[:2] == (1, 0) and type(pay) is type(adj) is Proj \
+                and pay.arg == adj.arg:
+            a = _load_term(config, pay.arg, r.path[2:])
+            node = Node(node.key, Proj(pay.index, a), Proj(adj.index, a))
+        else:
+            node = _load_term(config, node, r.path)
+        return _set_station(config, i, Station(node, station.streamlet)), []
     (label, op), = station.streamlet[unit].entries
     assert isinstance(op, FoldOp)
     result = _load_term(config, op.base, r.path)

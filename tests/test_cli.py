@@ -336,8 +336,14 @@ class TestCheckCommands:
         assert out["metatheory"]["ok"] and out["soundness"]["ok"]
         rules = out["soundness"]["rules"]
         assert sum(rules.values()) == out["soundness"]["pairs"]
-        counts = ", ".join(f"{rule} {n}" for rule, n in rules.items())
-        assert (f"pairs agree: {counts}\n") in r.stderr
+        # the line gives the JSON's counts, most sampled first (the JSON
+        # sorts its keys, so the two orders differ)
+        line = next(l for l in r.stderr.splitlines() if "pairs agree: " in l)
+        printed = [item.rsplit(" ", 1)
+                   for item in line.split("pairs agree: ")[1].split(", ")]
+        assert {rule: int(n) for rule, n in printed} == rules
+        assert ([int(n) for _, n in printed]
+                == sorted(rules.values(), reverse=True))
 
     @pytest.mark.parametrize("args, option", [
         (["check-determinism", "--schedules", "0",

@@ -425,7 +425,7 @@ class TestScheduleIndependence:
     # sha256 over every seeded trace below; a change to the trace or digest
     # encoding updates it on purpose and says so
     GOLDEN_TRACES = (
-        "8143980b37fb61283fbed01b76c254199ab6e89553664f04371ee270e7dd9730")
+        "041ca329aca1bac9560df79c62bb855faba9ff4221ce2c9a5f4bae76ce35a481")
 
     def test_seeded_traces_are_pinned(self):
         h = hashlib.sha256()
@@ -624,7 +624,7 @@ class TestKeptRedexes:
             self.run_compared(reached, prog, scheduler, seed)
 
     def test_kept_equal_bare_on_an_op_mix(self, monkeypatch, reached):
-        # schedule 8 applies every rewrite rule, fusemid only under set
+        # schedule 20 applies every rewrite rule, fusemid only under set
         # adjacency; a reorderrw puts `dcomp` terms into fold functions
         monkeypatch.syspath_prepend(str(PERFBENCH))
         monkeypatch.setattr(sys, "dont_write_bytecode", True)
@@ -639,7 +639,7 @@ class TestKeptRedexes:
             return apply_rewrite(config, cand)
 
         monkeypatch.setattr(tlo, "apply_rewrite", recorded)
-        r = self.run_compared(reached, prog, "tlo-random", 8,
+        r = self.run_compared(reached, prog, "tlo-random", 20,
                               assume_set_adjacency=True)
         assert r.config.frontend == Int(gen.expected)
         assert set(applied) == set(tlo.RULE_NAMES)
@@ -698,7 +698,7 @@ class TestKeptRedexes:
         # the terms they hold keep what the redex search found and their
         # printed form
         config = state.init(harness.corpus_program("chronological_order"))
-        for _ in range(40):
+        for _ in range(28):  # mid-run: the fold visits next
             config, _, _ = apply_redex(config, enumerate_redexes(config)[0])
         enumerate_redexes(config, tlo_on=True)
         state.config_digest(config)
@@ -1067,9 +1067,9 @@ class TestIndex:
                   for n in harness.RUNNABLE]
         starts.append((state.init(parse_source(ADD_SOURCE, "add.cg")),
                        SCHEDULES))
-        # seed 3 applies every rewrite rule to this mix, fusemid only under
+        # seed 35 applies every rewrite rule to this mix, fusemid only under
         # set adjacency, and reuse leaves a fold base waiting on a Claim
-        starts.append((mix_config(8), [("tlo-random", 3, None, True)]))
+        starts.append((mix_config(8), [("tlo-random", 35, None, True)]))
         for config, schedules in starts:
             for scheduler, seed, rules, adjacency in schedules:
                 def checked(ix):
@@ -1161,7 +1161,7 @@ class TestWalkIndex:
     @pytest.mark.parametrize("tlo_on", (False, True))
     def test_walk_index_offers_what_bare_enumeration_does(self, tlo_on):
         reached = 0
-        for k, name in enumerate(harness.RUNNABLE):
+        for k, name in enumerate(harness.RUNNABLE * 2):
             config = state.init(harness.corpus_program(name))
             for ix in walk(config, k, tlo_on):
                 config = ix.config
@@ -1404,3 +1404,153 @@ class TestVerdicts:
         ((_, op),) = cand.rewrite.replacement[0].entries
         assert any(args[0 if rule == "reorderrw" else 2] is op.fn
                    for args in calls["dcomp"])
+
+
+TWO_MAPS = ("graph [#a: 3 [#b], #b: 4 []]\n"
+            "mapVal (fun v: node -> payload(v) * 2 + 1) [#a, #b];\n"
+            "mapVal (fun v: node -> if0 payload(v) then 0"
+            " else payload(v) - 1) [#a];\n"
+            "0\n")
+
+# a map whose function claims a fold's result, as core_social's
+# `updatePayload (claim a) (claim nb)` does
+CLAIMING_MAP = ("graph [#a: 1 [], #b: 7 []]\n"
+                "let nb = queryNode #b in\n"
+                "updatePayload #a (claim nb);\n"
+                "payload(claim nb)\n")
+
+
+def value_steps(e):
+    """The steps `e` takes to a value on its own; it claims nothing."""
+    empty = state.Configuration((), (), (), Int(0))
+    n = 0
+    while not terms.is_value(e):
+        rule, label, path = engine._find(e)
+        assert label is None
+        e = engine._load_term(empty, e, path)
+        n += 1
+    return n
+
+
+def run_steps(config, scheduler, seed, rules=None, adjacency=False,
+              choose=None, apply=apply_redex):
+    """Each step of a run from `config` under `scheduler` (or of a walk
+    under `choose`): the configuration before, the redex, the one after."""
+    before = config
+    for ix, r, _ in engine.steps(
+            config, choose or engine.SCHEDULERS[scheduler],
+            random.Random(seed),
+            rules if choose or scheduler == "tlo-random" else (), adjacency,
+            apply):
+        if r is not None:
+            yield before, r, ix.config
+        if ix.terminal():
+            return
+        before = ix.config
+
+
+class TestSharedMapApplication:
+    """A Map leaves the node `Node(k, proj2 a, proj3 a)`; node Loads step
+    `a` once for both projections until it is a value."""
+
+    def test_eager_evaluates_each_application_once(self):
+        config = state.init(parse_source(TWO_MAPS, "two_maps.cg"))
+        assert len(config.backend) == 2
+        pending, visits = {}, []
+        while not state.is_terminal(config):
+            (r,) = eager_enumerate(config)
+            before, (config, rule, _) = config, apply_redex(config, r)
+            station = before.backend[r.station] if r.station is not None \
+                else None
+            if rule == "Map":
+                ((_, op),) = station.streamlet[0].entries
+                pending[r.station] = [value_steps(App(op.fn, station.node)), 0]
+            elif rule == "Load" and r.unit is None:
+                pending[r.station][1] += 1
+                if terms.is_value(config.backend[r.station].node):
+                    visits.append(tuple(pending.pop(r.station)))
+        assert not pending and len(visits) == 3
+        # eval(f n) + 2 Loads per visit: `a`, then each projection
+        assert all(loads == evals + 2 for evals, loads in visits)
+        assert all(evals > 0 for evals, _ in visits)
+        assert config.backend[0].node == Node(A, Int(6), KL((B,)))
+        assert config.backend[1].node == Node(B, Int(9), KL(()))
+
+    @staticmethod
+    def starts():
+        """The corpus and an op mix, each under every schedule."""
+        for name in harness.RUNNABLE:
+            for schedule in SCHEDULES:
+                yield state.init(harness.corpus_program(name)), schedule
+        yield mix_config(1), ("tlo-random", 20, None, True)
+
+    def test_projections_hold_one_term_until_it_is_a_value(self):
+        shared = 0
+        for config, (scheduler, seed, rules, adjacency) in self.starts():
+            for _, r, after in run_steps(config, scheduler, seed, rules,
+                                         adjacency):
+                if r.rule != "Load" or r.unit is not None:
+                    continue
+                node = after.backend[r.station].node
+                pay = node.payload
+                if type(pay) is Proj and not terms.is_value(pay.arg):
+                    assert node.adj == Proj(3, pay.arg)
+                    assert node.adj.arg is pay.arg  # one object
+                    shared += 1
+        assert shared > 500
+
+    def test_a_claiming_map_function_blocks_once(self):
+        # station 0 (#a) steps first wherever it can, so the map visits #a
+        # and its loads reach the claim before the fold at #b completes
+        config = state.init(parse_source(CLAIMING_MAP, "claims.cg"))
+        claims, blocks, waiting = 0, 0, False
+        while not state.is_terminal(config):
+            redexes = enumerate_redexes(config)
+            mine = [r for r in redexes if r.station == 0]
+            node = config.backend[0].node if config.backend else None
+            if node is not None and not mine and type(node.adj) is Proj:
+                # both projections wait on the fold's label
+                rule, label, path = engine._find(node)
+                assert (rule, path[:2]) == ("Claim", (1, 0))
+                assert node.adj.arg is node.payload.arg
+                assert config.store_get(label) is None
+                if not waiting:
+                    blocks += 1
+                waiting = True
+            r = (mine or redexes)[0]
+            config, _, _ = apply_redex(config, r)
+            if r.rule == "Load" and r.unit is None and r.station == 0 \
+                    and isinstance(engine._descend(node, r.path)[1], Claim):
+                assert waiting
+                claims, waiting = claims + 1, False
+                # one step put the claimed node under both projections
+                loaded = config.backend[0].node
+                assert loaded.adj.arg is loaded.payload.arg
+                assert (engine._descend(loaded.payload.arg, r.path[2:])[1]
+                        == Node(B, Int(7), KL(())))
+        assert blocks == claims == 1
+        assert config.backend[0].node == Node(A, Int(7), KL(()))
+        assert config.frontend == Int(7)
+
+    def test_a_bare_copy_steps_to_an_equal_configuration(self):
+        # an unshared copy of a Map's node still steps `a` once: the share
+        # is decided by term equality, not by object identity
+        shared = 0
+        runs = [(config, dict(scheduler=scheduler, seed=seed, rules=rules,
+                              adjacency=adjacency))
+                for config, (scheduler, seed, rules, adjacency)
+                in self.starts()]
+        runs += [(state.init(harness.corpus_program(name)),
+                  dict(scheduler=None, seed=k, rules=None, adjacency=False,
+                       choose=engine.uniform, apply=harness.apply_redex))
+                 for k, name in enumerate(harness.RUNNABLE)]
+        for config, kw in runs:
+            for before, r, after in run_steps(config, **kw):
+                got = apply_redex(bare(before), r)
+                assert got == apply_redex(before, r)
+                assert got[0] == after
+                node = before.backend[r.station].node \
+                    if r.rule == "Load" and r.unit is None else None
+                shared += (type(node) is Node and type(node.adj) is Proj
+                           and r.path[:2] == (1, 0))
+        assert shared > 700

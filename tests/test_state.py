@@ -209,7 +209,7 @@ class TestConfigDigest:
         import programs
         gen = programs.mix_program(8, 1, random.Random(17), random.Random(17))
         r = self.run_checked(reached, parse_source(gen.source, "mix.cg"),
-                             "tlo-random", 17, assume_set_adjacency=True)
+                             "tlo-random", 4, assume_set_adjacency=True)
         assert {"fusem", "reorderrw"} <= r.rewrites.keys()
         assert r.config.frontend == Int(gen.expected)
 

@@ -469,7 +469,7 @@ class TestKeptTypes:
 # drawn label; a change to a type rule or to a diagnostic's wording or position
 # updates it on purpose and says so
 GOLDEN_TYPING = (
-    "adc272cb100059a44c609292c09560e3877e6f8496c07f6413f75d9769c0c23e")
+    "cf227c55fe2e426fa938eb329a8c1d76e6eebe17a29cf73a96d7c302f12989fb")
 
 
 def _typing_sources():
