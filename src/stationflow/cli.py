@@ -83,6 +83,10 @@ def _parse_rules(text: str | None):
         if r not in RULE_NAMES:
             raise click.UsageError(
                 f"unknown rewrite rule {r!r}; known: {', '.join(RULE_NAMES)}")
+    if "batch" in rules and "unbatch" not in rules:
+        raise click.UsageError(
+            "rewrite rule 'batch' needs 'unbatch': a batched unit takes only "
+            "Prop, so at the last station only an unbatch lets it settle")
     return rules
 
 

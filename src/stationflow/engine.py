@@ -12,8 +12,8 @@ Last and Prop in one pass, and `apply_redex` steps every rule through one
 A step changes at most two stations and carries the rest over.  One driver,
 `steps`, keeps an index of what its choice draws from: per station its plain
 entries, the task rules and load sites that step now, and the window entries
-of the rewrite rules the choice draws from (`tlo.window_candidates`),
-window by window in streamlet order with the two units each read (`tlo`
+of the rewrite rules the choice draws from (batch, unbatch and the rows of
+`tlo.PAIR_RULES`), window by window with the two units each read (`tlo`
 keeps the prover verdicts), with counts; the stations that are not idle,
 which decide terminality; and the stations with a load site waiting on each
 label.  An entry is built into a `Redex` or a `tlo.Candidate` only when it

@@ -1,20 +1,22 @@
 """Stream rewriting inside station streamlets.
 
 Every rewrite acts on a contiguous window of one streamlet and may settle
-some labels directly into the store.  Candidates are discovered in a fixed
-order so seeded schedulers replay exactly.  `candidates` builds them afresh
-on every call.  A window's entries are specs, a rule name with the split for
-unbatch: `window_candidates` decides only the side conditions, and
-`candidate` builds the one `Candidate` a scheduler draws, its replacement,
-results and labels, those of the units it reads.  A rewrite is named by its
-window's position, a station and a start unit.  The provers are pure and a
-window's entries read only its two units, so `engine.run` keeps a list of
-windows per station, each with its units (`station_windows`), and derives
-again only those whose units a step replaced; a Load gives a fold a new
-base, which only reuse's side condition reads (`rebase_windows`).  A pair
-rule's verdict depends on operation functions only up to the names of bound
-variables, so it is kept for the process in one bounded table keyed by
-their `to_sexpr` text (`_verdict`); reorderrw's `dcomp` is not kept.
+some labels directly into the store.  Batch and unbatch read only unit
+sizes; the six rules of two single-operation units are the rows of
+`PAIR_RULES`.  A window's entries are specs, a rule name with the split for
+unbatch, in a fixed order so seeded schedulers replay: `window_candidates`
+decides only the side conditions, and `candidate` builds the one
+`Candidate` a scheduler draws, its replacement, results and labels, those
+of the units it reads; `candidates` builds them all afresh.  A rewrite is
+named by its window's position, a station and a start unit.  The provers
+are pure and a window's entries read only its two units, so `engine.steps`
+keeps a list of windows per station, each with its units
+(`station_windows`), and derives again only those whose units a step
+replaced; a Load gives a fold a new base, which only reuse's side condition
+reads (`rebase_windows`).  A pair rule's verdict depends on operation
+functions only up to the names of bound variables, so it is kept for the
+process in one bounded table keyed by their `to_sexpr` text (`_verdict`);
+reorderrw's `dcomp` is not kept.
 """
 
 from __future__ import annotations
@@ -24,16 +26,13 @@ from .state import (
     target,
 )
 from .terms import (
-    NODE, App, Claim, Concat, Expr, FoldOp, If0, Int, KL, Key, Label, Lam,
-    Len, MapOp, Node, Proj, Subtract, Var, alpha_equiv, compose,
+    NODE, OPERATIONS, App, Claim, Concat, Expr, FoldOp, If0, Int, KL, Key,
+    Label, Lam, Len, MapOp, Node, Proj, Subtract, Var, alpha_equiv, compose,
     eta_contract, fresh_names, kl_subtract, normalize, record, term_equiv,
     to_sexpr, transform,
 )
 # unused here, but perfbench/layers.py counts the calls at this binding
 from .terms import free_vars  # noqa: F401
-
-RULE_NAMES = ("batch", "unbatch", "reorderd", "reorderrr", "reorderrw",
-              "fusem", "fusemid", "reuse")
 
 
 @record
@@ -46,10 +45,6 @@ class Candidate:
     results: tuple[tuple[int, StoreEntry], ...]
     labels: tuple[int, ...]
     split: int = 0      # unbatch only
-
-
-def _single(unit: Unit):
-    return unit.entries[0] if len(unit.entries) == 1 else None
 
 
 def candidates(config: Configuration, rules: tuple[str, ...] | None = None,
@@ -135,12 +130,49 @@ def _fused(f2: Expr, f1: Expr, assume_set_adjacency: bool) -> str:
     return prove_identity(compose(f2, f1), assume_set_adjacency)
 
 
+def _swap(u1, u2, *_):
+    return (u2, u1), ()
+
+
+# rule -> (the classes of its two operations, None for any; its side
+# condition on them, their targets and the adjacency setting; its function
+# from the two units and their entries to the replacement and the results)
+PAIR_RULES = {
+    "reorderd": ((None, None), lambda o1, o2, t1, t2, _: (
+        t1 is not None and t2 is not None and not (set(t1) & set(t2))), _swap),
+    "reorderrr": ((FoldOp, FoldOp), lambda *_: True, _swap),
+    "reorderrw": ((MapOp, FoldOp), lambda o1, o2, t1, t2, _: t1 is not None,
+                  lambda u1, u2, l1, o1, l2, o2: ((singleton(l2, FoldOp(
+                      dcomp(o2.fn, o1.ks.items, o1.fn), o2.base, o2.ks)), u1), ())),
+    "fusem": ((MapOp, MapOp), lambda o1, o2, t1, t2, adj: o1.ks == o2.ks
+              and _verdict(_fused, o2.fn, o1.fn, adj) == "refuted",
+              lambda u1, u2, l1, o1, l2, o2: (
+                  (singleton(l1, MapOp(compose(o2.fn, o1.fn), o1.ks)),),
+                  ((l2, StoreEntry(Int(0), ())),))),
+    "fusemid": ((MapOp, MapOp), lambda o1, o2, t1, t2, adj: o1.ks == o2.ks
+                and _verdict(_fused, o2.fn, o1.fn, adj) == "proved",
+                lambda u1, u2, l1, o1, l2, o2: ((), (
+                    (l1, StoreEntry(Int(0), ())), (l2, StoreEntry(Int(0), ()))))),
+    "reuse": ((FoldOp, FoldOp), lambda o1, o2, t1, t2, _: (
+        t1 is not None and t2 is not None and set(t1) <= set(t2)
+        and _verdict(_reusable, o1.fn, o2.fn) and alpha_equiv(o1.base, o2.base)),
+        lambda u1, u2, l1, o1, l2, o2: ((u1, singleton(l2, FoldOp(
+            o2.fn, Claim(Label(l1)), KL(kl_subtract(o2.ks.items, o1.ks.items))))), ())),
+}
+RULE_NAMES = ("batch", "unbatch", *PAIR_RULES)
+
+# (class, class) -> (rule, side condition) of each row taking the two in turn
+_ROWS = {(k1, k2): tuple((r, holds) for r, ((c1, c2), holds, _) in PAIR_RULES.items()
+                         if c1 in (None, k1) and c2 in (None, k2))
+         for k1 in OPERATIONS for k2 in OPERATIONS}
+
+
 def window_candidates(unit: Unit, nxt: Unit | None, enabled: tuple[str, ...],
                       assume_set_adjacency: bool) -> tuple[tuple[str, int], ...]:
     """The rewrites of the window at `unit`, `nxt` the unit after it (None
-    at the tail): `unit`'s unbatch splits, then the pair rules.  Each is an
-    entry for `candidate`, its rule and split (0 but for unbatch); only the
-    side conditions are decided here."""
+    at the tail): `unit`'s unbatch splits, batch, then in order the rows of
+    `PAIR_RULES` whose side condition holds.  Each is an entry for
+    `candidate`, its rule and split (0 but for unbatch)."""
     out: list[tuple[str, int]] = []
     if "unbatch" in enabled and len(unit.entries) >= 2:
         out.extend(("unbatch", split) for split in range(1, len(unit.entries)))
@@ -148,31 +180,12 @@ def window_candidates(unit: Unit, nxt: Unit | None, enabled: tuple[str, ...],
         return tuple(out)
     if "batch" in enabled:
         out.append(("batch", 0))
-    a, b = _single(unit), _single(nxt)
-    if a is None or b is None:
-        return tuple(out)
-    (_, o1), (_, o2) = a, b
-    t1, t2 = target(o1), target(o2)
-    if "reorderd" in enabled and t1 is not None and t2 is not None \
-            and not (set(t1) & set(t2)):
-        out.append(("reorderd", 0))
-    if "reorderrr" in enabled and isinstance(o1, FoldOp) and isinstance(o2, FoldOp):
-        out.append(("reorderrr", 0))
-    if "reorderrw" in enabled and isinstance(o1, MapOp) \
-            and isinstance(o2, FoldOp) and t1 is not None:
-        out.append(("reorderrw", 0))
-    if ({"fusem", "fusemid"} & set(enabled)) and isinstance(o1, MapOp) \
-            and isinstance(o2, MapOp) and o1.ks == o2.ks:
-        verdict = _verdict(_fused, o2.fn, o1.fn, assume_set_adjacency)
-        if "fusem" in enabled and verdict == "refuted":
-            out.append(("fusem", 0))
-        if "fusemid" in enabled and verdict == "proved":
-            out.append(("fusemid", 0))
-    if "reuse" in enabled and isinstance(o1, FoldOp) and isinstance(o2, FoldOp):
-        if (t1 is not None and t2 is not None and set(t1) <= set(t2)
-                and _verdict(_reusable, o1.fn, o2.fn)
-                and alpha_equiv(o1.base, o2.base)):
-            out.append(("reuse", 0))
+    if len(unit.entries) == 1 == len(nxt.entries):
+        (_, o1), (_, o2) = unit.entries[0], nxt.entries[0]
+        t1, t2 = target(o1), target(o2)
+        for name, holds in _ROWS[type(o1), type(o2)]:
+            if name in enabled and holds(o1, o2, t1, t2, assume_set_adjacency):
+                out.append((name, 0))
     return tuple(out)
 
 
@@ -188,22 +201,8 @@ def candidate(spec: tuple[str, int], station: int, start: int,
     elif rule == "batch":
         replacement = Unit(unit.entries + nxt.entries),
     else:
-        (l1, o1), (l2, o2) = unit.entries[0], nxt.entries[0]
-        if rule in ("reorderd", "reorderrr"):
-            replacement = nxt, unit
-        elif rule == "reorderrw":
-            comp = dcomp(o2.fn, o1.ks.items, o1.fn)
-            replacement = singleton(l2, FoldOp(comp, o2.base, o2.ks)), unit
-        elif rule == "fusem":
-            replacement = singleton(l1, MapOp(compose(o2.fn, o1.fn), o1.ks)),
-            results = (l2, StoreEntry(Int(0), ())),
-        elif rule == "fusemid":
-            replacement = ()
-            results = (l1, StoreEntry(Int(0), ())), (l2, StoreEntry(Int(0), ()))
-        else:  # reuse
-            shrunk = KL(kl_subtract(o2.ks.items, o1.ks.items))
-            replacement = unit, singleton(l2, FoldOp(o2.fn, Claim(Label(l1)),
-                                                     shrunk))
+        replacement, results = PAIR_RULES[rule][2](
+            unit, nxt, *unit.entries[0], *nxt.entries[0])
     length = 1 if rule == "unbatch" else 2
     labels = tuple(l for u in sl[start:start + length] for l, _ in u.entries)
     return Candidate(rule, station, start, length, replacement, results,

@@ -1,4 +1,6 @@
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +36,21 @@ def walk(config, seed, tlo_on, assume_set_adjacency=False):
                                  harness.apply_redex):
         ix.refresh()
         yield ix
+
+
+def mix_config(shape):
+    """The initial configuration of `perfbench/programs.py`'s op mix of 8
+    keys and one block, its shape and values drawn with seed `shape`."""
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, perfbench)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        import programs
+    finally:
+        sys.path.remove(perfbench)
+        sys.dont_write_bytecode = dont_write
+    gen = programs.mix_program(8, 1, random.Random(shape), random.Random(shape))
+    return state.init(parse_source(gen.source, "mix.cg"))
 
 
 @pytest.fixture

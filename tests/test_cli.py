@@ -125,6 +125,16 @@ class TestRun:
                                 "--tlo-rules", "nosuch"])
         assert r.exit_code == 2
 
+    @pytest.mark.parametrize("rules", ["batch", "batch,reorderd,fusem"])
+    def test_batch_without_unbatch_rejected(self, runner, prog_file, rules):
+        # a batched unit takes only Prop, so without unbatch the run wedged
+        # at the last station: core_pr ended blocked after 39 steps (exit 3)
+        r = runner.invoke(cli, ["run", prog_file("core_pr"),
+                                "--scheduler", "tlo-random",
+                                "--tlo-rules", rules])
+        assert r.exit_code == 2
+        assert "'batch' needs 'unbatch'" in r.stderr
+
     def test_rule_restriction_accepted(self, runner, prog_file):
         r = runner.invoke(cli, ["run", prog_file("core_social"),
                                 "--scheduler", "tlo-random",

@@ -24,7 +24,7 @@ from stationflow.terms import (
     KL, Key, Label, Lam, Len, MapOp, Node, Proj, Subtract, TFun, Var,
     children, free_vars, op_args, with_children,
 )
-from conftest import walk
+from conftest import mix_config, walk
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -885,8 +885,8 @@ def reference_run(config, scheduler="eager", seed=0, fuel=1_000_000,
             records.append(engine.StepRecord(step, rule, choice.site,
                                              tuple(labels),
                                              state.config_digest(config)))
-    if state.is_terminal(config):
-        return engine.RunResult(config, "terminal", fuel, records)
+    if state.is_terminal(config):  # no step was taken at negative fuel
+        return engine.RunResult(config, "terminal", max(fuel, 0), records)
     return engine.RunResult(config, "fuel", fuel, records, "fuel exhausted")
 
 
@@ -906,9 +906,11 @@ class TestFuelBoundary:
                         == (status, fuel))
 
     def test_a_value_is_terminal_at_fuel_0(self):
+        # and at negative fuel, which takes no step either
         config = state.init(parse_source("3", "value.cg"))
-        for r in (run(config, fuel=0), reference_run(config, fuel=0)):
-            assert (r.status, r.steps) == ("terminal", 0)
+        for fuel in (0, -1):
+            for r in (run(config, fuel=fuel), reference_run(config, fuel=fuel)):
+                assert (r.status, r.steps) == ("terminal", 0), fuel
 
     @pytest.mark.parametrize("fuel", (0, -1))
     def test_no_fuel_stops_a_non_terminal_at_once(self, fuel):
@@ -1031,18 +1033,6 @@ SCHEDULES = (("eager", 0, None, False), ("det", 0, None, True),
              ("random", 3, None, False), ("tlo-random", 3, None, False),
              ("tlo-random", 4, None, True),
              ("tlo-random", 5, ("batch", "unbatch", "reuse"), False))
-
-
-def mix_config(shape):
-    sys.path.insert(0, str(PERFBENCH))
-    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        import programs
-    finally:
-        sys.path.remove(str(PERFBENCH))
-        sys.dont_write_bytecode = dont_write
-    gen = programs.mix_program(8, 1, random.Random(shape), random.Random(shape))
-    return state.init(parse_source(gen.source, "mix.cg"))
 
 
 def end_states():

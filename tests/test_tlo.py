@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import mix_config, walk
 from stationflow import engine, harness, state, terms, tlo
 from stationflow.parser import parse_source
 from stationflow.state import Station, Unit, singleton
@@ -358,9 +359,10 @@ class TestRuleSelection:
         assert {c.rule for c in got} == {"batch"}
 
     def test_all_rules_known(self):
-        assert set(tlo.RULE_NAMES) == {
+        # in the order a window's entries are emitted
+        assert tlo.RULE_NAMES == ("batch", "unbatch", *tlo.PAIR_RULES) == (
             "batch", "unbatch", "reorderd", "reorderrr", "reorderrw",
-            "fusem", "fusemid", "reuse"}
+            "fusem", "fusemid", "reuse")
 
 
 class TestKeptCandidates:
@@ -390,6 +392,157 @@ class TestKeptCandidates:
         assert seen[3] == ["batch", "batch"]
         assert seen[4] == ["reorderrw"]
         assert seen[5] == seen[0]
+
+
+### the per-rule chains `PAIR_RULES` replaced, kept as its oracle
+
+def _single(unit):
+    return unit.entries[0] if len(unit.entries) == 1 else None
+
+
+def chained_window_candidates(unit, nxt, enabled, assume_set_adjacency):
+    out = []
+    if "unbatch" in enabled and len(unit.entries) >= 2:
+        out.extend(("unbatch", split) for split in range(1, len(unit.entries)))
+    if nxt is None:
+        return tuple(out)
+    if "batch" in enabled:
+        out.append(("batch", 0))
+    a, b = _single(unit), _single(nxt)
+    if a is None or b is None:
+        return tuple(out)
+    (_, o1), (_, o2) = a, b
+    t1, t2 = state.target(o1), state.target(o2)
+    if "reorderd" in enabled and t1 is not None and t2 is not None \
+            and not (set(t1) & set(t2)):
+        out.append(("reorderd", 0))
+    if "reorderrr" in enabled and isinstance(o1, FoldOp) and isinstance(o2, FoldOp):
+        out.append(("reorderrr", 0))
+    if "reorderrw" in enabled and isinstance(o1, MapOp) \
+            and isinstance(o2, FoldOp) and t1 is not None:
+        out.append(("reorderrw", 0))
+    if ({"fusem", "fusemid"} & set(enabled)) and isinstance(o1, MapOp) \
+            and isinstance(o2, MapOp) and o1.ks == o2.ks:
+        verdict = tlo._verdict(tlo._fused, o2.fn, o1.fn, assume_set_adjacency)
+        if "fusem" in enabled and verdict == "refuted":
+            out.append(("fusem", 0))
+        if "fusemid" in enabled and verdict == "proved":
+            out.append(("fusemid", 0))
+    if "reuse" in enabled and isinstance(o1, FoldOp) and isinstance(o2, FoldOp):
+        if (t1 is not None and t2 is not None and set(t1) <= set(t2)
+                and tlo._verdict(tlo._reusable, o1.fn, o2.fn)
+                and terms.alpha_equiv(o1.base, o2.base)):
+            out.append(("reuse", 0))
+    return tuple(out)
+
+
+def chained_candidate(spec, station, start, sl):
+    rule, split = spec
+    unit, nxt = tlo._window(sl, start)
+    results = ()
+    if rule == "unbatch":
+        replacement = Unit(unit.entries[:split]), Unit(unit.entries[split:])
+    elif rule == "batch":
+        replacement = Unit(unit.entries + nxt.entries),
+    else:
+        (l1, o1), (l2, o2) = unit.entries[0], nxt.entries[0]
+        if rule in ("reorderd", "reorderrr"):
+            replacement = nxt, unit
+        elif rule == "reorderrw":
+            comp = tlo.dcomp(o2.fn, o1.ks.items, o1.fn)
+            replacement = singleton(l2, FoldOp(comp, o2.base, o2.ks)), unit
+        elif rule == "fusem":
+            replacement = singleton(l1, MapOp(compose(o2.fn, o1.fn), o1.ks)),
+            results = (l2, state.StoreEntry(Int(0), ())),
+        elif rule == "fusemid":
+            replacement = ()
+            results = ((l1, state.StoreEntry(Int(0), ())),
+                       (l2, state.StoreEntry(Int(0), ())))
+        else:  # reuse
+            shrunk = KL(terms.kl_subtract(o2.ks.items, o1.ks.items))
+            replacement = unit, singleton(l2, FoldOp(o2.fn, Claim(Label(l1)),
+                                                     shrunk))
+    length = 1 if rule == "unbatch" else 2
+    labels = tuple(l for u in sl[start:start + length] for l, _ in u.entries)
+    return tlo.Candidate(rule, station, start, length, replacement, results,
+                         labels, split)
+
+
+@pytest.fixture(scope="module")
+def reached_windows():
+    """Each distinct window (a unit and the unit after it, None at the
+    tail) of every streamlet reached by walks with every rule, with and
+    without set adjacency, over the runnable corpus and two op mixes, and
+    each pair of seven units built here, for windows no walk reaches: two
+    have key lists still loading, a fold's target holds another's, and two
+    identity maps have different key lists."""
+    configs = [*(state.init(harness.corpus_program(n)) for n in harness.RUNNABLE),
+               mix_config(1), mix_config(2)]
+    windows = {}
+    for k, config in enumerate(configs):
+        for adjacency in (False, True):
+            for ix in walk(config, k, True, adjacency):
+                for station in ix.config.backend:
+                    sl = station.streamlet
+                    for j, unit in enumerate(sl):
+                        nxt = sl[j + 1] if j + 1 < len(sl) else None
+                        windows.setdefault((id(unit), id(nxt)), (unit, nxt))
+    loading = Concat(kl("a"), kl("b"))
+    built = (singleton(0, MapOp(INC, loading)), singleton(1, MapOp(INC, kl("a"))),
+             singleton(2, FoldOp(SUM, BASE, loading)),
+             singleton(3, FoldOp(SUM, BASE, kl("a"))),
+             singleton(4, FoldOp(SUM, BASE, kl("a", "b"))),
+             singleton(5, MapOp(IDENT, kl("a"))), singleton(6, MapOp(IDENT, kl("b"))))
+    return [*windows.values(), *((u, v) for u in built for v in built)]
+
+
+def table_disagreements(windows):
+    """The (window, rules, adjacency) where the table's specs or built
+    candidates differ from the chains', for each rule alone and all rules,
+    with and without set adjacency."""
+    out = []
+    for rules in (*((r,) for r in tlo.RULE_NAMES), tlo.RULE_NAMES):
+        for adjacency in (False, True):
+            for unit, nxt in windows:
+                sl = (unit,) if nxt is None else (unit, nxt)
+                got = tlo.window_candidates(unit, nxt, rules, adjacency)
+                want = chained_window_candidates(unit, nxt, rules, adjacency)
+                if got != want or any(
+                        tlo.candidate(spec, 0, 0, sl)
+                        != chained_candidate(spec, 0, 0, sl) for spec in got):
+                    out.append(((unit, nxt), rules, adjacency))
+    return out
+
+
+class TestRuleTable:
+    """`PAIR_RULES` offers and builds what the per-rule chains did."""
+
+    def test_agrees_with_the_chains_on_reached_windows(self, reached_windows):
+        assert len(reached_windows) > 1000
+        fired = {spec[0] for unit, nxt in reached_windows
+                 for spec in tlo.window_candidates(unit, nxt, tlo.RULE_NAMES,
+                                                   True)}
+        assert fired == set(tlo.RULE_NAMES)
+        assert table_disagreements(reached_windows) == []
+
+    @pytest.mark.parametrize("rule", ("reorderd", "reorderrw", "fusem",
+                                      "fusemid", "reuse"))
+    def test_a_dropped_condition_disagrees(self, monkeypatch, reached_windows,
+                                           rule):
+        # reorderrr's condition is already always true
+        rows = {kinds: tuple((r, (lambda *_: True) if r == rule else holds)
+                             for r, holds in row)
+                for kinds, row in tlo._ROWS.items()}
+        monkeypatch.setattr(tlo, "_ROWS", rows)
+        assert table_disagreements(reached_windows)
+
+    def test_the_documented_table_lists_the_rules_in_order(self):
+        text = (Path(__file__).resolve().parent.parent / "docs"
+                / "language.md").read_text()
+        section = text.split("## Stream rewrites\n")[1].split("\n## ")[0]
+        rows = [line.split("|")[1].strip() for line in section.splitlines()
+                if line.startswith("| `")]
+        assert tuple(r.strip("`") for r in rows) == tlo.RULE_NAMES
 
 
 # a map function holding an unapplied `fix` that recurses outside any
