@@ -17,7 +17,7 @@ import click
 
 from . import engine, harness, state
 from .parser import SourceError, parse_file
-from .tlo import RULE_NAMES
+from .tlo import check_rules
 from .types import type_of_expr
 
 EXIT_OK = 0
@@ -79,14 +79,10 @@ def _parse_rules(text: str | None):
     if text is None:
         return None
     rules = tuple(r.strip() for r in text.split(",") if r.strip())
-    for r in rules:
-        if r not in RULE_NAMES:
-            raise click.UsageError(
-                f"unknown rewrite rule {r!r}; known: {', '.join(RULE_NAMES)}")
-    if "batch" in rules and "unbatch" not in rules:
-        raise click.UsageError(
-            "rewrite rule 'batch' needs 'unbatch': a batched unit takes only "
-            "Prop, so at the last station only an unbatch lets it settle")
+    try:
+        check_rules(rules)
+    except ValueError as e:
+        raise click.UsageError(str(e)) from None
     return rules
 
 

@@ -479,6 +479,7 @@ class StepRecord:
 
 @dataclass
 class RunResult:
+    """How a run ended: its last configuration, status and step count."""
     config: Configuration
     status: str  # terminal, blocked, stuck, fuel
     steps: int
@@ -686,7 +687,10 @@ def steps(config: Configuration, choose, rng, rules, assume_set_adjacency,
     (None: all) until `choose` finds nothing.  Yields the index, and the
     redex and labels of the step that led there, at each configuration,
     `(ix, None, [])` first, before the next draw; the consumer tests for
-    the terminal."""
+    the terminal.  Rules `tlo.check_rules` refuses raise ValueError before
+    the first yield."""
+    if rules is not None:
+        tlo.check_rules(rules)
     ix = _Index(config, rules, assume_set_adjacency)
     yield ix, None, []
     while (r := choose(ix, rng)) is not None:

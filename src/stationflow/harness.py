@@ -69,6 +69,7 @@ def check_facts(name: str, config: Configuration) -> str | None:
 
 @dataclass
 class ProgramVerdict:
+    """One program's runs under the compared schedules."""
     program: str
     digest: str
     schedules: int
@@ -85,6 +86,7 @@ class ProgramVerdict:
 
 @dataclass
 class DeterminismReport:
+    """The verdict of every program `check_determinism` ran."""
     verdicts: list[ProgramVerdict]
     # each way a run failed: its status, "diverged" or "facts"
     faults: set[str] = field(default_factory=set)
@@ -148,6 +150,7 @@ class _JSONReport:
 
 @dataclass
 class MetatheoryReport(_JSONReport):
+    """What the preservation and progress walks found."""
     steps: int
     type_changes: int
     effect_flips: int
@@ -205,6 +208,7 @@ def check_preservation_progress(total_steps: int = 10_000) -> MetatheoryReport:
 
 @dataclass
 class SoundnessReport(_JSONReport):
+    """The sampled rewrites, and whether each left the terminal unchanged."""
     pairs: int
     agreed: int
     counterexamples: list[str] = field(default_factory=list)

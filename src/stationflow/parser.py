@@ -8,15 +8,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .terms import (
     INT, KEY, KL_T, NODE, OPERATIONS,
     App, Arith, Claim, Concat, Emit, Expr, Fix, FoldOp, If0, Int, KL, Key,
     Label, Lam, Len, MapOp, Node, Operation, Proj, Subtract, TFun, TFuture,
-    Type, Var, children, fresh_names, op_args, substitute, with_children,
+    Type, Var, children, free_vars, fresh_names, op_args, substitute,
+    with_children,
 )
-# unused here, but perfbench/layers.py counts the calls at this binding
-from .terms import free_vars  # noqa: F401
 
 
 class SourceError(Exception):
@@ -140,8 +140,7 @@ _PUNCT = [
 _PUNCT_AT = {p[0]: [q for q in _PUNCT if q[0] == p[0]] for p in _PUNCT}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # INT, IDENT, KEYLIT, KW, punct literal, EOF
     text: str
     line: int
@@ -206,6 +205,7 @@ def tokenize(src: str, file: str) -> list[Token]:
 
 @dataclass(frozen=True)
 class StationDecl:
+    """A station of the `graph` preamble, at the position of its key."""
     key: str
     payload: int
     adj: tuple[str, ...]
@@ -214,6 +214,7 @@ class StationDecl:
 
 @dataclass(frozen=True)
 class Program:
+    """A parsed program: its preamble's stations and its expression."""
     graph: tuple[StationDecl, ...]
     expr: Expr
 
@@ -499,10 +500,13 @@ def parse_file(path) -> Program:
 
 
 def _check_closed(e: Expr, file: str) -> None:
-    unbound = _first_unbound(e, frozenset())
-    if unbound is not None:
-        (line, col), name = unbound
-        raise SourceError(file, line, col, "unbound-name", f"name {name!r} is not in scope")
+    """Refuse `e` if a name in it is unbound.  The free names are kept on
+    the term for `substitute` and the printer; only an open term is
+    searched for the unbound name that comes first in the source."""
+    if not free_vars(e):
+        return
+    (line, col), name = _first_unbound(e, frozenset())
+    raise SourceError(file, line, col, "unbound-name", f"name {name!r} is not in scope")
 
 
 def _first_unbound(e: Expr, bound: frozenset[str]):

@@ -1,9 +1,11 @@
 """Runtime state: stations, streams, the result store, whole configurations.
 
 Structural conventions
- - every container is an immutable dataclass made by `terms.record`, whose
-   fields live in slots, stored more cheaply than by the generated
-   `__init__`: a Load step does little but build such records
+ - every container is an immutable record made by `terms.record`: a frozen
+   dataclass whose fields live in slots, stored through each slot's setter,
+   and whose six methods one `exec` compiles when the class is made; a Load
+   step does little but build such records, and every process that imports
+   the package builds every record class
  - generated keys live in the "@k<i>" namespace, labels are plain ints
  - a unit is an ordered sequence of label/operation pairs; the head of a
    stream is index 0

@@ -12,39 +12,69 @@ and `substitute` visits only the subterms that hold the name it replaces.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
+from reprlib import recursive_repr
 
 
 def record(cls):
-    """`dataclass(frozen=True)`, built again with each field in a slot and
-    a `__dict__` slot, made on first use, for what is kept (see `state`);
-    its `__init__` stores through each slot's `__set__`, bound once here.
-    Fields take plain defaults only; a `__post_init__` still runs.  A class
-    without a docstring gets its name and field names as one: `dataclass`
-    would derive one through `inspect.signature`, a large share of the
-    cost of building the class."""
+    """A frozen dataclass with each field in a slot and a `__dict__` slot,
+    made on first use, for what is kept (see `state`).  `dataclass` only
+    collects the fields; the class, built again with the slots and marked
+    frozen, gets from one `exec` the six methods `dataclass(frozen=True)`
+    would generate: `__init__` stores through each slot's `__set__`, bound
+    once here; `__eq__` and `__hash__` read the compared fields as a tuple;
+    `__repr__` shows the shown ones; `__setattr__` and `__delattr__` raise
+    `FrozenInstanceError`.  Fields take plain defaults only, and the class
+    defines none of the six; a `__post_init__` still runs.  A class without
+    a docstring gets its name and field names as one: `dataclass` would
+    derive one through `inspect.signature`, a large share of the cost of
+    building the class."""
     if cls.__doc__ is None:
         names = ", ".join(vars(cls).get("__annotations__", ()))
         cls.__doc__ = f"{cls.__name__}({names})"
-    cls = dataclass(frozen=True, init=False)(cls)
-    names = [f.name for f in fields(cls)]
+    cls = dataclass(init=False, repr=False, eq=False)(cls)
+    fs = fields(cls)
+    names = tuple(f.name for f in fs)
     attrs = {k: v for k, v in vars(cls).items()
              if k not in (*names, "__dict__", "__weakref__")}
     cls = type(cls)(cls.__name__, cls.__bases__, {
         **attrs, "__qualname__": cls.__qualname__,
         "__slots__": (*names, "__dict__")})
-    for fn in (cls.__setattr__, cls.__delattr__):  # they test the class
-        cells = dict(zip(fn.__code__.co_freevars, fn.__closure__))
-        cells["cls"].cell_contents = cls
-    ns, params, body = {}, "", ""
-    for i, f in enumerate(fields(cls)):
+    p = cls.__dataclass_params__
+    p.init = p.repr = p.eq = p.frozen = True
+    ns = {"cls": cls, "FrozenInstanceError": FrozenInstanceError,
+          "recursive_repr": recursive_repr}
+    params, body = "", ""
+    for i, f in enumerate(fs):
         ns[f"_d{i}"], ns[f"_s{i}"] = f.default, vars(cls)[f.name].__set__
         params += f", {f.name}" if f.default is MISSING else f", {f.name}=_d{i}"
         body += f"\n _s{i}(self, {f.name})"
     if hasattr(cls, "__post_init__"):
         body += "\n self.__post_init__()"
-    exec(f"def __init__(self{params}):{body}", ns)
-    cls.__init__ = ns["__init__"]
+    key = "".join(f"self.{f.name}," for f in fs if f.compare)
+    shown = ", ".join(f"{f.name}={{self.{f.name}!r}}" for f in fs if f.repr)
+    exec(f"""def __init__(self{params}):{body}
+def __eq__(self, other):
+ if other.__class__ is self.__class__:
+  return ({key}) == ({key.replace("self.", "other.")})
+ return NotImplemented
+def __hash__(self):
+ return hash(({key}))
+@recursive_repr()
+def __repr__(self):
+ return self.__class__.__qualname__ + f"({shown})"
+def __setattr__(self, name, value):
+ if type(self) is cls or name in {names}:
+  raise FrozenInstanceError(f"cannot assign to field {{name!r}}")
+ super(cls, self).__setattr__(name, value)
+def __delattr__(self, name):
+ if type(self) is cls or name in {names}:
+  raise FrozenInstanceError(f"cannot delete field {{name!r}}")
+ super(cls, self).__delattr__(name)""", ns)
+    for name in ("__init__", "__eq__", "__hash__", "__repr__",
+                 "__setattr__", "__delattr__"):
+        ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, ns[name])
     return cls
 
 

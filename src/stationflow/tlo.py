@@ -161,6 +161,19 @@ PAIR_RULES = {
 }
 RULE_NAMES = ("batch", "unbatch", *PAIR_RULES)
 
+
+def check_rules(rules: tuple[str, ...]) -> None:
+    """Raise ValueError unless a run can draw from `rules`: each is one of
+    `RULE_NAMES`, and `batch` comes with `unbatch`."""
+    for r in rules:
+        if r not in RULE_NAMES:
+            raise ValueError(
+                f"unknown rewrite rule {r!r}; known: {', '.join(RULE_NAMES)}")
+    if "batch" in rules and "unbatch" not in rules:
+        raise ValueError(
+            "rewrite rule 'batch' needs 'unbatch': a batched unit takes only "
+            "Prop, so at the last station only an unbatch lets it settle")
+
 # (class, class) -> (rule, side condition) of each row taking the two in turn
 _ROWS = {(k1, k2): tuple((r, holds) for r, ((c1, c2), holds, _) in PAIR_RULES.items()
                          if c1 in (None, k1) and c2 in (None, k2))

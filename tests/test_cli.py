@@ -9,7 +9,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from stationflow import engine, harness, state
+from stationflow import engine, harness, state, tlo
 from stationflow.cli import cli
 
 
@@ -124,6 +124,7 @@ class TestRun:
                                 "--scheduler", "tlo-random",
                                 "--tlo-rules", "nosuch"])
         assert r.exit_code == 2
+        assert "unknown rewrite rule 'nosuch'" in r.stderr
 
     @pytest.mark.parametrize("rules", ["batch", "batch,reorderd,fusem"])
     def test_batch_without_unbatch_rejected(self, runner, prog_file, rules):
@@ -134,6 +135,10 @@ class TestRun:
                                 "--tlo-rules", rules])
         assert r.exit_code == 2
         assert "'batch' needs 'unbatch'" in r.stderr
+        # the reason is the one the library API raises
+        with pytest.raises(ValueError) as ei:
+            tlo.check_rules(tuple(rules.split(",")))
+        assert f"Error: {ei.value}" in r.stderr
 
     def test_rule_restriction_accepted(self, runner, prog_file):
         r = runner.invoke(cli, ["run", prog_file("core_social"),

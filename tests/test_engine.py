@@ -945,6 +945,23 @@ class TestDriver:
     def test_uniform_is_no_scheduler(self):
         assert engine.uniform not in engine.SCHEDULERS.values()
 
+    # a batched unit takes only Prop, so without unbatch core_pr wedged:
+    # `run` ended blocked after 39 steps; an unknown name was ignored
+    @pytest.mark.parametrize("rules, reason", [
+        (("batch",), "'batch' needs 'unbatch'"),
+        (("batch", "reorderd", "fusem"), "'batch' needs 'unbatch'"),
+        (("batch", "unbatch", "nosuch"), "unknown rewrite rule 'nosuch'"),
+    ])
+    def test_a_rule_set_no_run_can_use_is_refused(self, rules, reason):
+        config = state.init(harness.corpus_program("core_pr"))
+        with pytest.raises(ValueError, match=reason):
+            run(config, scheduler="tlo-random", seed=0, tlo_rules=rules)
+        with pytest.raises(ValueError, match=reason):
+            next(engine.steps(config, engine.uniform, random.Random(0), rules,
+                              False, apply_redex))
+        assert run(config, scheduler="tlo-random", seed=0,
+                   tlo_rules=("batch", "unbatch")).status == "terminal"
+
 
 def undo_start(*stations):
     """Loaded stations at keys a and b: station i's streamlet holds units

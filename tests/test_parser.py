@@ -2,14 +2,18 @@
 round trip, and source error positions."""
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
+from stationflow import parser
 from stationflow.parser import SourceError, parse_source, to_source as pretty
 from stationflow.terms import (
     NODE, AddOp, App, Arith, Claim, Concat, Emit, FoldOp, HOLE_KEY, Int, Key,
     KL, Lam, MapOp, Node, Proj, Var, alpha_equiv, free_vars,
 )
+
+CORPUS_FILES = sorted((Path(parser.__file__).parent / "corpus").glob("*.cg"))
 
 
 def parse1(text):
@@ -161,6 +165,17 @@ class TestErrors:
         assert err_of(text) == (f"t.cg:1:{col}: unbound-name: name {name!r}"
                                 " is not in scope")
 
+    def test_a_closed_program_is_not_searched_for_unbound_names(
+            self, monkeypatch):
+        # its free names, none, are kept on the term and tell it closed
+        def refuse(*args):
+            raise AssertionError("_first_unbound called")
+
+        monkeypatch.setattr(parser, "_first_unbound", refuse)
+        for path in CORPUS_FILES:
+            parser.parse_file(path)
+        parse1("let a = 1 in fun x : int -> a + x")
+
     def test_reserved_dollar_names(self):
         msg = err_of("let $z = 1 in $z")
         assert "$" in msg
@@ -294,3 +309,16 @@ def test_printer_and_diagnostics_are_pinned():
     for src in MALFORMED:
         h.update(err_of(src).encode() + b"\n")
     assert h.hexdigest() == GOLDEN_SURFACE
+
+# sha256 over the kind, text, line and column of every token of every corpus
+# file; a change to what the lexer yields updates it on purpose and says so
+GOLDEN_TOKENS = (
+    "c6e3afd3020b0696d9fdd8143cb4f0164e445835ed4ab98b280ef046fb7bec36")
+
+
+def test_token_streams_are_pinned():
+    h = hashlib.sha256()
+    for path in CORPUS_FILES:
+        for t in parser.tokenize(path.read_text(encoding="utf-8"), path.name):
+            h.update(f"{t.kind}\t{t.text}\t{t.line}\t{t.col}\n".encode())
+    assert len(CORPUS_FILES) == 6 and h.hexdigest() == GOLDEN_TOKENS

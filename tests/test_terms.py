@@ -1,6 +1,7 @@
 """Term-level operations: substitution, alpha equivalence, key list
 arithmetic, normalization and the equivalence oracle."""
 
+import builtins
 import dataclasses
 import inspect
 import os
@@ -577,6 +578,58 @@ class TestRecord:
         assert Pair(1) == Pair(1, 0) != Pair(2)
         assert Pair.__doc__ == "Pair(left, right)"
         assert terms.App.__doc__ == "App(fn, arg, loc)"
+
+    def test_one_exec_builds_a_record(self, monkeypatch):
+        # `dataclass` generates none of the six methods, through one compile
+        # each; `record` compiles them all from one source.  3.13's
+        # `dataclass` compiles what it generates in one `exec` of its own,
+        # which here holds no method
+        callers, made = [], []
+        real_exec = builtins.exec
+
+        def counted_exec(*args):
+            callers.append(sys._getframe(1).f_globals["__name__"])
+            return real_exec(*args)
+
+        generator = ((dataclasses, "_create_fn")
+                     if hasattr(dataclasses, "_create_fn")
+                     else (dataclasses._FuncBuilder, "add_fn"))
+        real_generator = getattr(*generator)
+
+        def counted_generator(*args, **kwargs):
+            made.append(args)
+            return real_generator(*args, **kwargs)
+
+        monkeypatch.setattr(builtins, "exec", counted_exec)
+        monkeypatch.setattr(*generator, counted_generator)
+
+        @terms.record
+        class Pair:
+            left: int
+            right: int = 0
+            loc: tuple | None = dataclasses.field(
+                default=None, compare=False, repr=False)
+
+        monkeypatch.undo()
+        own = ["dataclasses"] if generator[0] is not dataclasses else []
+        assert callers == [*own, "stationflow.terms"] and made == []
+        # the methods are the ones `dataclass(frozen=True)` generates
+        twin = plain_twin(Pair)
+        x, t = Pair(1, 2, (3, 4)), twin(1, 2, (3, 4))
+        assert Pair.__dataclass_params__.frozen
+        assert repr(x) == f"{Pair.__qualname__}(left=1, right=2)"
+        assert repr(t) == "Pair(left=1, right=2)"
+        assert x == Pair(1, 2) != Pair(1, 3) and x != t
+        assert hash(x) == hash(t) == hash((1, 2))
+        for act in (lambda o: setattr(o, "left", 0),
+                    lambda o: setattr(o, "other", 0),
+                    lambda o: delattr(o, "right")):
+            with pytest.raises(dataclasses.FrozenInstanceError) as mine:
+                act(x)
+            with pytest.raises(dataclasses.FrozenInstanceError) as theirs:
+                act(t)
+            assert str(mine.value) == str(theirs.value)
+        assert Pair.__eq__.__qualname__ == f"{Pair.__qualname__}.__eq__"
 
     def test_post_init_still_checks(self):
         with pytest.raises(ValueError, match="projection index 4"):
