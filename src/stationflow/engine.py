@@ -6,8 +6,8 @@ phase split.  Station rules, stream routing, and the optimizer hook each
 produce explicit redex descriptions so schedulers can pick among them.
 Each station rule is written once: `_tasks` decides Map, Fold, Complete,
 Last and Prop in one pass, and `apply_redex` steps every rule through one
-`_STEPS` table by rule (`site` is trace output only).  A Map leaves one term
-`a = f n` under both projections of the node, and node Loads step it once.
+`_STEPS` table by rule (a redex derives its `site` for traces only).  A Map
+leaves one term `a = f n` under both projections, and node Loads step it once.
 
 A step changes at most two stations and carries the rest over.  One driver,
 `steps`, keeps an index of what its choice draws from: per station its plain
@@ -21,9 +21,9 @@ is drawn.  A rewrite is named by its window's position, so tlo-random's undo
 guard leaves out one block of entries, in the window last batched or
 unbatched.  A Load step updates its station in place: it replaces or drops
 the entry of the one site it stepped, notes the station under the label the
-new term waits on, and derives again only a window of two folds, whose reuse
-condition reads the base; where the task rules may change (a node or the
-head fold's base reaches a value) it rebuilds the station instead.  Every
+new term waits on, and in a window of two folds tests again only reuse's
+condition, the one that reads a base; where the task rules may change (a
+node or the head fold's base reaches a value) it rebuilds the station.  Every
 other step has the index rebuild the stations it touched and, after a store
 write, those waiting on a written label, and the frontend and routing
 redexes only when the fields they read change.  The redex search records its
@@ -47,7 +47,7 @@ from . import tlo
 from .state import (
     Configuration, DigestParts, Station, StoreEntry, _encode,
     append_station_tail, config_digest, evolve, finalize, fresh_key_name,
-    is_value, keep, merge_results, singleton, station_is_load_free, target,
+    is_value, keep, merge_results, singleton, target, with_backend,
 )
 from .terms import (
     ATOMS, CONTRACTIONS, AddOp, App, Claim, Emit, Expr, FoldOp, Int, KL, Key,
@@ -147,16 +147,29 @@ def _contract(e: Expr, store_get) -> Expr | Blocked:
 @record
 class Redex:
     rule: str
-    site: str
     station: int | None = None
     unit: int | None = None
     rewrite: object = None  # tlo.Candidate for Opt redexes
     path: tuple[int, ...] = ()  # frontend and Load: the hole in the term
 
+    @property
+    def site(self) -> str:
+        """Where the redex is, for traces: "frontend", "top" for routing,
+        "station:i" for a task rule, "station:i/node" or "station:i/unit:j"
+        for a Load and "station:i:<rule>" for a rewrite."""
+        i = self.station
+        if i is None:
+            return "top" if self.rule in ("Add", "Empty", "First") else "frontend"
+        if self.rule == "Opt":
+            return f"station:{i}:{self.rewrite.rule}"
+        if self.rule == "Load":
+            return f"station:{i}/" + (
+                "node" if self.unit is None else f"unit:{self.unit}")
+        return f"station:{i}"
+
 
 def _opt(cand) -> Redex:
-    return Redex("Opt", f"station:{cand.station}:{cand.rule}",
-                 station=cand.station, rewrite=cand)
+    return Redex("Opt", cand.station, None, cand)
 
 
 def frontend_redex(config: Configuration) -> Redex | Blocked | Stuck | None:
@@ -168,7 +181,7 @@ def frontend_redex(config: Configuration) -> Redex | Blocked | Stuck | None:
     rule, label, path = step
     if not _ready(config, label):
         return Blocked(label)
-    return Redex(rule, "frontend", path=path)
+    return Redex(rule, None, None, None, path)
 
 
 def tograph_redex(config: Configuration) -> Redex | None:
@@ -179,10 +192,10 @@ def tograph_redex(config: Configuration) -> Redex | None:
         return None  # routing is defined one emitted operation at a time
     _, op = head.entries[0]
     if isinstance(op, AddOp):
-        return Redex("Add", "top")
+        return Redex("Add")
     if not config.backend:
-        return Redex("Empty", "top")
-    return Redex("First", "top")
+        return Redex("Empty")
+    return Redex("First")
 
 
 def _tasks(station: Station, last: bool) -> list[str]:
@@ -219,17 +232,13 @@ def _plain_redex(i: int, entry) -> Redex:
     """The redex of a plain entry of station `i`: a task rule's name, or a
     load site's unit (None: the node) and hole path."""
     if type(entry) is str:
-        return Redex(entry, f"station:{i}", station=i)
-    unit, path = entry
-    where = "node" if unit is None else f"unit:{unit}"
-    return Redex("Load", f"station:{i}/{where}", station=i, unit=unit,
-                 path=path)
+        return Redex(entry, i)
+    return Redex("Load", i, entry[0], None, entry[1])
 
 
 def station_task_redexes(station: Station, i: int, last: bool) -> list[Redex]:
     """The `_tasks` of station `i` as redexes."""
-    return [Redex(rule, f"station:{i}", station=i)
-            for rule in _tasks(station, last)]
+    return [Redex(rule, i) for rule in _tasks(station, last)]
 
 
 def _load_site(unit: int | None, e: Expr, step_of):
@@ -326,8 +335,8 @@ def _route(config: Configuration, r: Redex) -> Stepped:
 
 
 def _set_station(config: Configuration, i: int, station: Station) -> Configuration:
-    backend = config.backend[:i] + (station,) + config.backend[i + 1:]
-    return evolve(config, backend=backend)
+    return with_backend(
+        config, config.backend[:i] + (station,) + config.backend[i + 1:])
 
 
 def _visit(config: Configuration, r: Redex) -> Stepped:
@@ -365,7 +374,7 @@ def _prop(config: Configuration, r: Redex) -> Stepped:
     pair = (Station(station.node, station.streamlet[1:]),
             Station(nxt.node, nxt.streamlet + (unit,)))
     backend = config.backend[:i] + pair + config.backend[i + 2:]
-    return evolve(config, backend=backend), list(unit.labels())
+    return with_backend(config, backend), list(unit.labels())
 
 
 def _load_term(config: Configuration, e: Expr, path: tuple[int, ...]) -> Expr:
@@ -384,9 +393,9 @@ def _load(config: Configuration, r: Redex) -> Stepped:
     i, unit, station = r.station, r.unit, config.backend[r.station]
     if unit is None:
         node = station.node
-        pay, adj = children(node)[1:] if type(node) is Node else (None, None)
+        pay, adj = (node.payload, node.adj) if type(node) is Node else (None, None)
         if r.path[:2] == (1, 0) and type(pay) is type(adj) is Proj \
-                and pay.arg == adj.arg:
+                and (pay.arg is adj.arg or pay.arg == adj.arg):
             a = _load_term(config, pay.arg, r.path[2:])
             node = Node(node.key, Proj(pay.index, a), Proj(adj.index, a))
         else:
@@ -436,25 +445,27 @@ def eager_enumerate(config: Configuration, wet=None) -> list[Redex]:
     if len(wet) == 1:
         (i,) = wet
         station = config.backend[i]
-        if not station.loaded:
-            step = _find(station.node)
-            if not isinstance(step, Stuck) and step[0] != "Emit" \
-                    and _ready(config, step[1]):
-                return [Redex("Load", f"station:{i}/node", station=i,
-                              path=step[2])]
-            return []
-        if not station_is_load_free(station):
-            loads = [entry for entry, label in _load_sites(station, _find)
-                     if _ready(config, label)]
-            if loads and len(station.streamlet) == 1 and loads[0][0] == 0:
-                return [_plain_redex(i, loads[0])]
-            return []
-        # eager takes the first of Complete, Map, Fold, Last and Prop that
-        # applies, which is the first offered: Map and Fold exclude the
-        # others, and Complete is offered before Last and Prop
-        last = i == len(config.backend) - 1
-        return station_task_redexes(station, i, last)[:1]
-
+        sl, unit, term = station.streamlet, None, station.node
+        if is_value(term):
+            # while a fold base loads, eager takes no task, and it loads
+            # only the base of a lone head fold
+            bases = [op.base for u in sl for _, op in u.entries
+                     if type(op) is FoldOp and not is_value(op.base)]
+            if not bases:
+                # eager takes the first of Complete, Map, Fold, Last and
+                # Prop that applies, which is the first offered: Map and
+                # Fold exclude the others, and Complete is offered before
+                # Last and Prop
+                last = i == len(config.backend) - 1
+                return station_task_redexes(station, i, last)[:1]
+            if len(sl) != 1 or len(sl[0].entries) != 1:
+                return []
+            unit, term = 0, bases[0]
+        step = _find(term)
+        if not isinstance(step, Stuck) and step[0] != "Emit" \
+                and _ready(config, step[1]):
+            return [Redex("Load", i, unit, None, step[2])]
+        return []
     fr = frontend_redex(config)
     return [fr] if isinstance(fr, Redex) else []
 

@@ -5,7 +5,10 @@ Structural conventions
    dataclass whose fields live in slots, stored through each slot's setter,
    and whose six methods one `exec` compiles when the class is made; a Load
    step does little but build such records, and every process that imports
-   the package builds every record class
+   the package builds every record class.  A step that changes only the
+   backend builds its configuration with `with_backend`, one positional
+   call that carries every other field over as the same object; `evolve`
+   is for steps that change several fields
  - generated keys live in the "@k<i>" namespace, labels are plain ints
  - a unit is an ordered sequence of label/operation pairs; the head of a
    stream is index 0
@@ -126,6 +129,12 @@ def keep(obj, name: str, make, *args):
     return hit
 
 
+def with_backend(c: Configuration, backend: tuple[Station, ...]) -> Configuration:
+    """`c` with `backend`, every other field carried over as it is."""
+    return Configuration(backend, c.top, c.store, c.frontend, c.next_label,
+                         c.next_key)
+
+
 def evolve(c: Configuration, **changes) -> Configuration:
     """`c` with the fields in `changes` replaced, built directly: cheaper
     than `dataclasses.replace`, and like it keeping nothing of `c`'s."""
@@ -187,7 +196,7 @@ def append_station_tail(config: Configuration, unit: Unit) -> Configuration:
         raise ValueError("cannot route a unit into an empty backend")
     first = config.backend[0]
     first = Station(first.node, first.streamlet + (unit,))
-    return evolve(config, backend=(first,) + config.backend[1:])
+    return with_backend(config, (first,) + config.backend[1:])
 
 
 def merge_results(config: Configuration,
@@ -204,13 +213,6 @@ def merge_results(config: Configuration,
 def is_dry(config: Configuration) -> bool:
     """Every station has a node value and nothing left in its streamlet."""
     return all(s.idle for s in config.backend)
-
-
-def station_is_load_free(station: Station) -> bool:
-    if not station.loaded:
-        return False
-    return all(not (isinstance(op, FoldOp) and not is_value(op.base))
-               for unit in station.streamlet for _, op in unit.entries)
 
 
 def is_terminal(config: Configuration) -> bool:

@@ -22,8 +22,8 @@ reorderrw's `dcomp` is not kept.
 from __future__ import annotations
 
 from .state import (
-    Configuration, Station, StoreEntry, Unit, evolve, merge_results, singleton,
-    target,
+    Configuration, Station, StoreEntry, Unit, merge_results, singleton, target,
+    with_backend,
 )
 from .terms import (
     NODE, OPERATIONS, App, Claim, Concat, Expr, FoldOp, If0, Int, KL, Key,
@@ -83,15 +83,20 @@ def rebase_windows(sl: tuple[Unit, ...], j: int, enabled: tuple[str, ...],
                    assume_set_adjacency: bool, found: list[tuple]) -> int:
     """Carry `station_windows`' result `found` over a Load that gave the
     fold at unit `j` of streamlet `sl` a new base.  Of the side conditions
-    only reuse's reads a base, so only a window of two folds is derived
-    again; returns the change in the number of entries."""
+    only reuse's reads a base, and reuse is the last row of `PAIR_RULES`,
+    so a window of two folds keeps its entries but a trailing reuse, which
+    is tested again; returns the change in the number of entries."""
     added = 0
     for k in (j - 1, j) if j else (j,):
         unit, nxt = _window(sl, k)
         specs = found[k][2]
-        if nxt is not None and _folds(unit, nxt):
-            specs = window_candidates(unit, nxt, enabled, assume_set_adjacency)
-            added += len(specs) - len(found[k][2])
+        if nxt is not None and "reuse" in enabled and _folds(unit, nxt):
+            (_, o1), (_, o2) = unit.entries[0], nxt.entries[0]
+            had = specs[-1:] == (("reuse", 0),)
+            if had != PAIR_RULES["reuse"][1](o1, o2, target(o1), target(o2),
+                                             assume_set_adjacency):
+                specs = specs[:-1] if had else specs + (("reuse", 0),)
+                added += -1 if had else 1
         found[k] = unit, nxt, specs
     return added
 
@@ -230,7 +235,7 @@ def apply_rewrite(config: Configuration,
     station = Station(station.node, new_sl)
     backend = (config.backend[:cand.station] + (station,)
                + config.backend[cand.station + 1:])
-    config = evolve(config, backend=backend)
+    config = with_backend(config, backend)
     return merge_results(config, dict(cand.results)), list(cand.labels)
 
 

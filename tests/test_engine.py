@@ -306,7 +306,9 @@ class TestStationRules:
     @pytest.mark.parametrize("name", STATION_RULES)
     def test_eager_takes_complete_map_fold_last_prop(self, name):
         station, inner, last = STATION_RULES[name]
-        if not state.station_is_load_free(station):
+        if not station.loaded or any(
+                isinstance(op, FoldOp) and not terms.is_value(op.base)
+                for unit in station.streamlet for _, op in unit.entries):
             return
         idle = Station(Node(B, Int(2), KL(())))
         for backend, offered in (((station, idle), inner), ((station,), last)):
@@ -349,32 +351,93 @@ class TestApplyRedex:
             r = run(config, scheduler=scheduler, seed=3)
             assert r.status == "terminal" and len(seen) == r.steps + 1
 
-    def test_the_site_is_not_read(self, monkeypatch):
-        # each step of the corpus walks steps, with its redex's site made
-        # nonsense, to the same configuration: the rule alone dispatches
-        stepped = []
-
-        def checked(config, r):
-            want = apply_redex(config, r)
-            assert apply_redex(config, dataclasses.replace(r, site="?")) == want
-            stepped.append(r.rule)
-            return want
-
-        monkeypatch.setattr(harness, "apply_redex", checked)
-        for k, name in enumerate(harness.RUNNABLE):
-            config = state.init(harness.corpus_program(name))
-            for _ in walk(config, k, tlo_on=True):
-                pass
-        assert {"Map", "Fold", "Complete", "Last", "Prop", "Load", "Opt",
-                "Emit", "Add", "First", "Claim", "Beta"} <= set(stepped)
+    def test_the_site_is_derived(self, init_cg):
+        # a redex stores no site; each kind derives its text from its rule,
+        # station, unit and rewrite
+        assert "site" not in {f.name for f in dataclasses.fields(engine.Redex)}
+        unit = Unit(((0, MapOp(ID_NODE, KL((A,)))),
+                     (1, MapOp(ID_NODE, KL((B,))))))
+        cases = [
+            (engine.frontend_redex(init_cg("1 + 2")), "Arith", "frontend"),
+            (engine.frontend_redex(init_cg("add 1")), "Emit", "frontend"),
+            (engine.Redex("Claim", None, None, None, (0,)), "Claim",
+             "frontend"),
+            *[(engine.Redex(rule), rule, "top")
+              for rule in ("Add", "Empty", "First")],
+            *[(engine._plain_redex(4, rule), rule, "station:4")
+              for rule in ("Map", "Fold", "Complete", "Last", "Prop")],
+            (engine._plain_redex(4, (None, (1, 0))), "Load", "station:4/node"),
+            (engine._plain_redex(4, (2, (0,))), "Load", "station:4/unit:2"),
+            (engine._opt(tlo.candidate(("unbatch", 1), 3, 0, (unit,))), "Opt",
+             "station:3:unbatch"),
+        ]
+        for r, rule, site in cases:
+            assert (r.rule, r.site) == (rule, site)
 
     def test_unknown_rule_is_named(self):
         config = state.init(harness.corpus_program("core_social"))
         with pytest.raises(ValueError, match="Bogus"):
-            apply_redex(config, engine.Redex("Bogus", "station:0", station=0))
+            apply_redex(config, engine.Redex("Bogus", 0))
+
+
+def reference_eager_enumerate(config):
+    """`eager_enumerate` as it was written over `_load_sites`: it tests the
+    wet station's node through `Station.loaded` and builds every load site
+    of a station with a loading fold base, taking the first where it is a
+    lone head fold's."""
+    tg = engine.tograph_redex(config)
+    if tg is not None:
+        return [tg]
+    wet = [i for i, s in enumerate(config.backend) if not s.idle]
+    if len(wet) > 1:
+        return []
+    if len(wet) == 1:
+        (i,) = wet
+        station = config.backend[i]
+        if not station.loaded:
+            step = engine._find(station.node)
+            if not isinstance(step, engine.Stuck) and step[0] != "Emit" \
+                    and engine._ready(config, step[1]):
+                return [engine.Redex("Load", i, path=step[2])]
+            return []
+        if not all(not (isinstance(op, FoldOp) and not terms.is_value(op.base))
+                   for unit in station.streamlet for _, op in unit.entries):
+            loads = [entry for entry, label
+                     in engine._load_sites(station, engine._find)
+                     if engine._ready(config, label)]
+            if loads and len(station.streamlet) == 1 and loads[0][0] == 0:
+                return [engine._plain_redex(i, loads[0])]
+            return []
+        last = i == len(config.backend) - 1
+        return engine.station_task_redexes(station, i, last)[:1]
+    fr = engine.frontend_redex(config)
+    return [fr] if isinstance(fr, engine.Redex) else []
 
 
 class TestEagerPolicy:
+    def test_equals_the_reference_on_walks(self):
+        # every configuration the harness walks reach, with rewrites on and
+        # off, over the corpus and four op mixes; among them are lone wet
+        # stations with a ready load site at a fold after the head, where
+        # eager takes nothing
+        starts = [*[lambda n=n: state.init(harness.corpus_program(n))
+                    for n in harness.RUNNABLE],
+                  *[lambda s=s: mix_config(s) for s in range(4)]]
+        waits = 0
+        for k, start in enumerate(starts):
+            for tlo_on in (True, False):
+                for ix in walk(start(), k, tlo_on):
+                    want = reference_eager_enumerate(ix.config)
+                    got = eager_enumerate(ix.config)
+                    assert got == want and eager_enumerate(ix.config,
+                                                           ix.busy) == want
+                    assert [r.site for r in got] == [r.site for r in want]
+                    waits += not want and len(ix.busy) == 1 and any(
+                        j and engine._ready(ix.config, label)
+                        for i in ix.busy for (j, _), label in
+                        engine._load_sites(ix.config.backend[i], engine._find))
+        assert waits
+
     @pytest.mark.parametrize("name", harness.RUNNABLE)
     def test_at_most_one_redex(self, name):
         config = state.init(harness.corpus_program(name))
@@ -1232,6 +1295,9 @@ LOAD_WALKS = (
     (keyed_start, (0,), True, False),
 )
 
+# a value base for the sum folds `SUM`
+SUM_BASE = Node(Key("z"), Int(0), KL(()))
+
 
 class TestLoadInPlace:
     """A Load step updates its station's entries in the index in place; the
@@ -1285,11 +1351,11 @@ class TestLoadInPlace:
         # a node that loads offers its visit, a head base its settling
         assert offered["node-done"] and offered["head-done"]
 
-    def test_a_load_derives_only_fold_pair_windows(self, monkeypatch):
-        # a Load on a node derives no window and rebuilds no station; one on
-        # a fold unit derives at most the windows of two folds next to it,
-        # unless its base, at the head, reaches a value
-        derived, rebuilt, reused = [], [], 0
+    def test_a_load_derives_no_window(self, monkeypatch):
+        # a Load derives no window and rebuilds no station, unless its node
+        # or its head fold's base reaches a value or its node had no key;
+        # beside a fold it tests reuse's side condition alone again
+        derived, rebuilt = [], []
         for name, seen in (("window_candidates", derived),
                            ("station_windows", rebuilt)):
             def counted(*a, _fn=getattr(tlo, name), _seen=seen):
@@ -1303,32 +1369,88 @@ class TestLoadInPlace:
         loads = Counter()
 
         def step(ix, r, config, labels):
-            nonlocal reused
             derived.clear()
             rebuilt.clear()
             old = ix.config
             advance(ix, r, config, labels)
             ix.refresh()
-            if r.rule != "Load" or not ix.rules or load_tags(r, old, config) \
-                    & {"node-done", "unkeyed", "head-done"}:
+            if r.rule != "Load" or not ix.rules:
                 return
-            assert rebuilt == []
-            if r.unit is None:
-                loads["node"] += 1
-                assert derived == []
+            tags = load_tags(r, old, config)
+            if tags & {"node-done", "unkeyed", "head-done"}:
                 return
-            loads["unit"] += 1
-            sl = config.backend[r.station].streamlet
-            assert [(u, n) for u, n, *_ in derived] == [
-                sl[k:k + 2] for k in (r.unit - 1, r.unit)
-                if 0 <= k < len(sl) - 1 and tlo._folds(*sl[k:k + 2])]
-            reused += len(derived)
+            assert rebuilt == [] and derived == []
+            loads["node" if r.unit is None else "unit"] += 1
+            loads["beside-fold"] += "beside-fold" in tags
 
         monkeypatch.setattr(engine._Index, "advance", step)
         for _ in self.walks():
             pass
-        assert loads["node"] and loads["unit"] and reused
+        assert loads["node"] and loads["unit"] and loads["beside-fold"]
 
+    @pytest.mark.parametrize("bases, stepped, reuse", [
+        ((SUM_BASE, App(ID_NODE, SUM_BASE)), (SUM_BASE, SUM_BASE), True),
+        ((App(ID_NODE, SUM_BASE),) * 2, (App(ID_NODE, SUM_BASE), SUM_BASE),
+         False),
+    ], ids=["adds-reuse", "drops-reuse"])
+    def test_a_load_beside_a_fold_tests_reuse_again(self, bases, stepped,
+                                                     reuse):
+        # two commutative sum folds, the first's target inside the second's:
+        # a Load of the second base makes the two bases equal, or unequal,
+        # and so adds or drops reuse in their window
+        def station(b1, b2):
+            return Station(LOADED, (
+                Unit(((0, FoldOp(SUM, b1, KL((A,)))),)),
+                Unit(((1, FoldOp(SUM, b2, KL((A, B)))),))))
+
+        config = state.Configuration((station(*bases),), (), (), Int(0),
+                                     next_label=2)
+        ix = engine._Index(config, None, False)
+        ix.refresh()
+        (r,) = [ix.plain_at(k) for k in range(ix.refresh())
+                if ix.plain_at(k).unit == 1]
+        after, _, labels = apply_redex(config, r)
+        assert after.backend[0] == station(*stepped)
+        ix.advance(r, after, labels)
+        ix.refresh()
+        assert (("reuse", 0) in ix.cands[0][0][2]) is reuse
+        fresh = engine._Index(after, None, False)
+        fresh.refresh()
+        assert (ix.cands, ix.ncand, ix.ncands) == (
+            fresh.cands, fresh.ncand, fresh.ncands)
+
+
+class TestCarriedOver:
+    """A step builds only what its rule changes: each `Configuration` field
+    and each station a step leaves as it was is the input's own object,
+    which `state.DigestParts`, `types._ty_store` and `engine._Index` test
+    with `is`."""
+
+    def test_untouched_parts_are_the_inputs_own(self, monkeypatch):
+        stepped = Counter()
+
+        def checked(config, r):
+            out = apply_redex(config, r)
+            after = out[0]
+            for f in dataclasses.fields(state.Configuration):
+                was, now = getattr(config, f.name), getattr(after, f.name)
+                assert now is was or now != was, (r.rule, f.name)
+            stations = config.backend
+            if r.rule == "Add":  # the new station comes first
+                stations = (after.backend[0], *stations)
+            assert len(stations) == len(after.backend)
+            for i, (was, now) in enumerate(zip(stations, after.backend)):
+                assert now is was or now != was, (r.rule, i)
+            stepped[r.rule] += 1
+            return out
+
+        monkeypatch.setattr(harness, "apply_redex", checked)
+        for k, name in enumerate(harness.RUNNABLE):
+            config = state.init(harness.corpus_program(name))
+            for _ in walk(config, k, tlo_on=True):
+                pass
+        assert {"Map", "Fold", "Complete", "Last", "Prop", "Load", "Opt",
+                "Emit", "Add", "First", "Claim", "Beta"} <= set(stepped)
 
 SUM = Lam("n", NODE, Lam("acc", NODE,
           Node(Proj(1, Var("acc")),
