@@ -13,26 +13,25 @@ A step changes at most two stations and carries the rest over.  One driver,
 `steps`, keeps an index of what its choice draws from: per station its plain
 entries, the task rules and load sites that step now, and the window entries
 of the rewrite rules the choice draws from (batch, unbatch and the rows of
-`tlo.PAIR_RULES`), window by window with the two units each read (`tlo`
-keeps the prover verdicts), with counts; the stations that are not idle,
-which decide terminality; and the stations with a load site waiting on each
-label.  An entry is built into a `Redex` or a `tlo.Candidate` only when it
-is drawn.  A rewrite is named by its window's position, so tlo-random's undo
-guard leaves out one block of entries, in the window last batched or
-unbatched.  A Load step updates its station in place: it replaces or drops
-the entry of the one site it stepped, notes the station under the label the
-new term waits on, and in a window of two folds tests again only reuse's
-condition, the one that reads a base; where the task rules may change (a
-node or the head fold's base reaches a value) it rebuilds the station.  Every
-other step has the index rebuild the stations it touched and, after a store
-write, those waiting on a written label, and the frontend and routing
-redexes only when the fields they read change.  The redex search records its
-hole as a path of child positions, along which the Load and frontend rules
-plug the contractum.  What the redex search finds in a term is kept on the
-term (see `state`), except by `eager_enumerate` for the wet station, which
-every eager step replaces.  `run` consumes `steps` under a scheduler, the
-harness walks under `uniform`, each through its own binding of
-`apply_redex`, which a probe of its steps wraps.
+`tlo.PAIR_RULES`), window by window (`tlo` keeps the prover verdicts), with
+counts; the stations that are not idle, which decide terminality; and the
+stations with a load site waiting on each label.  An entry is built into a
+`Redex` or a `tlo.Candidate` only when it is drawn.  A rewrite is named by
+its window's position, so tlo-random's undo guard leaves out one block of
+entries, in the window last batched or unbatched.  A Load step updates its
+station in place: it replaces or drops the entry of the one site it stepped,
+notes the station under the label the new term waits on, and derives again
+the two windows that hold a fold whose base it stepped; where the task rules
+may change (a node or the head fold's base reaches a value) it rebuilds the
+station.  Every other step has the index rebuild the stations it touched
+and, after a store write, those waiting on a written label, and the frontend
+and routing redexes only when the fields they read change.  The redex search
+records its hole as a path of child positions, along which the Load and
+frontend rules plug the contractum.  What the redex search finds in a term
+is kept on the term (see `state`), except by `eager_enumerate` for the wet
+station, which every eager step replaces.  `run` consumes `steps` under a
+scheduler, the harness walks under `uniform`, each through its own binding
+of `apply_redex`, which a probe of its steps wraps.
 """
 
 from __future__ import annotations
@@ -502,9 +501,9 @@ class RunResult:
 class _Index:
     """What a `steps` choice draws from (see the module docstring); `rules`
     are the rewrite rules whose window entries it keeps, None for all.  A
-    station's plain entries (`_plain_redex`) and windows (`cands`: a unit,
-    the next and their entries for `tlo.candidate`) become a `Redex` or a
-    `Candidate` only in `plain_at` and `cand_at`.  A Load updates its
+    station's plain entries (`_plain_redex`) and windows (`cands`: the
+    entries for `tlo.candidate` of each) become a `Redex` or a `Candidate`
+    only in `plain_at` and `cand_at`.  A Load updates its
     station in place (`_load`); `refresh` rebuilds the stations that other
     steps touched."""
 
@@ -592,9 +591,8 @@ class _Index:
             self.nplain += len(self.plain[i])
             if self.rules:
                 self.cands[i] = tlo.station_windows(
-                    config.backend[i], self.rules, self.adjacency,
-                    self.cands[i])
-                n = sum(len(specs) for _, _, specs in self.cands[i])
+                    config.backend[i], self.rules, self.adjacency)
+                n = sum(map(len, self.cands[i]))
                 self.ncands += n - self.ncand[i]
                 self.ncand[i] = n
         stale.clear()
@@ -624,7 +622,7 @@ class _Index:
                 k -= n
                 continue
             sl = self.config.backend[i].streamlet
-            for j, (_, _, specs) in enumerate(self.cands[i]):
+            for j, specs in enumerate(self.cands[i]):
                 if k < len(specs):
                     return tlo.candidate(specs[k], i, j, sl)
                 k -= len(specs)
@@ -660,11 +658,11 @@ def _draw(ix: _Index, rng) -> Redex | None:
         # form one block: `nundo` entries from position `at`
         undo = "unbatch" if prev.rule == "batch" else "batch"
         windows = ix.cands[prev.station]
-        rules = [rule for rule, _ in windows[prev.start][2]]
+        rules = [rule for rule, _ in windows[prev.start]]
         if undo in rules:
             nundo = rules.count(undo)
             at = (sum(ix.ncand[:prev.station]) + rules.index(undo)
-                  + sum(len(specs) for _, _, specs in windows[:prev.start]))
+                  + sum(map(len, windows[:prev.start])))
     if total > nundo and (not n or rng.random() < 0.2):
         k = rng.randrange(total - nundo)
         return _opt(ix.cand_at(k + nundo if k >= at else k))

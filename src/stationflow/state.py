@@ -27,12 +27,10 @@ Structural conventions
    a station's `loaded` (nearly every station built is tested) and
    configuration-wide facts (`is_dry`, `is_terminal`), though `engine.run`
    and the harness walks keep an index across steps
- - `engine.run` keeps a station's rewrite windows in one list by position,
-   each with the two units it read; a rebuild reuses a window whose two
-   units are the same objects, which the old list holds, so no other unit
-   takes those identities (an Add starts afresh).  The prover verdicts of
-   the pair rules are kept for the process in `tlo._verdict`, keyed by the
-   canonical text of the functions they read, so they hold no term
+ - the prover verdicts of the pair rules are kept for the process in
+   `tlo._verdict`, keyed by the canonical text of the functions they read,
+   so they hold no term; `engine.run` derives a station's rewrite windows
+   afresh whenever it rebuilds the station
  - a compound term's free names are kept on it (`terms.free_vars`, as
    `_fv`) and only tested for membership; a term is closed when that set
    is empty, and the `to_sexpr` text (the printer lives in `terms`) of

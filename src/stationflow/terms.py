@@ -439,7 +439,11 @@ def substitute(e: Expr, v: Expr, x: str) -> Expr:
             body = substitute(body, Var(param), e.param)
         return Lam(param, e.ptype, substitute(body, v, x), e.commutative,
                    e.loc)
-    return with_children(e, tuple([substitute(c, v, x) for c in children(e)]))
+    # a loop, not a comprehension: one interpreter frame per term level
+    cs = []
+    for c in children(e):
+        cs.append(substitute(c, v, x))
+    return with_children(e, tuple(cs))
 
 
 def transform(e: Expr, fn) -> Expr:

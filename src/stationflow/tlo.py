@@ -8,18 +8,19 @@ unbatch, in a fixed order so seeded schedulers replay: `window_candidates`
 decides only the side conditions, and `candidate` builds the one
 `Candidate` a scheduler draws, its replacement, results and labels, those
 of the units it reads; `candidates` builds them all afresh.  A rewrite is
-named by its window's position, a station and a start unit.  The provers
-are pure and a window's entries read only its two units, so `engine.steps`
-keeps a list of windows per station, each with its units
-(`station_windows`), and derives again only those whose units a step
-replaced; a Load gives a fold a new base, which only reuse's side condition
-reads (`rebase_windows`).  A pair rule's verdict depends on operation
+named by its window's position, a station and a start unit.  A window's
+entries read only its two units, so `engine.steps` keeps each station's
+entries window by window (`station_windows`), and a Load, which gives one
+fold a new base, derives again only the two windows that hold it
+(`rebase_windows`).  A pair rule's verdict depends on operation
 functions only up to the names of bound variables, so it is kept for the
 process in one bounded table keyed by their `to_sexpr` text (`_verdict`);
 reorderrw's `dcomp` is not kept.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from .state import (
     Configuration, Station, StoreEntry, Unit, merge_results, singleton, target,
@@ -55,7 +56,7 @@ def candidates(config: Configuration, rules: tuple[str, ...] | None = None,
     for si, station in enumerate(config.backend):
         windows = station_windows(station, enabled, assume_set_adjacency)
         out.extend(candidate(spec, si, j, station.streamlet)
-                   for j, (_, _, specs) in enumerate(windows) for spec in specs)
+                   for j, specs in enumerate(windows) for spec in specs)
     return out
 
 
@@ -65,46 +66,26 @@ def _window(sl: tuple[Unit, ...], j: int) -> tuple[Unit, Unit | None]:
 
 
 def station_windows(station: Station, enabled: tuple[str, ...],
-                    assume_set_adjacency: bool, old=()) -> list[tuple]:
-    """The window at each unit of the streamlet, in order: its unit, the
-    unit after it (None at the tail) and their `window_candidates`.  An
-    entry of `old`, this list for an earlier streamlet of the station under
-    the same rules and adjacency setting, is reused where its two units are
-    the same objects; `old` holds them, so no other unit takes those
-    identities."""
-    kept = {(id(w[0]), id(w[1])): w for w in old}
+                    assume_set_adjacency: bool) -> list[tuple]:
+    """The `window_candidates` of the window at each unit of the
+    streamlet, in order."""
     sl = station.streamlet
-    return [kept.get((id(unit), id(nxt))) or (unit, nxt, window_candidates(
-                unit, nxt, enabled, assume_set_adjacency))
+    return [window_candidates(unit, nxt, enabled, assume_set_adjacency)
             for unit, nxt in zip(sl, sl[1:] + (None,))]
 
 
 def rebase_windows(sl: tuple[Unit, ...], j: int, enabled: tuple[str, ...],
                    assume_set_adjacency: bool, found: list[tuple]) -> int:
     """Carry `station_windows`' result `found` over a Load that gave the
-    fold at unit `j` of streamlet `sl` a new base.  Of the side conditions
-    only reuse's reads a base, and reuse is the last row of `PAIR_RULES`,
-    so a window of two folds keeps its entries but a trailing reuse, which
-    is tested again; returns the change in the number of entries."""
+    fold at unit `j` of streamlet `sl` a new base: derive again the windows
+    that hold unit `j`; returns the change in the number of entries."""
     added = 0
-    for k in (j - 1, j) if j else (j,):
-        unit, nxt = _window(sl, k)
-        specs = found[k][2]
-        if nxt is not None and "reuse" in enabled and _folds(unit, nxt):
-            (_, o1), (_, o2) = unit.entries[0], nxt.entries[0]
-            had = specs[-1:] == (("reuse", 0),)
-            if had != PAIR_RULES["reuse"][1](o1, o2, target(o1), target(o2),
-                                             assume_set_adjacency):
-                specs = specs[:-1] if had else specs + (("reuse", 0),)
-                added += -1 if had else 1
-        found[k] = unit, nxt, specs
+    for k in range(max(j - 1, 0), j + 1):
+        specs = window_candidates(*_window(sl, k), enabled,
+                                  assume_set_adjacency)
+        added += len(specs) - len(found[k])
+        found[k] = specs
     return added
-
-
-def _folds(*units: Unit) -> bool:
-    """Each unit holds one fold."""
-    return all(len(u.entries) == 1 and isinstance(u.entries[0][1], FoldOp)
-               for u in units)
 
 
 # (prover, argument texts) -> verdict, for the process; emptied when full
@@ -317,25 +298,11 @@ def prove_commutative(fn: Expr) -> str:
     # visit-order invariance is the interchange law f x (f y z) = f y (f x z);
     # the literal swap f x y = f y x is too strong, a payload fold threads the
     # base node through its accumulator and always differs on the key slot.
-    # Each side is normalized once, keyed by the probes' positions, and the
-    # two sides are one term where x and y are one probe.
-    sides: dict[tuple[int, int, int], tuple[Expr, bool]] = {}
-
-    def side(x: int, y: int, z: int) -> tuple[Expr, bool]:
-        out = sides.get((x, y, z))
-        if out is None:
-            out = sides[x, y, z] = normalize(
-                App(App(fn, _PROBES[x]), App(App(fn, _PROBES[y]), _PROBES[z])))
-        return out
-
-    probes = range(len(_PROBES))
-    for a in probes:
-        for b in probes:
-            if a == b:
-                continue
-            for z in probes:
-                lhs, ok1 = side(a, b, z)
-                rhs, ok2 = side(b, a, z)
-                if ok1 and ok2 and lhs != rhs:
-                    return "refuted"
+    # The law is symmetric in x and y, so each unordered pair is tested once.
+    for z in _PROBES:
+        for x, y in combinations(_PROBES, 2):
+            lhs, ok1 = normalize(App(App(fn, x), App(App(fn, y), z)))
+            rhs, ok2 = normalize(App(App(fn, y), App(App(fn, x), z)))
+            if ok1 and ok2 and lhs != rhs:
+                return "refuted"
     return "proved"

@@ -21,9 +21,10 @@ T = True
 
 # An environment maps each name (a str) and label (an int) in scope to its
 # type; a binder extends it as `{**env, name: type}`, leaving `env` as it was.
-# While `_ty_kept` types a term, or `_ty_station` a station, `_READ` maps to
-# the labels it has read so far, each with its type; typing a term that
-# succeeds reads every label in it.  Only `type_of_config` puts it in `env`.
+# Under `type_of_config`, `_READ` maps to a log of the labels read, each with
+# its type, in the order read; `_ty_kept` and `_ty_station` take the slice a
+# term or a station added.  Typing a term that succeeds reads every label in
+# it.  Only `type_of_config` and `_ty_store` put it in `env`.
 _READ = None
 _LEAVES = frozenset((Var, Int, Key, Label))  # typed afresh, nothing kept
 
@@ -90,9 +91,9 @@ def _ty(e: Expr, env: dict, file: str) -> tuple[Type, bool]:
         if t is None:
             raise _err(file, e.loc, "RT-Future",
                        f"label %{e.index} is not bound here (forward reference?)")
-        read = env.get(_READ)
-        if read is not None:
-            read[e.index] = t
+        log = env.get(_READ)
+        if log is not None:
+            log.append((e.index, t))
         return t, F
     # a compound term types its subterms with `ty`, which under
     # `type_of_config` reads and keeps each one's type
@@ -195,29 +196,24 @@ def _ty_kept(e: Expr, env: dict, file: str) -> tuple[Type, bool]:
     the labels it reads, in the order read, then its free names, sorted,
     and the types `env` gave them, and is read again wherever `env` gives
     them the same types: nothing else in `env` reaches the term.  Either
-    way its labels join those the enclosing term reads.  A failure is not
-    kept."""
+    way the labels it reads join the log, each with its type.  A failure
+    is not kept."""
     if type(e) in _LEAVES:
         return _ty(e, env, file)
-    read = env.get(_READ)  # the enclosing term's, None at a root
+    log = env[_READ]
     memo = e.__dict__
     hit = memo.get("_ty")
     if hit is not None:
-        keys, types, n, out = hit
+        keys, types, read, out = hit
         if tuple(map(env.get, keys)) == types:
-            if n and read is not None:
-                read.update(zip(keys[:n], types[:n]))
+            log += read
             return out
-    env[_READ] = labels = {}
+    start = len(log)
     out = _ty(e, env, file)
+    labels = dict(log[start:])
     names = sorted(free_vars(e))
     memo["_ty"] = ((*labels, *names), (*labels.values(), *map(env.get, names)),
-                   len(labels), out)
-    if read is None:
-        del env[_READ]
-    else:
-        env[_READ] = read
-        read.update(labels)
+                   tuple(labels.items()), out)
     return out
 
 
@@ -280,7 +276,7 @@ def _ty_store(store, file: str) -> dict:
     seen: set[int] = set()
     for label, entry in store:
         _claim(seen, (label,), "the store", file)
-        vt, ve = _ty_kept(entry.value, {}, file)
+        vt, ve = _ty_kept(entry.value, {_READ: []}, file)
         if ve:
             raise _err(file, None, "RT-Configuration",
                        f"stored value at %{label} may emit")
@@ -300,7 +296,8 @@ def _ty_station(station, env: dict, seen: set[int], file: str) -> None:
         _claim(seen, hit[2], "a streamlet", file)
         env.update(hit[2])
         return
-    env[_READ] = read = {}
+    log = env[_READ]
+    start = len(log)
     n = station.node
     kt, ke = _ty_kept(n.key, env, file)
     pt, pe = _ty_kept(n.payload, env, file)
@@ -313,9 +310,9 @@ def _ty_station(station, env: dict, seen: set[int], file: str) -> None:
     _claim(seen, [label for unit in units for label, _ in unit.entries],
            "a streamlet", file)
     _ty_stream(units, env, file, "a station streamlet", allow_add=False)
-    del env[_READ]
     binds = {label: OPERATIONS[type(op)].future
              for unit in units for label, op in unit.entries}
+    read = dict(log[start:])
     older = [label for label in read if label not in binds]
     station.__dict__["_ty"] = (
         tuple(older), tuple(map(read.get, older)), binds)
@@ -329,6 +326,7 @@ def type_of_config(config, file: str = "<config>") -> ConfigType:
     found, so a call after a step types only what the step built."""
     env = dict(_ty_store(config.store, file))
     seen = set(env)
+    env[_READ] = []
 
     keys_seen: set[str] = set()
     for station in config.backend:

@@ -39,7 +39,7 @@ def reuse_never_offered(seeds: int = 20) -> bool:
     for seed in range(seeds):
         for ix in walk(state.init(prog), seed, tlo_on=True):
             if any(rule == "reuse" for windows in ix.cands
-                   for _, _, specs in windows for rule, _ in specs):
+                   for specs in windows for rule, _ in specs):
                 return False
     return True
 
