@@ -15,23 +15,25 @@ entries, the task rules and load sites that step now, and the window entries
 of the rewrite rules the choice draws from (batch, unbatch and the rows of
 `tlo.PAIR_RULES`), window by window (`tlo` keeps the prover verdicts), with
 counts; the stations that are not idle, which decide terminality; and the
-stations with a load site waiting on each label.  An entry is built into a
-`Redex` or a `tlo.Candidate` only when it is drawn.  A rewrite is named by
-its window's position, so tlo-random's undo guard leaves out one block of
-entries, in the window last batched or unbatched.  A Load step updates its
-station in place: it replaces or drops the entry of the one site it stepped,
-notes the station under the label the new term waits on, and derives again
-the two windows that hold a fold whose base it stepped; where the task rules
-may change (a node or the head fold's base reaches a value) it rebuilds the
-station.  Every other step has the index rebuild the stations it touched
-and, after a store write, those waiting on a written label, and the frontend
-and routing redexes only when the fields they read change.  The redex search
-records its hole as a path of child positions, along which the Load and
-frontend rules plug the contractum.  What the redex search finds in a term
-is kept on the term (see `state`), except by `eager_enumerate` for the wet
-station, which every eager step replaces.  `run` consumes `steps` under a
-scheduler, the harness walks under `uniform`, each through its own binding
-of `apply_redex`, which a probe of its steps wraps.
+stations with a load site waiting on each label.  A step marks the windows
+it changes for a draw that reads them to derive; the batch and unbatch
+entries, counted from unit sizes, often decide a draw alone.  An entry is
+built into a `Redex` or a `tlo.Candidate` only when it is drawn.  A rewrite
+is named by its window's position, so tlo-random's undo guard leaves out one
+block of entries, in the window last batched or unbatched.  A Load step
+updates its station in place: it replaces or drops the entry of the one site
+it stepped, notes the station under the label the new term waits on, and
+marks the windows of a fold it stepped; where the task rules may change (a
+node or the head fold's base reaches a value) it rebuilds the station.
+Every other step has the index rebuild the stations it touched and, after a
+store write, those waiting on a written label, and the frontend and routing
+redexes only when the fields they read change.  The redex search records its
+hole as a path of child positions, along which the Load and frontend rules
+plug the contractum.  What the redex search finds in a term is kept on the
+term (see `state`), except by `eager_enumerate` for the wet station, which
+every eager step replaces.  `run` consumes `steps` under a scheduler, the
+harness walks under `uniform`, each through its own binding of
+`apply_redex`, which a probe of its steps wraps.
 """
 
 from __future__ import annotations
@@ -503,9 +505,9 @@ class _Index:
     are the rewrite rules whose window entries it keeps, None for all.  A
     station's plain entries (`_plain_redex`) and windows (`cands`: the
     entries for `tlo.candidate` of each) become a `Redex` or a `Candidate`
-    only in `plain_at` and `cand_at`.  A Load updates its
-    station in place (`_load`); `refresh` rebuilds the stations that other
-    steps touched."""
+    only in `plain_at` and `cand_at`.  A Load updates its station in place
+    (`_load`); `refresh` rebuilds the stations other steps touched, but
+    their windows only in `derive`."""
 
     def __init__(self, config: Configuration, rules, assume_set_adjacency):
         n = len(config.backend)
@@ -517,8 +519,10 @@ class _Index:
         self.stale = set(range(n))
         self.plain = [()] * n  # the plain entries that step now
         self.cands, self.ncand = [()] * n, [0] * n  # `tlo.station_windows`
+        self.nsized = [0] * n  # `tlo.sized_entries`
+        self.underived: set[int] = set()  # stations whose `cands` are old
         self.waiting: dict[int, set[int]] = {}  # label -> stations
-        self.nplain = self.ncands = 0
+        self.nplain = self.ncands = self.nsizes = 0  # `ncands` once derived
         self.front_of = (None,) * 4  # the fields `front` was built from
 
     def terminal(self) -> bool:
@@ -564,10 +568,7 @@ class _Index:
             if j == 0 and is_value(e):
                 return False
             if self.rules:
-                added = tlo.rebase_windows(station.streamlet, j, self.rules,
-                                           self.adjacency, self.cands[i])
-                self.ncand[i] += added
-                self.ncands += added
+                self.underived.add(i)
         plain = self.plain[i]
         k = plain.index((j, r.path))
         site = None if is_value(e) else _load_site(j, e, _kept_step)
@@ -581,8 +582,8 @@ class _Index:
         return True
 
     def refresh(self) -> int:
-        """Rebuild the stale stations, with their windows if the index has
-        rules; count the plain entries."""
+        """Rebuild the stale stations' plain entries and, with rules, their
+        size count, and mark their windows; count the plain entries."""
         config, stale = self.config, self.stale
         last = len(config.backend) - 1
         for i in stale:
@@ -590,11 +591,10 @@ class _Index:
             self.plain[i] = _station_plain(config, i, i == last, self.waiting)
             self.nplain += len(self.plain[i])
             if self.rules:
-                self.cands[i] = tlo.station_windows(
-                    config.backend[i], self.rules, self.adjacency)
-                n = sum(map(len, self.cands[i]))
-                self.ncands += n - self.ncand[i]
-                self.ncand[i] = n
+                n = tlo.sized_entries(config.backend[i].streamlet, self.rules)
+                self.nsizes += n - self.nsized[i]
+                self.nsized[i] = n
+                self.underived.add(i)
         stale.clear()
         front_of = (config.frontend, config.top, config.store, not config.backend)
         if any(map(is_not, front_of, self.front_of)):
@@ -614,9 +614,20 @@ class _Index:
                 return _plain_redex(i, entries[k])
             k -= len(entries)
 
+    def derive(self) -> int:
+        """Derive the marked stations' windows; count the window entries."""
+        for i in self.underived:
+            self.cands[i] = tlo.station_windows(
+                self.config.backend[i], self.rules, self.adjacency)
+            n = sum(map(len, self.cands[i]))
+            self.ncands += n - self.ncand[i]
+            self.ncand[i] = n
+        self.underived.clear()
+        return self.ncands
+
     def cand_at(self, k: int):
-        """The `k`-th candidate in `tlo.candidates` order; only that
-        candidate is built."""
+        """The `k`-th candidate in `tlo.candidates` order, once `derive`
+        has run; only that candidate is built."""
         for i, n in enumerate(self.ncand):
             if k >= n:
                 k -= n
@@ -651,26 +662,27 @@ def _draw(ix: _Index, rng) -> Redex | None:
     # with no rules in the index, this is a uniform draw among the plain
     # redexes
     n = ix.refresh()
-    total, at, nundo, prev = ix.ncands, 0, 0, ix.last_opt
+    nundo, prev = 0, ix.last_opt
     if prev is not None and prev.rule in ("batch", "unbatch"):
         # a batch and an unbatch undo each other only in the window the
-        # last one rewrote (labels are unique), where a rule's entries
-        # form one block: `nundo` entries from position `at`
-        undo = "unbatch" if prev.rule == "batch" else "batch"
-        windows = ix.cands[prev.station]
-        rules = [rule for rule, _ in windows[prev.start]]
-        if undo in rules:
-            nundo = rules.count(undo)
-            at = (sum(ix.ncand[:prev.station]) + rules.index(undo)
-                  + sum(map(len, windows[:prev.start])))
-    if total > nundo and (not n or rng.random() < 0.2):
-        k = rng.randrange(total - nundo)
-        return _opt(ix.cand_at(k + nundo if k >= at else k))
+        # last one rewrote (labels are unique)
+        nundo, at = tlo.undo_block(
+            ix.config.backend[prev.station].streamlet[prev.start], prev.rule,
+            ix.rules)
+    # the size count decides unless the undo block is as large
+    if (ix.nsizes > nundo or ix.derive() > nundo) \
+            and (not n or rng.random() < 0.2):
+        k = rng.randrange(ix.derive() - nundo)
+        if nundo:
+            at += (sum(ix.ncand[:prev.station])
+                   + sum(map(len, ix.cands[prev.station][:prev.start])))
+            k += nundo if k >= at else 0
+        return _opt(ix.cand_at(k))
     if n:
         return ix.plain_at(rng.randrange(n))
-    if total:
+    if ix.derive():
         # the guard may not wedge the run; undo if that is all there is
-        return _opt(ix.cand_at(rng.randrange(total)))
+        return _opt(ix.cand_at(rng.randrange(ix.ncands)))
     return None
 
 
@@ -678,7 +690,7 @@ def uniform(ix: _Index, rng) -> Redex | None:
     """A uniform draw among the plain redexes and the candidates: the
     harness walks' choice, which no `run` scheduler offers."""
     n = ix.refresh()
-    if not n + ix.ncands:
+    if not n + ix.derive():
         return None
     k = rng.randrange(n + ix.ncands)
     return ix.plain_at(k) if k < n else _opt(ix.cand_at(k - n))

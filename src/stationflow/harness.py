@@ -236,7 +236,7 @@ def check_rewrite_soundness(min_pairs: int = 200) -> SoundnessReport:
             if pairs >= min_pairs or ix.terminal():
                 break
             ix.refresh()
-            if not ix.ncands:
+            if not ix.derive():
                 continue
             # drawn before the walk draws its next step, from the same rng
             cand = ix.cand_at(rng.randrange(ix.ncands))

@@ -30,7 +30,7 @@ Structural conventions
  - the prover verdicts of the pair rules are kept for the process in
    `tlo._verdict`, keyed by the canonical text of the functions they read,
    so they hold no term; `engine.run` derives a station's rewrite windows
-   afresh whenever it rebuilds the station
+   afresh when a draw reads them after a step changed the station
  - a compound term's free names are kept on it (`terms.free_vars`, as
    `_fv`) and only tested for membership; a term is closed when that set
    is empty, and the `to_sexpr` text (the printer lives in `terms`) of

@@ -10,9 +10,9 @@ decides only the side conditions, and `candidate` builds the one
 of the units it reads; `candidates` builds them all afresh.  A rewrite is
 named by its window's position, a station and a start unit.  A window's
 entries read only its two units, so `engine.steps` keeps each station's
-entries window by window (`station_windows`), and a Load, which gives one
-fold a new base, derives again only the two windows that hold it
-(`rebase_windows`).  A pair rule's verdict depends on operation
+entries window by window (`station_windows`), derived only when a draw
+reads them, and counts a station's batch and unbatch entries from unit
+sizes alone (`sized_entries`).  A pair rule's verdict depends on operation
 functions only up to the names of bound variables, so it is kept for the
 process in one bounded table keyed by their `to_sexpr` text (`_verdict`);
 reorderrw's `dcomp` is not kept.
@@ -60,11 +60,6 @@ def candidates(config: Configuration, rules: tuple[str, ...] | None = None,
     return out
 
 
-def _window(sl: tuple[Unit, ...], j: int) -> tuple[Unit, Unit | None]:
-    """The units of the window at unit `j` of `sl`; None past the tail."""
-    return sl[j], sl[j + 1] if j + 1 < len(sl) else None
-
-
 def station_windows(station: Station, enabled: tuple[str, ...],
                     assume_set_adjacency: bool) -> list[tuple]:
     """The `window_candidates` of the window at each unit of the
@@ -74,18 +69,12 @@ def station_windows(station: Station, enabled: tuple[str, ...],
             for unit, nxt in zip(sl, sl[1:] + (None,))]
 
 
-def rebase_windows(sl: tuple[Unit, ...], j: int, enabled: tuple[str, ...],
-                   assume_set_adjacency: bool, found: list[tuple]) -> int:
-    """Carry `station_windows`' result `found` over a Load that gave the
-    fold at unit `j` of streamlet `sl` a new base: derive again the windows
-    that hold unit `j`; returns the change in the number of entries."""
-    added = 0
-    for k in range(max(j - 1, 0), j + 1):
-        specs = window_candidates(*_window(sl, k), enabled,
-                                  assume_set_adjacency)
-        added += len(specs) - len(found[k])
-        found[k] = specs
-    return added
+def sized_entries(sl: tuple[Unit, ...], enabled: tuple[str, ...]) -> int:
+    """The batch and unbatch entries of the windows of streamlet `sl`: a
+    batch for each unit but the last, an unbatch for each split of a unit."""
+    batch = len(sl) - 1 if sl and "batch" in enabled else 0
+    return batch + (sum(len(u.entries) for u in sl) - len(sl)
+                    if "unbatch" in enabled else 0)
 
 
 # (prover, argument texts) -> verdict, for the process; emptied when full
@@ -188,12 +177,20 @@ def window_candidates(unit: Unit, nxt: Unit | None, enabled: tuple[str, ...],
     return tuple(out)
 
 
+def undo_block(unit: Unit, rule: str, enabled: tuple[str, ...]):
+    """The number and offset, in `window_candidates` order, of the entries
+    that undo a batch or unbatch `rule` in the window at `unit`, the unit it
+    made (the first, for an unbatch, which leaves a unit after it)."""
+    splits = len(unit.entries) - 1 if "unbatch" in enabled else 0
+    return (splits, 0) if rule == "batch" else (int("batch" in enabled), splits)
+
+
 def candidate(spec: tuple[str, int], station: int, start: int,
               sl: tuple[Unit, ...]) -> Candidate:
     """The candidate of window entry `spec` at unit `start` of `sl`, the
     streamlet of station `station`."""
     rule, split = spec
-    unit, nxt = _window(sl, start)
+    unit, nxt = sl[start], sl[start + 1] if start + 1 < len(sl) else None
     results = ()
     if rule == "unbatch":
         replacement = Unit(unit.entries[:split]), Unit(unit.entries[split:])

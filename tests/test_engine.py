@@ -1,6 +1,7 @@
 """Reduction behavior: emission order, routing, station processing,
 claim blocking, the eager policy and schedule-independence."""
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -1055,7 +1056,7 @@ class TestUndoGuard:
         candidate at unit `start` of `station`, and that candidate."""
         ix = engine._Index(config, None, False)
         ix.refresh()
-        prev, = [c for c in map(ix.cand_at, range(ix.ncands))
+        prev, = [c for c in map(ix.cand_at, range(ix.derive()))
                  if (c.rule, c.station, c.start) == (rule, station, start)]
         r = engine._opt(prev)
         config, _, labels = apply_redex(ix.config, r)
@@ -1082,6 +1083,7 @@ class TestUndoGuard:
         # the three-operation unit at unit 1 of station 1 offers two
         # unbatch splits, then a batch with the unit after it
         ix, prev = self.after(undo_start((1, 1), (1, 2, 1, 1)), "batch", 1, 1)
+        ix.derive()
         assert ix.cands[1][1] == (("unbatch", 1), ("unbatch", 2),
                                   ("batch", 0))
         opts, plain = self.drawn(ix, prev)
@@ -1147,7 +1149,7 @@ class TestIndex:
                     n = ix.refresh()
                     offered = [ix.plain_at(k) for k in range(n)]
                     offered += [engine._opt(ix.cand_at(k))
-                                for k in range(ix.ncands)]
+                                for k in range(ix.derive())]
                     assert offered == enumerate_redexes(
                         bare(ix.config), tlo_on=(scheduler == "tlo-random"),
                         tlo_rules=rules, assume_set_adjacency=adjacency)
@@ -1241,7 +1243,8 @@ class TestWalkIndex:
                 assert ix.terminal() == state.is_terminal(config)
                 n = ix.refresh()
                 got = [ix.plain_at(j) for j in range(n)]
-                got += [engine._opt(ix.cand_at(j)) for j in range(ix.ncands)]
+                got += [engine._opt(ix.cand_at(j))
+                        for j in range(ix.derive())]
                 assert got == want
             assert ix.terminal()
         assert reached > 600
@@ -1318,11 +1321,42 @@ LOAD_WALKS = (
 SUM_BASE = Node(Key("z"), Int(0), KL(()))
 
 
+def derived(ix):
+    """A copy of `ix`, refreshed, with every window derived; `ix` keeps its
+    marks, so it goes on to derive what it would have derived."""
+    ix.refresh()
+    got = copy.copy(ix)
+    got.cands, got.ncand = list(ix.cands), list(ix.ncand)
+    got.underived = set(ix.underived)
+    got.derive()
+    return got
+
+
+def assert_equals_a_fresh_index(ix):
+    """`ix`, once derived, holds what a fresh index of its configuration
+    holds, and its size count is the batch and unbatch entries of its
+    windows."""
+    got = derived(ix)
+    fresh = engine._Index(ix.config, ix.rules, ix.adjacency)
+    fresh.refresh()
+    fresh.derive()
+    for field in ("plain", "cands", "ncand", "nplain", "ncands", "nsized",
+                  "nsizes", "busy", "front"):
+        assert getattr(got, field) == getattr(fresh, field), field
+    assert got.nsized == [sum(rule in ("batch", "unbatch")
+                              for specs in windows for rule, _ in specs)
+                          for windows in got.cands]
+    assert got.nsizes == sum(got.nsized)
+    # a woken station is rebuilt, so extra entries do no harm
+    for label, stations in fresh.waiting.items():
+        assert stations <= ix.waiting.get(label, set())
+
+
 class TestLoadInPlace:
     """A Load step updates its station's entries in the index in place; the
     index must hold after every step what a fresh one built from the same
-    configuration holds, and a Load must derive only the windows that hold
-    the fold it stepped."""
+    configuration holds, and a Load must derive no window, only mark the
+    windows of the fold it stepped."""
 
     @staticmethod
     def walks():
@@ -1353,23 +1387,16 @@ class TestLoadInPlace:
 
         monkeypatch.setattr(engine._Index, "advance", step)
         for ix in self.walks():
-            fresh = engine._Index(ix.config, ix.rules, ix.adjacency)
-            fresh.refresh()
-            for field in ("plain", "cands", "ncand", "nplain", "ncands",
-                          "busy", "front"):
-                assert getattr(ix, field) == getattr(fresh, field), field
-            # a woken station is rebuilt, so extra entries do no harm
-            for label, stations in fresh.waiting.items():
-                assert stations <= ix.waiting.get(label, set())
+            assert_equals_a_fresh_index(ix)
         assert set(tags) == {"node-done", "head-done", "unit-done", "unkeyed",
                              "waits", "beside-fold"}
         # a node that loads offers its visit, a head base its settling
         assert offered["node-done"] and offered["head-done"]
 
-    def test_a_load_derives_only_the_windows_beside_it(self, monkeypatch):
+    def test_a_load_derives_no_window(self, monkeypatch):
         # a Load rebuilds no station, unless its node or its head fold's
-        # base reaches a value or its node had no key; it derives no window
-        # for a node and, for a fold, only the two windows that hold it
+        # base reaches a value or its node had no key; it derives no window,
+        # and marks its station's windows only for a fold
         derived, rebuilt = [], []
         for name, seen in (("window_candidates", derived),
                            ("station_windows", rebuilt)):
@@ -1394,14 +1421,10 @@ class TestLoadInPlace:
             tags = load_tags(r, old, config)
             if tags & {"node-done", "unkeyed", "head-done"}:
                 return
-            assert rebuilt == []
-            if r.unit is None or not ix.rules:
-                assert derived == []
-            else:
-                loaded = config.backend[r.station].streamlet[r.unit]
-                assert len(derived) == (2 if r.unit else 1)
-                assert all(loaded is unit or loaded is nxt
-                           for unit, nxt, *_ in derived)
+            assert rebuilt == [] and derived == []
+            # a walk's draw derived every window before the Load
+            assert ix.underived == ({r.station} if r.unit is not None
+                                    and ix.rules else set())
             loads["node" if r.unit is None else "unit"] += 1
             loads["beside-fold"] += "beside-fold" in tags
 
@@ -1430,11 +1453,105 @@ class TestLoadInPlace:
         assert after.backend[0] == nested_folds(*stepped)
         ix.advance(r, after, labels)
         ix.refresh()
+        ix.derive()
         assert (("reuse", 0) in ix.cands[0][0]) is reuse
         fresh = engine._Index(after, None, False)
         fresh.refresh()
+        fresh.derive()
         assert (ix.cands, ix.ncand, ix.ncands) == (
             fresh.cands, fresh.ncand, fresh.ncands)
+
+
+class TestLazyWindows:
+    """tlo-random derives a station's windows only when a draw reads them:
+    the size count, the batch and unbatch entries counted from unit sizes,
+    decides whether a draw may take a rewrite whenever it exceeds the undo
+    block, and a draw that then takes a plain redex derives no window."""
+
+    STARTS = (lambda: mix_config(8),
+              lambda: state.init(harness.corpus_program("core_pr")),
+              lambda: state.init(harness.corpus_program("core_social")))
+
+    def runs(self, choose=engine._draw):
+        """The index of every seeded tlo-random run of `STARTS`, with set
+        adjacency, at every configuration reached."""
+        for start in self.STARTS:
+            for seed in range(3):
+                for ix, _, _ in engine.steps(start(), choose,
+                                             random.Random(seed), None, True,
+                                             apply_redex):
+                    yield ix
+
+    def test_run_index_equals_a_fresh_one_after_every_step(self):
+        steps = 0
+        for ix in self.runs():
+            assert_equals_a_fresh_index(ix)
+            steps += 1
+        assert steps > 1000
+
+    def test_a_plain_draw_over_the_size_count_derives_no_window(
+            self, monkeypatch):
+        # the undo guard too reads unit sizes alone; the undo block is
+        # counted here in windows derived on a copy
+        derived_now = []
+        window_candidates = tlo.window_candidates
+        monkeypatch.setattr(tlo, "window_candidates", lambda *a: (
+            derived_now.append(a), window_candidates(*a))[1])
+        draws = Counter()
+
+        def choose(ix, rng):
+            prev = ix.last_opt
+            undo = {"batch": "unbatch", "unbatch": "batch"}.get(
+                prev.rule if prev else None)
+            nundo = undo and [rule for rule, _ in derived(ix).cands[
+                prev.station][prev.start]].count(undo) or 0
+            derived_now.clear()
+            r = engine._draw(ix, rng)
+            if r is not None and r.rule == "Opt":
+                assert not ix.underived  # the draw read every window
+                draws["rewrite"] += 1
+            elif r is not None and ix.nsizes > nundo:
+                assert derived_now == []
+                draws["after an undo" if nundo else "plain"] += 1
+            return r
+
+        for _ in self.runs(choose):
+            pass
+        assert min(draws.values()) > 50 and len(draws) == 3
+
+
+class TestExactCountDraws:
+    """Without batch every unit holds one operation, so the size count is 0
+    and every draw that may take a rewrite derives every marked window for
+    the exact count.  Seeded runs under such rule sets are pinned by their
+    steps (core_pr, then the op mix, seeds 0-2) and the sha256 of their
+    traces; a draw that calls `rng` in another order moves them.  With no
+    rule at all the runs replay the `("unbatch",)` ones, but derive no
+    window, so only the latter are pinned."""
+
+    PINNED = {
+        ("unbatch",): ((236, 234, 233, 419, 423, 425),
+                       "2dd916ff0bf1a2e61f772043b6460be9a7a74b3864fa80bb2b057eaf1457c82b"),
+        ("reuse",): ((236, 234, 233, 366, 366, 406),
+                     "87f3a3be877fdf18c9e98726f6e945b06d0c7c124fa7e454b6a157d39542f4e9"),
+        ("reorderd", "reorderrr"): (
+            (266, 271, 258, 518, 524, 509),
+            "a1dac31db483464f987a4627552c2f5f15fe1fc3808dd5143dfed9bd0169b57d"),
+    }
+
+    @pytest.mark.parametrize("rules", PINNED)
+    def test_seeded_runs_are_pinned(self, rules):
+        h, steps = hashlib.sha256(), []
+        for config in (state.init(harness.corpus_program("core_pr")),
+                       mix_config(8)):
+            for seed in range(3):
+                r = run(config, scheduler="tlo-random", seed=seed, trace=True,
+                        tlo_rules=rules, assume_set_adjacency=True)
+                assert r.status == "terminal"
+                steps.append(r.steps)
+                for rec in r.trace:
+                    h.update(rec.to_json().encode() + b"\n")
+        assert (tuple(steps), h.hexdigest()) == self.PINNED[rules]
 
 
 class TestCarriedOver:
@@ -1514,7 +1631,7 @@ class TestVerdicts:
     def offered(self, ix):
         n = ix.refresh()
         got = ([ix.plain_at(k) for k in range(n)]
-               + [engine._opt(ix.cand_at(k)) for k in range(ix.ncands)])
+               + [engine._opt(ix.cand_at(k)) for k in range(ix.derive())])
         assert got == enumerate_redexes(bare(ix.config), tlo_on=True)
         return got
 

@@ -1,6 +1,7 @@
 """The validation harness itself: report shapes, reduced-size runs of
 every checker, and the bundled corpus registry."""
 
+import functools
 import hashlib
 import json
 from collections import Counter
@@ -38,6 +39,7 @@ def reuse_never_offered(seeds: int = 20) -> bool:
     prog = harness.corpus_program("reuse_guard")
     for seed in range(seeds):
         for ix in walk(state.init(prog), seed, tlo_on=True):
+            ix.derive()
             if any(rule == "reuse" for windows in ix.cands
                    for specs in windows for rule, _ in specs):
                 return False
@@ -161,6 +163,16 @@ class TestRewriteSoundness:
         rep = harness.check_rewrite_soundness(min_pairs=40)
         assert sum(rep.rules.values()) == rep.pairs
         assert set(rep.rules) <= set(tlo.RULE_NAMES) and len(rep.rules) > 1
+
+    def test_a_completion_out_of_fuel_is_a_counterexample(self, monkeypatch):
+        # each side of a sample completes under `det` with the fuel of
+        # `engine.run`; a side that runs out reaches no terminal to agree on
+        monkeypatch.setattr(engine, "run", functools.partial(engine.run,
+                                                             fuel=2))
+        rep = harness.check_rewrite_soundness(min_pairs=3)
+        assert not rep.ok and (rep.pairs, rep.agreed) == (3, 0)
+        assert len(rep.counterexamples) == 3
+        assert all(c.endswith(" -> fuel/fuel") for c in rep.counterexamples)
 
 
 class TestSingleRunHelpers:

@@ -438,7 +438,7 @@ def chained_window_candidates(unit, nxt, enabled, assume_set_adjacency):
 
 def chained_candidate(spec, station, start, sl):
     rule, split = spec
-    unit, nxt = tlo._window(sl, start)
+    unit, nxt = sl[start], sl[start + 1] if start + 1 < len(sl) else None
     results = ()
     if rule == "unbatch":
         replacement = Unit(unit.entries[:split]), Unit(unit.entries[split:])
